@@ -172,7 +172,12 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         if len(d.inst) != len(prefix):
             _fail(d, "instantiation arity mismatch")
         inst = Subst(dict(zip(prefix, d.inst)))
-        if prefix and not inst_wf(delta, inst, KindEnv(prefix), Kind.POLY, KindEnv()):
+        # The scheme binds its prefix, which may share a name with a rigid
+        # variable in scope (an annotation's `a` against the prelude's);
+        # rename the prefix apart before checking the instantiation.
+        apart = NameSupply(delta.names() + prefix).fresh_many(len(prefix))
+        renamed = Subst(dict(zip(apart, d.inst)))
+        if prefix and not inst_wf(delta, renamed, KindEnv(apart), Kind.POLY, KindEnv()):
             _fail(d, "instantiation not well-formed")
         if not alpha_eq(inst.apply(guarded), d.ty):
             _fail(d, "recorded type is not the recorded instantiation's image")

@@ -2,10 +2,14 @@
 
 The algorithm threads a fixed rigid environment, a refined flexible
 environment, and an explicit name supply.  Each case returns the final
-flexible environment, a substitution whose domain is exactly the input
-flexible environment, and the inferred type.  Alongside, it records a
-derivation tree whose nodes carry fully-resolved types; the translation
-to the explicit core replays that tree.
+flexible environment, a sparse substitution, and the inferred type.  The
+substitution holds every variable solved so far, the case's own fresh
+variables included, with each image fully resolved; the inferred type is
+resolved too.  Alongside, each case records a derivation tree whose types
+may still mention variables solved later.  :func:`infer` resolves the tree
+once, with the final substitution, and restricts that substitution to the
+input flexible environment, the paper's form.  The translation to the
+explicit core replays the resolved tree.
 
 Let-bindings decide generalisation via the value restriction: guarded
 values abstract their generalisable variables, everything else keeps
@@ -48,12 +52,13 @@ from .syntax import (
     desugar,
     foralls,
     ftv_ordered,
+    ftv_set,
     has_sugar,
     is_gval,
     term_names,
     Var,
 )
-from .unify import UnifyError, unify
+from .unify import UnifyError, unify_sparse
 
 
 class InferError(Exception):
@@ -246,9 +251,23 @@ def infer(
     m: Term,
     supply: NameSupply,
 ) -> InferResult:
-    """Infer a type for the desugared, well-scoped term `m`."""
+    """Infer a type for the desugared, well-scoped term `m`.
+
+    The returned substitution's domain is exactly `theta`, and every type
+    in the derivation is resolved.
+    """
     env, subst, ty, deriv = _infer(delta, theta, gamma, m, supply)
-    return InferResult(env, subst, ty, deriv)
+    return InferResult(
+        env, subst.restrict(theta.names()), ty, deriv.map_types(subst.apply)
+    )
+
+
+_EMPTY = Subst()
+
+
+def _images(subst: Subst, theta: RefinedKindEnv) -> set[str]:
+    """Free variables of the images of theta's names."""
+    return {v for name in theta.names() for v in ftv_set(subst.lookup(name))}
 
 
 def _infer(
@@ -262,7 +281,7 @@ def _infer(
         ty = gamma.lookup(m.name)
         if ty is None:
             raise UnboundVar(m.name, m.span)
-        return theta, Subst.identity(theta.names()), ty, DFreeze(m.name, ty)
+        return theta, _EMPTY, ty, DFreeze(m.name, ty)
 
     if isinstance(m, Var):
         scheme = gamma.lookup(m.name)
@@ -276,22 +295,21 @@ def _infer(
         for b in fresh:
             env = env.extend(b, Kind.POLY)
         deriv = DVar(m.name, prefix, tuple(TVar(b) for b in fresh), ty)
-        return env, Subst.identity(theta.names()), ty, deriv
+        return env, _EMPTY, ty, deriv
 
     if isinstance(m, Lit):
-        return theta, Subst.identity(theta.names()), m.type, DLit(m.value, m.type)
+        return theta, _EMPTY, m.type, DLit(m.value, m.type)
 
     if isinstance(m, Lam):
         a = supply.fresh()
-        env1, full, body_ty, body_deriv = _infer(
+        env1, subst, body_ty, body_deriv = _infer(
             delta,
             theta.extend(a, Kind.MONO),
             gamma.extend(m.var, TVar(a)),
             m.body,
             supply,
         )
-        arg_ty = full.lookup(a)
-        subst = full.without(a)
+        arg_ty = subst.lookup(a)
         ty = arrow(arg_ty, body_ty)
         return env1, subst, ty, DLam(m.var, arg_ty, body_deriv, ty)
 
@@ -307,10 +325,9 @@ def _infer(
         env2, s2, arg_ty, arg_deriv = _infer(
             delta, env1, s1.apply_env(gamma), m.arg, supply
         )
-        fn_deriv = fn_deriv.map_types(s2.apply)
         b = supply.fresh()
         try:
-            env3, u = unify(
+            env3, u = unify_sparse(
                 delta,
                 env2.extend(b, Kind.POLY),
                 s2.apply(fn_ty),
@@ -320,15 +337,14 @@ def _infer(
         except UnifyError as err:
             raise CannotUnify(err, m.span) from None
         result_ty = u.lookup(b)
-        s3 = u.without(b)
-        fn_deriv = fn_deriv.map_types(s3.apply)
-        arg_deriv = arg_deriv.map_types(s3.apply)
         deriv = DApp(fn_deriv, arg_deriv, result_ty)
-        return env3, s3.compose(s2).compose(s1), result_ty, deriv
+        return env3, s1.then(s2).then(u), result_ty, deriv
 
     if isinstance(m, Let):
         env1, s1, bound_ty, bound_deriv = _infer(delta, theta, gamma, m.bound, supply)
-        pinned = [v for v in s1.ftv() if v not in delta]
+        # The images of theta's names are what the enclosing environment
+        # sees; generalising a variable they mention would be unsound.
+        pinned = [v for v in _images(s1, theta) if v not in delta]
         basis = tuple(delta.names()) + tuple(pinned)
         prefix, generalisable = gen(basis, bound_ty, m.bound)
         demoted = demote(Kind.MONO, env1, generalisable)
@@ -340,11 +356,8 @@ def _infer(
             m.body,
             supply,
         )
-        bound_deriv = bound_deriv.map_types(s2.apply)
-        deriv = DLet(
-            m.var, prefix, bound_deriv, s2.apply(var_ty), body_deriv, body_ty
-        )
-        return env2, s2.compose(s1), body_ty, deriv
+        deriv = DLet(m.var, prefix, bound_deriv, var_ty, body_deriv, body_ty)
+        return env2, s1.then(s2), body_ty, deriv
 
     if isinstance(m, LetAnn):
         prefix, split_ty = split(m.ann, m.bound)
@@ -357,17 +370,18 @@ def _infer(
             inner_delta, theta, gamma, m.bound, supply
         )
         try:
-            env2, u = unify(inner_delta, env1, split_ty, bound_ty, supply)
+            env2, u = unify_sparse(inner_delta, env1, split_ty, bound_ty, supply)
         except UnifyError as err:
             raise CannotUnify(err, m.span) from None
-        s2 = u.compose(s1)
-        if set(s2.ftv()) & set(prefix):
+        s2 = s1.then(u)
+        # Variables made inside the bound term may mention the prefix;
+        # only the images of theta's names must not.
+        escaped = _images(s2, theta) & set(prefix)
+        if escaped:
             raise AnnotationEscape(
-                f"annotation variables {sorted(set(s2.ftv()) & set(prefix))} "
-                "escape their binding",
+                f"annotation variables {sorted(escaped)} escape their binding",
                 m.span,
             )
-        bound_deriv = bound_deriv.map_types(u.apply)
         env3, s3, body_ty, body_deriv = _infer(
             delta,
             env2,
@@ -375,11 +389,10 @@ def _infer(
             m.body,
             supply,
         )
-        bound_deriv = bound_deriv.map_types(s3.apply)
         deriv = DLetAnn(
             m.var, m.ann, prefix, bound_deriv, body_deriv, body_ty
         )
-        return env3, s3.compose(s2), body_ty, deriv
+        return env3, s2.then(s3), body_ty, deriv
 
     if isinstance(m, (Gen, Inst)):
         raise ValueError("infer applies to desugared terms only")

@@ -2,10 +2,16 @@
 
 The same application algorithm serves rigid instantiations and flexible
 substitutions; the two differ only in the judgement that validates them
-(:func:`inst_wf` vs :func:`subst_wf`).  Substitutions are kept in
-triangular form and composed explicitly rather than resolved through a
-mutable store, so the soundness and completeness properties of
-unification and inference can be tested as written.
+(:func:`inst_wf` vs :func:`subst_wf`).  Substitutions are immutable maps,
+composed explicitly rather than resolved through a mutable store, so the
+soundness and completeness properties of unification and inference can
+be tested as written.
+
+Inside unification and inference a substitution is sparse: it holds only
+the variables actually solved, each image already passed through every
+later solution (:meth:`Subst.then`).  The paper's form, whose domain is
+exactly the input flexible environment, is built once by the public
+entry points (:meth:`Subst.restrict`).
 """
 
 from __future__ import annotations
@@ -26,21 +32,25 @@ from .syntax import (
     all_type_names,
     arrow,
     ftv_ordered,
+    ftv_set,
     internal_index,
 )
 from .statics import StaticsError, kind_of
 
 
 class Subst:
-    """Ordered finite map from type-variable names to types."""
+    """Ordered finite map from type-variable names to types.
 
-    __slots__ = ("_map",)
+    Application remembers its results per type node (see :func:`_apply`),
+    so applying one substitution to many types that share subtrees, such
+    as the types along a derivation, visits each shared subtree once.
+    """
+
+    __slots__ = ("_map", "_memo")
 
     def __init__(self, mapping: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
-        if isinstance(mapping, Mapping):
-            self._map = dict(mapping)
-        else:
-            self._map = dict(mapping)
+        self._map = dict(mapping)
+        self._memo: dict = {}
 
     @staticmethod
     def identity(names: Iterable[str]) -> "Subst":
@@ -59,16 +69,6 @@ class Subst:
         """Image of a variable; unmapped variables are unchanged."""
         return self._map.get(name, TVar(name))
 
-    def extend(self, name: str, ty: Type) -> "Subst":
-        new = dict(self._map)
-        new[name] = ty
-        return Subst(new)
-
-    def without(self, name: str) -> "Subst":
-        new = dict(self._map)
-        new.pop(name, None)
-        return Subst(new)
-
     def is_identity(self) -> bool:
         return all(isinstance(t, TVar) and t.name == n for n, t in self._map.items())
 
@@ -82,14 +82,40 @@ class Subst:
         return ftv_ordered(chain)
 
     def apply(self, a: Type) -> Type:
-        return _apply(self._map, a)
+        return _apply(self._map, a, self._memo)
 
     def apply_env(self, gamma: TypeEnv) -> TypeEnv:
+        if not self._map:
+            return gamma
         return gamma.map_types(self.apply)
 
     def compose(self, inner: "Subst") -> "Subst":
         """self after inner: the domain is inner's, images pass through self."""
-        return Subst((n, self.apply(t)) for n, t in inner._map.items())
+        mapping, memo = self._map, self._memo
+        keys = mapping.keys()
+        return Subst({
+            n: t if keys.isdisjoint(ftv_set(t)) else _apply(mapping, t, memo)
+            for n, t in inner._map.items()
+        })
+
+    def then(self, outer: "Subst") -> "Subst":
+        """The solution self, then the solution outer, as one solution.
+
+        self's images pass through outer, and outer's own entries are
+        added.  outer solves variables that self left unsolved, so the
+        two domains are disjoint.
+        """
+        if not outer._map:
+            return self
+        if not self._map:
+            return outer
+        combined = outer.compose(self)._map
+        combined.update(outer._map)
+        return Subst(combined)
+
+    def restrict(self, names: Iterable[str]) -> "Subst":
+        """The substitution on exactly `names`, unmapped ones to themselves."""
+        return Subst((n, self.lookup(n)) for n in names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._map
@@ -105,28 +131,40 @@ class Subst:
         return f"Subst[{inner}]"
 
 
-def _apply(mapping: dict[str, Type], a: Type) -> Type:
+def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
+    """Capture-avoiding application of `mapping` to `a`.
+
+    Subtrees with no free variable in the mapping come back unchanged.
+    `memo` maps a node's id to the node and its image under `mapping`;
+    holding the node keeps its id from being reused.
+    """
     if not mapping:
         return a
+    fv = ftv_set(a)
+    if mapping.keys().isdisjoint(fv):
+        return a
     if isinstance(a, TVar):
-        return mapping.get(a.name, a)
+        return mapping[a.name]
+    done = memo.get(id(a))
+    if done is not None:
+        return done[1]
     if isinstance(a, Con):
-        return Con(a.con, tuple(_apply(mapping, arg) for arg in a.args))
-    if isinstance(a, Forall):
-        inner = {n: t for n, t in mapping.items() if n != a.var}
-        if not inner:
-            return a
+        result: Type = Con(a.con, tuple(_apply(mapping, arg, memo) for arg in a.args))
+    elif isinstance(a, Forall):
+        # Only images of variables free under the binder matter; the
+        # binder itself is not free, so it shadows its own entry.
+        inner = {n: mapping[n] for n in fv if n in mapping}
         # Rename the binder when an image could capture it.
-        capture = any(
-            a.var in ftv_ordered(t)
-            for n, t in inner.items()
-        )
-        if capture:
+        if any(a.var in ftv_set(t) for t in inner.values()):
             fresh = _fresh_name(inner, a)
-            renamed = _apply({a.var: TVar(fresh)}, a.body)
-            return Forall(fresh, _apply(inner, renamed))
-        return Forall(a.var, _apply(inner, a.body))
-    raise TypeError(f"not a type: {a!r}")
+            renamed = _apply({a.var: TVar(fresh)}, a.body, {})
+            result = Forall(fresh, _apply(inner, renamed, {}))
+        else:
+            result = Forall(a.var, _apply(inner, a.body, {}))
+    else:
+        raise TypeError(f"not a type: {a!r}")
+    memo[id(a)] = (a, result)
+    return result
 
 
 def _fresh_name(mapping: dict[str, Type], a: Type) -> str:

@@ -175,6 +175,31 @@ def ftv_ordered(a: Type) -> list[str]:
     return seen
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def ftv_set(a: Type) -> frozenset[str]:
+    """Free type variables of `a` as a set, cached on each node.
+
+    Type nodes are frozen, so a node's free variables never change and
+    the cache needs no invalidation.
+    """
+    try:
+        return a.__dict__["_ftv"]
+    except (AttributeError, KeyError):
+        pass
+    if isinstance(a, TVar):
+        fv = frozenset((a.name,))
+    elif isinstance(a, Con):
+        fv = _NO_VARS.union(*[ftv_set(arg) for arg in a.args])
+    elif isinstance(a, Forall):
+        fv = ftv_set(a.body) - {a.var}
+    else:
+        raise TypeError(f"not a type: {a!r}")
+    a.__dict__["_ftv"] = fv
+    return fv
+
+
 def all_type_names(a: Type) -> set[str]:
     """Every variable name occurring in `a`, free or bound."""
     names: set[str] = set()
@@ -202,6 +227,9 @@ def alpha_eq(a: Type, b: Type) -> bool:
     """
 
     def walk(x: Type, y: Type, bx: tuple[str, ...], by: tuple[str, ...]) -> bool:
+        if x is y and bx == by:
+            # One node under the same binders; shared subtrees are common.
+            return True
         if isinstance(x, TVar) and isinstance(y, TVar):
             # Innermost binder position must coincide, or both free.
             for i, (na, nb) in enumerate(zip(reversed(bx), reversed(by))):
@@ -547,60 +575,67 @@ class KindEnv:
 class RefinedKindEnv:
     """Ordered flexible type variables, each at kind mono or poly."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_kinds",)
 
     def __init__(self, entries: Iterable[tuple[str, Kind]] = ()) -> None:
-        ordered: list[tuple[str, Kind]] = []
-        seen: set[str] = set()
+        kinds: dict[str, Kind] = {}
         for name, kind in entries:
-            assert name not in seen, f"duplicate flexible variable {name}"
-            seen.add(name)
-            ordered.append((name, kind))
-        self._entries = tuple(ordered)
+            assert name not in kinds, f"duplicate flexible variable {name}"
+            kinds[name] = kind
+        self._kinds = kinds
+
+    @classmethod
+    def _of(cls, kinds: dict[str, Kind]) -> "RefinedKindEnv":
+        """Wrap a fresh dict, already free of duplicates, without copying."""
+        env = object.__new__(cls)
+        env._kinds = kinds
+        return env
 
     @staticmethod
     def of_kind_env(delta: KindEnv) -> "RefinedKindEnv":
         return RefinedKindEnv((name, Kind.MONO) for name in delta)
 
     def entries(self) -> tuple[tuple[str, Kind], ...]:
-        return self._entries
+        return tuple(self._kinds.items())
 
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._entries)
+        return tuple(self._kinds)
 
     def lookup(self, name: str) -> Optional[Kind]:
-        for entry_name, kind in self._entries:
-            if entry_name == name:
-                return kind
-        return None
+        return self._kinds.get(name)
 
     def extend(self, name: str, kind: Kind) -> "RefinedKindEnv":
-        return RefinedKindEnv(self._entries + ((name, kind),))
+        assert name not in self._kinds, f"duplicate flexible variable {name}"
+        kinds = dict(self._kinds)
+        kinds[name] = kind
+        return RefinedKindEnv._of(kinds)
 
     def remove(self, names: Iterable[str]) -> "RefinedKindEnv":
         drop = set(names)
-        return RefinedKindEnv((n, k) for n, k in self._entries if n not in drop)
+        return RefinedKindEnv._of(
+            {n: k for n, k in self._kinds.items() if n not in drop}
+        )
 
     def without(self, name: str) -> "RefinedKindEnv":
         return self.remove((name,))
 
     def __contains__(self, name: str) -> bool:
-        return self.lookup(name) is not None
+        return name in self._kinds
 
     def __iter__(self) -> Iterator[tuple[str, Kind]]:
-        return iter(self._entries)
+        return iter(self._kinds.items())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._kinds)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RefinedKindEnv) and self._entries == other._entries
+        return isinstance(other, RefinedKindEnv) and self.entries() == other.entries()
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.entries())
 
     def __repr__(self) -> str:
-        pretty = ", ".join(f"{n}:{k}" for n, k in self._entries)
+        pretty = ", ".join(f"{n}:{k}" for n, k in self._kinds.items())
         return f"RefinedKindEnv({pretty})"
 
 

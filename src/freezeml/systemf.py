@@ -199,42 +199,65 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
 # Printing and parsing (used by the CLI elaborate/import commands)
 # ---------------------------------------------------------------------------
 
+_TOP, _APP, _ATOM = range(3)
+
+
 def render_fterm(t: FTerm, unicode: bool = False) -> str:
+    """Print `t` in the grammar :func:`parse_fterm` reads.
+
+    Works on an explicit stack, so deeply nested terms (long let chains
+    in particular) print without exhausting the interpreter's stack.
+    """
     lam = "λ" if unicode else "\\"
     tyabs = "Λ" if unicode else "/\\"
 
-    def atom(x: FTerm) -> str:
+    def ty(a: Type) -> str:
+        return render_type(a, normalize=False, unicode=unicode)
+
+    pieces: list[str] = []
+    # Each entry is text to emit or (level, term); the levels are the
+    # grammar's three: top (binders), app (spines), atom.
+    stack: list = [(_TOP, t)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        level, x = item
+        if level == _TOP:
+            if isinstance(x, FLam):
+                pieces.append(f"{lam}{x.var}:{ty(x.ann)}. ")
+                stack.append((_TOP, x.body))
+                continue
+            if isinstance(x, FTyAbs):
+                names = []
+                while isinstance(x, FTyAbs):
+                    names.append(x.var)
+                    x = x.body
+                pieces.append(f"{tyabs}{' '.join(names)}. ")
+                stack.append((_TOP, x))
+                continue
+            level = _APP
+        if level == _APP:
+            if isinstance(x, FApp):
+                stack.extend(((_ATOM, x.arg), " ", (_APP, x.fn)))
+                continue
+            if isinstance(x, FTyApp):
+                stack.extend((f" [{ty(x.arg)}]", (_APP, x.fn)))
+                continue
         if isinstance(x, FVar):
-            return x.name
-        if isinstance(x, FLit):
+            pieces.append(x.name)
+        elif isinstance(x, FLit):
             if x.value is True:
-                return "True"
-            if x.value is False:
-                return "False"
-            return str(x.value)
-        return f"({top(x)})"
-
-    def app(x: FTerm) -> str:
-        if isinstance(x, FApp):
-            return f"{app(x.fn)} {atom(x.arg)}"
-        if isinstance(x, FTyApp):
-            ty = render_type(x.arg, normalize=False, unicode=unicode)
-            return f"{app(x.fn)} [{ty}]"
-        return atom(x)
-
-    def top(x: FTerm) -> str:
-        if isinstance(x, FLam):
-            ann = render_type(x.ann, normalize=False, unicode=unicode)
-            return f"{lam}{x.var}:{ann}. {top(x.body)}"
-        if isinstance(x, FTyAbs):
-            names = []
-            while isinstance(x, FTyAbs):
-                names.append(x.var)
-                x = x.body
-            return f"{tyabs}{' '.join(names)}. {top(x)}"
-        return app(x)
-
-    return top(t)
+                pieces.append("True")
+            elif x.value is False:
+                pieces.append("False")
+            else:
+                pieces.append(str(x.value))
+        else:
+            pieces.append("(")
+            stack.extend((")", (_TOP, x)))
+    return "".join(pieces)
 
 
 def parse_fterm(text: str) -> FTerm:

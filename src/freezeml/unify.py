@@ -8,6 +8,11 @@ demotion of any polymorphic flexibles in the solution, so that later
 unifications cannot smuggle polymorphism back in.  Quantifiers unify by
 skolemisation: bodies are opened with one fresh rigid variable which
 must not leak into the resulting substitution.
+
+The recursion works on sparse substitutions that hold only the
+variables it solved.  The public :func:`unify` pads the result once, so
+that its domain is exactly the input environment; inference calls
+:func:`unify_sparse` and never pays for the padding.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .syntax import (
     Type,
     all_type_names,
     ftv_ordered,
+    ftv_set,
 )
 
 
@@ -75,13 +81,25 @@ def unify(
     Returns the updated refined environment and a substitution theta'
     with domain exactly the input environment's variables.
     """
+    theta1, subst = unify_sparse(delta, theta, a, b, supply)
+    return theta1, subst.restrict(theta.names())
+
+
+def unify_sparse(
+    delta: KindEnv,
+    theta: RefinedKindEnv,
+    a: Type,
+    b: Type,
+    supply: Optional[NameSupply] = None,
+) -> tuple[RefinedKindEnv, Subst]:
+    """As :func:`unify`, but the substitution holds only solved variables."""
     if supply is None:
         avoid = set(delta.names()) | set(theta.names())
         avoid |= all_type_names(a) | all_type_names(b)
         supply = NameSupply(avoid)
 
     if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
-        return theta, Subst.identity(theta.names())
+        return theta, _EMPTY
 
     if isinstance(a, TVar) and a.name in theta:
         return _solve(delta, theta, a.name, b)
@@ -94,21 +112,22 @@ def unify(
                 f"cannot unify {a.con.name} with {b.con.name}", a, b
             )
         theta_i = theta
-        subst_i = Subst.identity(theta.names())
+        subst_i = _EMPTY
         for arg_a, arg_b in zip(a.args, b.args):
-            theta_next, step = unify(
+            theta_i, step = unify_sparse(
                 delta, theta_i, subst_i.apply(arg_a), subst_i.apply(arg_b), supply
             )
-            subst_i = step.compose(subst_i)
-            theta_i = theta_next
+            subst_i = subst_i.then(step)
         return theta_i, subst_i
 
     if isinstance(a, Forall) and isinstance(b, Forall):
         skolem = supply.fresh()
         open_a = Subst({a.var: TVar(skolem)}).apply(a.body)
         open_b = Subst({b.var: TVar(skolem)}).apply(b.body)
-        theta1, subst = unify(delta.extend(skolem), theta, open_a, open_b, supply)
-        if skolem in subst.ftv():
+        theta1, subst = unify_sparse(delta.extend(skolem), theta, open_a, open_b, supply)
+        # Every solved variable belongs to theta, so the sparse images
+        # are the images of theta's names that can mention the skolem.
+        if any(skolem in ftv_set(image) for _, image in subst.items()):
             raise SkolemEscape(skolem, a, b)
         return theta1, subst
 
@@ -143,5 +162,7 @@ def _solve(
             TVar(var),
             solution,
         )
-    subst = Subst.identity(theta.names()).extend(var, solution)
-    return theta1, subst
+    return theta1, Subst({var: solution})
+
+
+_EMPTY = Subst()

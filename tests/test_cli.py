@@ -125,6 +125,21 @@ class TestElaborateImport:
         code, _, err = run_cli(["elaborate", path])
         assert code == EXIT_TYPE_ERROR
 
+    def test_elaborate_deep_let_chain(self, tmp_path):
+        # the printed F term nests one application per let
+        source = "".join(f"let x{i} = \\y. y in " for i in range(1, 201)) + "x200"
+        path = write(tmp_path, "ex.fml", source)
+        code, out, err = run_cli(["elaborate", path])
+        assert code == EXIT_OK, err
+        assert out.splitlines()[-1] == ": Int -> Int"
+
+    def test_elaborate_annotation_named_like_prelude_binder(self, tmp_path):
+        # the annotation's `a` and the prelude's `forall a` are unrelated
+        path = write(tmp_path, "ex.fml", "let (f : forall a. a -> a) = id in f 1")
+        code, out, err = run_cli(["elaborate", path])
+        assert code == EXIT_OK, err
+        assert out.splitlines()[-1] == ": Int"
+
     def test_import_type_abstraction(self, tmp_path):
         path = write(tmp_path, "ex.f", "/\\a. \\x:a. x")
         code, out, _ = run_cli(["import", path])

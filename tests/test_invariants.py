@@ -9,11 +9,12 @@ import random
 
 import pytest
 
+from freezeml.declcheck import replay
 from freezeml.infer import CannotUnify, InferError, infer, make_supply
 from freezeml.parser import parse_term, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, env_wf, kind_of, wellscoped
-from freezeml.subst import subst_wf
+from freezeml.subst import Subst, subst_wf
 from freezeml.syntax import (
     Kind,
     KindEnv,
@@ -25,6 +26,7 @@ from freezeml.syntax import (
     desugar,
     is_monotype,
     list_of,
+    t_int,
 )
 from freezeml.unify import StructureMismatch, UnifyError, unify
 
@@ -69,6 +71,11 @@ class TestInferResultContract:
             kind_of(LookupEnv(delta, result.env), result.ty)
             # the substituted environment stays well-formed
             env_wf(LookupEnv(delta, result.env), result.subst.apply_env(gamma))
+            # the derivation replays once the residual variables are
+            # grounded, in the environment the substitution produced
+            grounding = Subst({name: t_int for name, _ in result.env})
+            grounded_gamma = grounding.apply_env(result.subst.apply_env(gamma))
+            replay(delta, grounded_gamma, result.derivation.map_types(grounding.apply))
         assert checked >= 100, checked
 
     def test_monomorphic_parameters_resolve_to_monotypes(self):

@@ -170,6 +170,18 @@ class TestPrinterParser:
             term = parse_fterm(source)
             assert parse_fterm(render_fterm(term)) == term
 
+    def test_deep_let_chain_renders(self):
+        n = 500
+        term = FVar(f"x{n}")
+        for i in range(n, 0, -1):
+            term = f_let(f"x{i}", t_int, FLit(i), term)
+        expected = (
+            "".join(f"(\\x{i}:Int. " for i in range(1, n + 1))
+            + f"x{n}"
+            + "".join(f") {i}" for i in range(n, 0, -1))
+        )
+        assert render_fterm(term) == expected
+
     def test_round_trip_generated(self):
         rng = random.Random(79)
         from generators import GiveUp
