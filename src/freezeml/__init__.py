@@ -6,7 +6,7 @@ between the two.
 """
 
 from .declcheck import check_typing, match_instance, replay
-from .infer import InferResult, gen, infer, infer_top, split
+from .infer import InferResult, check_program, gen, infer, infer_top, split
 from .parser import parse_program, parse_term, parse_type, render_term, render_type
 from .prelude import build_prelude
 from .statics import env_wf, kind_of, wellscoped
@@ -25,7 +25,12 @@ from .syntax import (
     ftv_ordered,
 )
 from .systemf import FTerm, f_let, f_typecheck, parse_fterm, render_fterm
-from .translate import from_systemf, rebuild_derivation, to_systemf
+from .translate import (
+    from_systemf,
+    ground_derivation,
+    rebuild_derivation,
+    to_systemf,
+)
 from .unify import unify
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "InferResult",
     "alpha_eq",
     "build_prelude",
+    "check_program",
     "check_typing",
     "classify",
     "demote",
@@ -51,6 +57,7 @@ __all__ = [
     "from_systemf",
     "ftv_ordered",
     "gen",
+    "ground_derivation",
     "infer",
     "infer_top",
     "inst_wf",

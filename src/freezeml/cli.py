@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Optional
 
 from .declcheck import check_typing
-from .infer import InferError, infer, make_supply
+from .infer import InferError, check_program
 from .parser import (
     SyntaxError_,
     normalize_type_names,
@@ -28,18 +28,15 @@ from .parser import (
     render_type,
 )
 from .prelude import build_prelude
-from .statics import StaticsError, wellscoped
-from .syntax import (
-    KindEnv,
-    RefinedKindEnv,
-    Span,
-    Term,
-    TypeEnv,
-    alpha_eq,
-    desugar,
-)
+from .statics import StaticsError
+from .syntax import KindEnv, Span, Term, TypeEnv, alpha_eq
 from .systemf import FTypeError, f_typecheck, parse_fterm, render_fterm
-from .translate import from_systemf, rebuild_derivation, to_systemf
+from .translate import (
+    from_systemf,
+    ground_derivation,
+    rebuild_derivation,
+    to_systemf,
+)
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -63,8 +60,8 @@ def _environment(args) -> TypeEnv:
     return build_prelude()
 
 
-def _load_term(path: str, out) -> Optional[tuple[Term, Term]]:
-    """Parse a program file; returns (surface, desugared), or None."""
+def _load_term(path: str, out) -> Optional[Term]:
+    """Parse a program file; returns the surface term, or None."""
     try:
         source = _read(path)
     except OSError as err:
@@ -75,20 +72,17 @@ def _load_term(path: str, out) -> Optional[tuple[Term, Term]]:
     except SyntaxError_ as err:
         print(_diag(path, err.span, err.message), file=out)
         return None
-    return surface, desugar(surface)
+    return surface
 
 
 def cmd_infer(args, out=sys.stdout, err=sys.stderr) -> int:
-    loaded = _load_term(args.path, err)
-    if loaded is None:
+    surface = _load_term(args.path, err)
+    if surface is None:
         return EXIT_USAGE
-    surface, core = loaded
     gamma = _environment(args)
     delta = KindEnv()
     try:
-        wellscoped(delta, core)
-        supply = make_supply(delta, RefinedKindEnv(), gamma, core)
-        result = infer(delta, RefinedKindEnv(), gamma, core, supply)
+        result = check_program(delta, gamma, surface)
     except (StaticsError, InferError) as failure:
         span = getattr(failure, "span", None)
         print(_diag(args.path, span, str(failure)), file=err)
@@ -98,16 +92,15 @@ def cmd_infer(args, out=sys.stdout, err=sys.stderr) -> int:
     )
     print(f"{render_term(surface, unicode=args.unicode)} : {rendered}", file=out)
     if args.show_elab:
-        derivation = rebuild_derivation(delta, gamma, core)
+        derivation = ground_derivation(delta, gamma, result)
         print(render_fterm(to_systemf(derivation), unicode=args.unicode), file=out)
     return EXIT_OK
 
 
 def cmd_check(args, out=sys.stdout, err=sys.stderr) -> int:
-    loaded = _load_term(args.path, err)
-    if loaded is None:
+    term = _load_term(args.path, err)
+    if term is None:
         return EXIT_USAGE
-    _, core = loaded
     try:
         candidate = parse_type(args.type)
     except SyntaxError_ as failure:
@@ -115,7 +108,7 @@ def cmd_check(args, out=sys.stdout, err=sys.stderr) -> int:
         return EXIT_USAGE
     gamma = _environment(args)
     try:
-        accepted = check_typing(KindEnv(), gamma, core, candidate)
+        accepted = check_typing(KindEnv(), gamma, term, candidate)
     except StaticsError as failure:
         print(_diag(args.path, failure.span, str(failure)), file=err)
         return EXIT_TYPE_ERROR
@@ -128,14 +121,13 @@ def cmd_check(args, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def cmd_elaborate(args, out=sys.stdout, err=sys.stderr) -> int:
-    loaded = _load_term(args.path, err)
-    if loaded is None:
+    term = _load_term(args.path, err)
+    if term is None:
         return EXIT_USAGE
-    _, core = loaded
     gamma = _environment(args)
     delta = KindEnv()
     try:
-        derivation = rebuild_derivation(delta, gamma, core)
+        derivation = rebuild_derivation(delta, gamma, term)
     except (StaticsError, InferError) as failure:
         span = getattr(failure, "span", None)
         print(_diag(args.path, span, str(failure)), file=err)
@@ -281,12 +273,7 @@ def run_corpus_row(row: CorpusRow, gamma: TypeEnv) -> tuple[bool, str]:
     for name, ty_source in row.extras:
         gamma = gamma.extend(name, parse_type(ty_source))
     try:
-        surface = parse_program(row.source)
-        core = desugar(surface)
-        delta = KindEnv()
-        wellscoped(delta, core)
-        supply = make_supply(delta, RefinedKindEnv(), gamma, core)
-        result = infer(delta, RefinedKindEnv(), gamma, core, supply)
+        result = check_program(KindEnv(), gamma, parse_program(row.source))
     except (SyntaxError_, StaticsError, InferError) as failure:
         if row.expected is None:
             return True, "rejected as expected"

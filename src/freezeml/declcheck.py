@@ -26,19 +26,11 @@ from .infer import (
     DVar,
     Derivation,
     InferError,
+    check_program,
     gen,
-    infer,
-    make_supply,
     term_of_derivation,
 )
-from .statics import (
-    StaticsError,
-    check_kind,
-    env_wf,
-    kind_of,
-    split,
-    wellscoped,
-)
+from .statics import StaticsError, check_kind, kind_of, split
 from .subst import Subst, inst_wf
 from .syntax import (
     Con,
@@ -122,13 +114,9 @@ def check_typing(
     candidate must be an instance of the inferred result, obtained by a
     kind-respecting substitution of the residual flexible variables.
     """
-    wellscoped(delta, m)
-    env_wf(RefinedKindEnv.of_kind_env(delta), gamma)
     check_kind(delta, candidate, Kind.POLY)
-    theta = RefinedKindEnv()
-    supply = make_supply(delta, theta, gamma, m)
     try:
-        result = infer(delta, theta, gamma, m, supply)
+        result = check_program(delta, gamma, m)
     except InferError:
         return False
     return match_instance(delta, result.env, result.ty, candidate) is not None

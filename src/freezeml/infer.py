@@ -409,20 +409,21 @@ def make_supply(
     return NameSupply(avoid)
 
 
-def infer_top(gamma: TypeEnv, m: Term, normalize: bool = True) -> Type:
-    """Infer under empty environments; returns the (display-normalised) type.
+def check_program(delta: KindEnv, gamma: TypeEnv, m: Term) -> InferResult:
+    """The checking pipeline: infer program `m` under `delta`; `gamma`.
 
     Accepts surface terms: sugar is expanded, then well-scopedness and
-    environment well-formedness are checked before inference runs.
+    environment well-formedness are checked before inference runs under
+    an empty flexible environment.  Raises StaticsError or InferError.
     """
     if has_sugar(m):
         m = desugar(m)
-    delta = KindEnv()
     wellscoped(delta, m)
-    theta = RefinedKindEnv()
     env_wf(RefinedKindEnv.of_kind_env(delta), gamma)
-    supply = make_supply(delta, theta, gamma, m)
-    result = infer(delta, theta, gamma, m, supply)
-    if normalize:
-        return normalize_type_names(result.ty)
-    return result.ty
+    theta = RefinedKindEnv()
+    return infer(delta, theta, gamma, m, make_supply(delta, theta, gamma, m))
+
+
+def infer_top(gamma: TypeEnv, m: Term) -> Type:
+    """The display-normalised type of `m` under empty type environments."""
+    return normalize_type_names(check_program(KindEnv(), gamma, m).ty)

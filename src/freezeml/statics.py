@@ -86,27 +86,26 @@ def kind_of(env: KindingEnv, a: Type) -> Kind:
             kind = kind.join(kind_of(env, arg))
         return kind
     if isinstance(a, Forall):
-        shadowed = _extend(env, a.var, Kind.MONO)
+        shadowed = _Shadow(env, a.var, Kind.MONO)
         kind_of(shadowed, a.body)  # any kind upcasts to poly
         return Kind.POLY
     raise TypeError(f"not a type: {a!r}")
 
 
-def _extend(env: KindingEnv, name: str, kind: Kind) -> KindingEnv:
-    class _Shadow:
-        __slots__ = ("base", "name", "kind")
+class _Shadow:
+    """`base` with `name` bound to `kind` in front, for kinding under a binder."""
 
-        def __init__(self, base, shadow_name, shadow_kind):
-            self.base = base
-            self.name = shadow_name
-            self.kind = shadow_kind
+    __slots__ = ("base", "name", "kind")
 
-        def lookup(self, n):
-            if n == self.name:
-                return self.kind
-            return self.base.lookup(n)
+    def __init__(self, base: KindingEnv, name: str, kind: Kind):
+        self.base = base
+        self.name = name
+        self.kind = kind
 
-    return _Shadow(env, name, kind)
+    def lookup(self, n: str):
+        if n == self.name:
+            return self.kind
+        return self.base.lookup(n)
 
 
 def check_kind(env: KindingEnv, a: Type, k: Kind) -> None:

@@ -681,14 +681,6 @@ class TypeEnv:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._bindings)
 
-    def free_type_vars(self) -> list[str]:
-        seen: list[str] = []
-        for _, ty in self._bindings:
-            for v in ftv_ordered(ty):
-                if v not in seen:
-                    seen.append(v)
-        return seen
-
     def type_names(self) -> set[str]:
         names: set[str] = set()
         for _, ty in self._bindings:

@@ -23,10 +23,9 @@ from .infer import (
     DLit,
     DVar,
     Derivation,
-    infer,
-    make_supply,
+    InferResult,
+    check_program,
 )
-from .statics import env_wf, wellscoped
 from .subst import Subst
 from .syntax import (
     App,
@@ -38,15 +37,11 @@ from .syntax import (
     LetAnn,
     Lit,
     NameSupply,
-    RefinedKindEnv,
     Term,
     Type,
     TypeEnv,
     Var,
-    desugar,
-    has_sugar,
     t_int,
-    term_names,
 )
 from .systemf import (
     FApp,
@@ -63,29 +58,31 @@ from .systemf import (
 
 __all__ = [
     "Derivation",
+    "ground_derivation",
     "rebuild_derivation",
     "to_systemf",
     "from_systemf",
 ]
 
 
-def rebuild_derivation(delta: KindEnv, gamma: TypeEnv, m: Term) -> Derivation:
-    """Infer `m` and materialise the typing derivation with resolved types.
+def ground_derivation(
+    delta: KindEnv, gamma: TypeEnv, result: InferResult
+) -> Derivation:
+    """Materialise the typing derivation of a checked program.
 
     Residual flexible variables are grounded to Int (closed elaboration:
     the core has no flexible variables).  The finished tree is replayed
     through the declarative rules as a self-check.
     """
-    if has_sugar(m):
-        m = desugar(m)
-    wellscoped(delta, m)
-    env_wf(RefinedKindEnv.of_kind_env(delta), gamma)
-    supply = make_supply(delta, RefinedKindEnv(), gamma, m)
-    result = infer(delta, RefinedKindEnv(), gamma, m, supply)
     grounding = Subst({name: t_int for name, _ in result.env})
     derivation = result.derivation.map_types(grounding.apply)
     replay(delta, gamma, derivation)
     return derivation
+
+
+def rebuild_derivation(delta: KindEnv, gamma: TypeEnv, m: Term) -> Derivation:
+    """Check `m` and materialise its grounded, replayed derivation."""
+    return ground_derivation(delta, gamma, check_program(delta, gamma, m))
 
 
 def to_systemf(d: Derivation) -> FTerm:
@@ -129,7 +126,7 @@ def from_systemf(
     the operand is a frozen variable or application (kept as a negative
     example on purpose).
     """
-    supply = NameSupply(_term_var_names(t) | term_names_of_env(gamma))
+    supply = NameSupply(_term_var_names(t) | set(gamma.names()))
     namer = _annotation_namer(delta, gamma, t)
 
     def wrap_inst(term: Term) -> Term:
@@ -222,10 +219,6 @@ def _freshen_prefix(ann: Type, namer) -> Type:
         renaming[name] = TVar(fresh)
         new_names.append(fresh)
     return foralls(new_names, Subst(renaming).apply(body))
-
-
-def term_names_of_env(gamma: TypeEnv) -> set[str]:
-    return set(gamma.names())
 
 
 def _term_var_names(t: FTerm) -> set[str]:

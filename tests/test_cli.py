@@ -8,6 +8,7 @@ from freezeml.cli import (
     EXIT_OK,
     EXIT_TYPE_ERROR,
     EXIT_USAGE,
+    CorpusRow,
     load_corpus,
     main,
     run_corpus_row,
@@ -70,6 +71,37 @@ class TestInferCommand:
         code, out, _ = run_cli(["infer", "--show-elab", path])
         assert code == EXIT_OK
         assert "\\x:Int. x" in out
+        # every corpus row the CLI can run (rows with `where` extras need
+        # a prelude the CLI cannot build): the same core term as `elaborate`
+        for index, row in enumerate(load_corpus()):
+            if row.extras:
+                continue
+            path = write(tmp_path, f"row{index}.fml", row.source)
+            code, out, err = run_cli(["infer", "--show-elab", path])
+            if row.expected is None:
+                assert code == EXIT_TYPE_ERROR, (row.label, out)
+                continue
+            assert code == EXIT_OK, (row.label, err)
+            _, elab_out, _ = run_cli(["elaborate", path])
+            assert out.splitlines()[1] == elab_out.splitlines()[0], row.label
+
+    def test_show_elab_infers_once(self, tmp_path, monkeypatch):
+        original = sys.modules["freezeml.infer"].infer
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # replace every binding, wherever a freezeml module imported it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "freezeml" and getattr(module, "infer", None) is original:
+                monkeypatch.setattr(module, "infer", counting)
+        path = write(tmp_path, "ex.fml", "let f = \\x. x in f 1")
+        code, out, _ = run_cli(["infer", "--show-elab", path])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 2
+        assert len(calls) == 1
 
     def test_unicode_rendering(self, tmp_path):
         path = write(tmp_path, "ex.fml", "~id")
@@ -159,6 +191,20 @@ class TestGolden:
         lines = out.strip().splitlines()
         assert lines[-1].endswith("rows passed")
         assert all(line.startswith("ok") for line in lines[:-1])
+
+    @pytest.mark.parametrize(
+        "expected, extra",
+        [(None, "forall b. a -> b"), ("a -> a", "a -> a")],
+    )
+    def test_where_extras_are_checked(self, expected, extra):
+        # `a` is bound nowhere, so the extended environment is ill-formed
+        row = CorpusRow("extra", "f", expected, (("f", extra),), 1)
+        ok, detail = run_corpus_row(row, build_prelude())
+        if expected is None:
+            assert (ok, detail) == (True, "rejected as expected")
+        else:
+            assert not ok
+            assert detail == "unexpected failure: unbound type variable 'a'"
 
     def test_rows_loaded(self):
         rows = load_corpus()
