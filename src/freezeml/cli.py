@@ -365,7 +365,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except RecursionError:
+        # Exit 1 means a type error; input too deep to walk is not one.
+        path = getattr(args, "path", None) or "freezeml"
+        print(_diag(path, None, "input is nested too deeply to process"), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ The algorithm threads a fixed rigid environment, a refined flexible
 environment, and an explicit name supply.  Each case returns the final
 flexible environment, a sparse substitution, and the inferred type.  The
 substitution holds every variable solved so far, the case's own fresh
-variables included, with each image fully resolved; the inferred type is
-resolved too.  Alongside, each case records a derivation tree whose types
+variables included, as a triangular solution (see :mod:`freezeml.subst`):
+an image may still mention variables solved later, so it is read only
+through ``lookup`` and ``apply``, which resolve it.  The inferred type is
+resolved.  Alongside, each case records a derivation tree whose types
 may still mention variables solved later.  :func:`infer` resolves the tree
 once, with the final substitution, and restricts that substitution to the
 input flexible environment, the paper's form.  The translation to the
@@ -26,8 +28,6 @@ from .statics import env_wf, split, wellscoped
 from .subst import Subst, demote
 from .syntax import (
     App,
-    Con,
-    Forall,
     Freeze,
     Gen,
     Inst,
@@ -45,7 +45,6 @@ from .syntax import (
     Term,
     Type,
     TypeEnv,
-    all_type_names,
     annotation_type_names,
     arrow,
     decompose,

@@ -100,6 +100,17 @@ PUNCT = (
 
 KEYWORDS = {"let", "in", "forall", "True", "False", "Int", "Bool", "ST"}
 
+# Prelude constants whose names are not identifiers.  As a term on their
+# own, both printers spell them in parentheses, `(+)`, and both parsers
+# read that back, so `+` is not taken for the infix operator and, in the
+# explicit core, `[]` not for a type application.
+OPERATOR_CONSTANTS = ("+", "::", "++", "[]")
+
+
+def constant_name(name: str) -> str:
+    """A variable name as printed on its own: operators in parentheses."""
+    return f"({name})" if name in OPERATOR_CONSTANTS else name
+
 
 def _ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_" or ch == INTERNAL_PREFIX
@@ -193,6 +204,24 @@ class _Parser:
                 f"expected {text!r}, found {self.peek().text!r}", self.peek().span
             )
         return self.advance()
+
+    def operator_constant(self) -> Optional[str]:
+        """After '(': consume `op)` for an operator constant, returning `op`.
+
+        Anything else is left for the caller to parse.
+        """
+        texts = []
+        for tok in self.tokens[self.pos:self.pos + 3]:
+            if tok.kind != "punct":
+                break
+            texts.append(tok.text)
+            if tok.text == ")":
+                break
+        name = "".join(texts[:-1])
+        if not texts or texts[-1] != ")" or name not in OPERATOR_CONSTANTS:
+            return None
+        self.pos += len(texts)
+        return name
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -411,6 +440,15 @@ class _Parser:
             tok = self.peek()
             if self.at_punct("~"):
                 self.advance()
+                if self.at_punct("("):
+                    self.advance()
+                    constant = self.operator_constant()
+                    if constant is None:
+                        raise SyntaxError_(
+                            f"expected an operator constant, found {self.peek().text!r}",
+                            self.peek().span,
+                        )
+                    return Freeze(constant, tok.span)
                 name = self.expect_ident()
                 return Freeze(name.text, tok.span)
             if tok.kind == "int":
@@ -427,6 +465,9 @@ class _Parser:
                 return Var(name.text, name.span)
             if self.at_punct("("):
                 self.advance()
+                constant = self.operator_constant()
+                if constant is not None:
+                    return Var(constant, tok.span)
                 first = self.term()
                 if self.at_punct(","):
                     op = self.advance()
@@ -652,9 +693,9 @@ def render_term(m: Term, unicode: bool = False) -> str:
 
     def atom(t: Term) -> str:
         if isinstance(t, Var):
-            return t.name
+            return constant_name(t.name)
         if isinstance(t, Freeze):
-            return freeze_sym.format(t.name)
+            return freeze_sym.format(constant_name(t.name))
         if isinstance(t, Lit):
             if t.value is True:
                 return "True"

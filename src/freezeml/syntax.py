@@ -617,7 +617,9 @@ class RefinedKindEnv:
         )
 
     def without(self, name: str) -> "RefinedKindEnv":
-        return self.remove((name,))
+        kinds = self._kinds.copy()
+        kinds.pop(name, None)
+        return RefinedKindEnv._of(kinds)
 
     def __contains__(self, name: str) -> bool:
         return name in self._kinds
@@ -658,16 +660,26 @@ class LookupEnv:
 class TypeEnv:
     """Ordered term-variable bindings; lookup returns the rightmost."""
 
-    __slots__ = ("_bindings",)
+    __slots__ = ("_bindings", "_ftv")
 
     def __init__(self, bindings: Iterable[tuple[str, Type]] = ()) -> None:
         self._bindings = tuple(bindings)
+        self._ftv: Optional[frozenset[str]] = None
+
+    def ftv(self) -> frozenset[str]:
+        """Free type variables of every binding, computed once per env."""
+        if self._ftv is None:
+            self._ftv = _NO_VARS.union(*[ftv_set(ty) for _, ty in self._bindings])
+        return self._ftv
 
     def bindings(self) -> tuple[tuple[str, Type], ...]:
         return self._bindings
 
     def extend(self, name: str, ty: Type) -> "TypeEnv":
-        return TypeEnv(self._bindings + ((name, ty),))
+        env = TypeEnv(self._bindings + ((name, ty),))
+        if self._ftv is not None:
+            env._ftv = self._ftv | ftv_set(ty)
+        return env
 
     def lookup(self, name: str) -> Optional[Type]:
         for bound_name, ty in reversed(self._bindings):

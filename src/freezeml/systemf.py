@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .parser import SyntaxError_, _Parser, render_type
+from .parser import SyntaxError_, _Parser, constant_name, render_type
 from .statics import StaticsError, check_kind
 from .subst import Subst
 from .syntax import (
@@ -22,7 +22,6 @@ from .syntax import (
     Forall,
     Kind,
     KindEnv,
-    TVar,
     Type,
     TypeEnv,
     alpha_eq,
@@ -246,7 +245,7 @@ def render_fterm(t: FTerm, unicode: bool = False) -> str:
                 stack.extend((f" [{ty(x.arg)}]", (_APP, x.fn)))
                 continue
         if isinstance(x, FVar):
-            pieces.append(x.name)
+            pieces.append(constant_name(x.name))
         elif isinstance(x, FLit):
             if x.value is True:
                 pieces.append("True")
@@ -329,6 +328,9 @@ class _FParser(_Parser):
                 return FVar(name.text)
             if self.at_punct("("):
                 self.advance()
+                constant = self.operator_constant()
+                if constant is not None:
+                    return FVar(constant)
                 inner = self.fterm()
                 self.expect_punct(")")
                 return inner

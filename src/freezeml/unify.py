@@ -9,9 +9,10 @@ unifications cannot smuggle polymorphism back in.  Quantifiers unify by
 skolemisation: bodies are opened with one fresh rigid variable which
 must not leak into the resulting substitution.
 
-The recursion works on sparse substitutions that hold only the
-variables it solved.  The public :func:`unify` pads the result once, so
-that its domain is exactly the input environment; inference calls
+The recursion works on sparse, triangular substitutions that hold only
+the variables it solved (see :mod:`freezeml.subst`).  The public
+:func:`unify` resolves and pads the result once, so that it is
+idempotent with domain exactly the input environment; inference calls
 :func:`unify_sparse` and never pays for the padding.
 """
 
@@ -24,7 +25,6 @@ from .subst import Subst, demote
 from .syntax import (
     Con,
     Forall,
-    Kind,
     KindEnv,
     LookupEnv,
     NameSupply,
@@ -32,7 +32,6 @@ from .syntax import (
     TVar,
     Type,
     all_type_names,
-    ftv_ordered,
     ftv_set,
 )
 
@@ -127,6 +126,9 @@ def unify_sparse(
         theta1, subst = unify_sparse(delta.extend(skolem), theta, open_a, open_b, supply)
         # Every solved variable belongs to theta, so the sparse images
         # are the images of theta's names that can mention the skolem.
+        # The raw, triangular entries suffice: every variable a chain
+        # passes through was solved in this sub-solution, so a resolved
+        # image mentions the skolem exactly when one raw image does.
         if any(skolem in ftv_set(image) for _, image in subst.items()):
             raise SkolemEscape(skolem, a, b)
         return theta1, subst
@@ -144,10 +146,8 @@ def _solve(
     kind = theta.lookup(var)
     assert kind is not None
     rest = theta.without(var)
-    flexible_in_solution = [
-        v for v in ftv_ordered(solution) if v not in delta
-    ]
-    theta1 = demote(kind, rest, flexible_in_solution)
+    # Demotion reaches only flexible variables, so rigid ones may be listed.
+    theta1 = demote(kind, rest, ftv_set(solution))
     try:
         solution_kind = kind_of(LookupEnv(delta, theta1), solution)
     except StaticsError as err:

@@ -262,3 +262,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout.strip() == "poly ~id : (Int, Bool)"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 300 + "1" + ")" * 300,
+            "".join(f"x{i} = {i};\n" for i in range(1000)) + "x999",
+        ],
+        ids=["nested_parens_300", "declarations_1000"],
+    )
+    def test_deep_input_is_a_usage_error(self, tmp_path, source):
+        # too deep for the recursive walks: a one-line diagnostic, not a
+        # traceback, and not exit 1, which means a type error
+        path = write(tmp_path, "deep.fml", source)
+        proc = subprocess.run(
+            [sys.executable, "-m", "freezeml.cli", "infer", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"{path}: error: ")

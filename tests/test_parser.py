@@ -194,6 +194,9 @@ class TestRenderTerm:
             "choose (head ids)@",
             "poly $(\\x. x)",
             "(1, True)",
+            "~(+) 1 2",
+            "(::) 1 ([])",
+            "~(++) ~([])@",
         ):
             term = parse_term(source)
             assert parse_term(render_term(term)) == term

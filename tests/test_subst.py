@@ -16,7 +16,9 @@ from freezeml.syntax import (
     t_int,
 )
 
-from generators import random_subst_problem, random_type
+from freezeml.unify import UnifyError, unify, unify_sparse
+
+from generators import abstract_randomly, random_refined_env, random_subst_problem, random_type
 
 
 def ty(src: str):
@@ -101,6 +103,82 @@ class TestCompose:
             s2 = Subst(mapping)
             composed = s2.compose(s1)
             assert alpha_eq(composed.apply(a), s2.apply(s1.apply(a)))
+
+
+class TestThen:
+    """`then` merges triangular solutions; resolved, they must agree with
+    the paper's simultaneous composition."""
+
+    def test_capture_through_a_later_solution(self):
+        # a's image binds b; the later solution maps c to the rigid b
+        earlier = Subst({"a": Forall("b", arrow(TVar("c"), TVar("b")))})
+        later = Subst({"c": TVar("b")})
+        chained = earlier.then(later).restrict(("a", "c"))
+        reference = later.compose(earlier)
+        expected = ty("forall x. b -> x")
+        assert alpha_eq(chained.lookup("a"), expected)
+        assert alpha_eq(reference.lookup("a"), expected)
+        assert chained.lookup("c") == TVar("b")
+        # the same capture reached through a chain c -> d -> b
+        longer = earlier.then(Subst({"c": TVar("d")})).then(Subst({"d": TVar("b")}))
+        assert alpha_eq(longer.lookup("a"), expected)
+        assert longer.restrict(("a",)) == chained.restrict(("a",))
+
+    def test_capture_through_unification(self):
+        delta = KindEnv(("b",))
+        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO)))
+        env1, s1 = unify_sparse(delta, theta, TVar("a"), ty("forall b. c -> b"))
+        env2, s2 = unify_sparse(delta, env1, s1.apply(TVar("c")), TVar("b"))
+        chained = s1.then(s2).restrict(theta.names())
+        assert alpha_eq(chained.lookup("a"), ty("forall x. b -> x"))
+        assert subst_wf(delta, chained, theta, env2)
+
+    def test_chained_unifiers_match_simultaneous_composition(self):
+        rng = random.Random(59)
+        steps = 0
+        for _ in range(300):
+            delta = KindEnv(f"r{i}" for i in range(rng.randrange(0, 3)))
+            theta0 = random_refined_env(rng, rng.randrange(2, 7))
+            mono = tuple(delta.names()) + tuple(n for n, k in theta0 if k is Kind.MONO)
+            poly = tuple(n for n, k in theta0 if k is Kind.POLY)
+            env = theta0
+            chained = Subst()
+            reference = Subst.identity(theta0.names())
+            for _ in range(rng.randrange(2, 7)):
+                if rng.random() < 0.5:
+                    name = rng.choice(theta0.names())
+                    kind = theta0.lookup(name)
+                    a = TVar(name)
+                    b = random_type(rng, mono, poly, depth=2, kind=kind)
+                else:
+                    target = random_type(rng, tuple(delta.names()), (), depth=3)
+                    a = abstract_randomly(rng, target, theta0, tuple(delta.names()))
+                    b = abstract_randomly(rng, target, theta0, tuple(delta.names()))
+                try:
+                    env_ref, step_ref = unify(
+                        delta, env, reference.apply(a), reference.apply(b)
+                    )
+                except UnifyError:
+                    with pytest.raises(UnifyError):
+                        unify_sparse(delta, env, chained.apply(a), chained.apply(b))
+                    continue
+                env_next, step = unify_sparse(
+                    delta, env, chained.apply(a), chained.apply(b)
+                )
+                assert env_next == env_ref
+                chained = chained.then(step)
+                reference = step_ref.compose(reference)
+                env = env_next
+                steps += 1
+                resolved = chained.restrict(theta0.names())
+                assert resolved.domain() == reference.domain()
+                for name in theta0.names():
+                    assert alpha_eq(resolved.lookup(name), reference.lookup(name))
+                    assert alpha_eq(chained.lookup(name), reference.lookup(name))
+                assert subst_wf(delta, resolved, theta0, env)
+                probe = random_type(rng, mono, poly, depth=3)
+                assert alpha_eq(chained.apply(probe), reference.apply(probe))
+        assert steps >= 300
 
 
 class TestSubstWf:

@@ -166,8 +166,13 @@ class TestPrinterParser:
             "id [Int]",
             "(\\x:Int -> Int. x) inc",
             "/\\a b. \\f:a -> b. f",
+            "\\x:Int. (+) x 1",
+            "(::) [Int] 1 (([]) [Int])",
+            "(++) [Int] (([]) [Int])",
+            "([])",
         ):
             term = parse_fterm(source)
+            assert render_fterm(term) == source
             assert parse_fterm(render_fterm(term)) == term
 
     def test_deep_let_chain_renders(self):
