@@ -75,7 +75,7 @@ def _load_term(path: str, out) -> Optional[Term]:
     return surface
 
 
-def cmd_infer(args, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_infer(args, out, err) -> int:
     surface = _load_term(args.path, err)
     if surface is None:
         return EXIT_USAGE
@@ -97,7 +97,7 @@ def cmd_infer(args, out=sys.stdout, err=sys.stderr) -> int:
     return EXIT_OK
 
 
-def cmd_check(args, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_check(args, out, err) -> int:
     term = _load_term(args.path, err)
     if term is None:
         return EXIT_USAGE
@@ -120,7 +120,7 @@ def cmd_check(args, out=sys.stdout, err=sys.stderr) -> int:
     return EXIT_OK
 
 
-def cmd_elaborate(args, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_elaborate(args, out, err) -> int:
     term = _load_term(args.path, err)
     if term is None:
         return EXIT_USAGE
@@ -142,7 +142,7 @@ def cmd_elaborate(args, out=sys.stdout, err=sys.stderr) -> int:
     return EXIT_OK
 
 
-def cmd_import(args, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_import(args, out, err) -> int:
     try:
         source = _read(args.path)
     except OSError as failure:
@@ -291,7 +291,7 @@ def run_corpus_row(row: CorpusRow, gamma: TypeEnv) -> tuple[bool, str]:
     )
 
 
-def cmd_golden(args, out=sys.stdout, err=sys.stderr) -> int:
+def cmd_golden(args, out, err) -> int:
     rows = load_corpus()
     gamma = _environment(args)
     failures = 0
@@ -366,7 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
     try:
-        return args.handler(args)
+        return args.handler(args, out=sys.stdout, err=sys.stderr)
     except RecursionError:
         # Exit 1 means a type error; input too deep to walk is not one.
         path = getattr(args, "path", None) or "freezeml"

@@ -1,21 +1,22 @@
 """Type inference: algorithm W extended with kinds and the value restriction.
 
-The algorithm threads a fixed rigid environment, a refined flexible
-environment, and an explicit name supply.  Each case returns the final
-flexible environment, a sparse substitution, and the inferred type.  The
-substitution holds every variable solved so far, the case's own fresh
-variables included, as a triangular solution (see :mod:`freezeml.subst`):
-an image may still mention variables solved later, so it is read only
-through ``lookup`` and ``apply``, which resolve it.  The inferred type is
-resolved.  Alongside, each case records a derivation tree whose types
-may still mention variables solved later.  :func:`infer` resolves the tree
-once, with the final substitution, and restricts that substitution to the
-input flexible environment, the paper's form.  The translation to the
-explicit core replays the resolved tree.
+One :class:`freezeml.unify.Store` lives for each :func:`infer` call.
+The cases read and extend it: fresh flexible variables enter at the
+current let level, unification solves them in place, binders push and
+pop the term environment, and a variable's type is read through the
+solution when it is used.  Each case returns its inferred type, resolved,
+and a derivation whose types may still mention variables solved later.
+:func:`infer` resolves the tree once, at the end, and returns the
+solution restricted to the input flexible environment, the paper's form.
+The translation to the explicit core replays the resolved tree.
 
-Let-bindings decide generalisation via the value restriction: guarded
-values abstract their generalisable variables, everything else keeps
-them flexible but demoted to the monomorphic kind.
+A let infers its bound term one level deeper.  The bound type's flexible
+variables still deeper afterwards are reachable from no binding in scope:
+a guarded value generalises them, and any other bound term keeps them,
+demoted to the monomorphic kind and lowered to the let's level, because
+its type now sits in the environment.  An annotated let checks its bound
+term the same way, and its quantifier prefix escapes when a variable of
+the prefix has been lowered to an outer level.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Union
 
 from .parser import normalize_type_names
 from .statics import env_wf, split, wellscoped
-from .subst import Subst, demote
+from .subst import Subst
 from .syntax import (
     App,
     Freeze,
@@ -51,13 +52,12 @@ from .syntax import (
     desugar,
     foralls,
     ftv_ordered,
-    ftv_set,
     has_sugar,
     is_gval,
     term_names,
     Var,
 )
-from .unify import UnifyError, unify_sparse
+from .unify import Store, UnifyError
 
 
 class InferError(Exception):
@@ -255,143 +255,121 @@ def infer(
     The returned substitution's domain is exactly `theta`, and every type
     in the derivation is resolved.
     """
-    env, subst, ty, deriv = _infer(delta, theta, gamma, m, supply)
+    store = Store(delta, theta, supply, gamma)
+    ty, deriv = _infer(store, m)
     return InferResult(
-        env, subst.restrict(theta.names()), ty, deriv.map_types(subst.apply)
+        store.theta(),
+        store.solution(theta.names()),
+        ty,
+        deriv.map_types(store.apply),
     )
 
 
-_EMPTY = Subst()
+def _unify(store: Store, a: Type, b: Type, span: Optional[Span]) -> None:
+    try:
+        store.unify(a, b)
+    except UnifyError as err:
+        raise CannotUnify(err, span) from None
 
 
-def _images(subst: Subst, theta: RefinedKindEnv) -> set[str]:
-    """Free variables of the images of theta's names."""
-    return {v for name in theta.names() for v in ftv_set(subst.lookup(name))}
-
-
-def _infer(
-    delta: KindEnv,
-    theta: RefinedKindEnv,
-    gamma: TypeEnv,
-    m: Term,
-    supply: NameSupply,
-) -> tuple[RefinedKindEnv, Subst, Type, Derivation]:
+def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
     if isinstance(m, Freeze):
-        ty = gamma.lookup(m.name)
+        ty = store.scheme(m.name)
         if ty is None:
             raise UnboundVar(m.name, m.span)
-        return theta, _EMPTY, ty, DFreeze(m.name, ty)
+        return ty, DFreeze(m.name, ty)
 
     if isinstance(m, Var):
-        scheme = gamma.lookup(m.name)
+        scheme = store.scheme(m.name)
         if scheme is None:
             raise UnboundVar(m.name, m.span)
         prefix, guarded = decompose(scheme)
-        fresh = supply.fresh_many(len(prefix))
-        inst = Subst(dict(zip(prefix, (TVar(b) for b in fresh))))
-        ty = inst.apply(guarded)
-        env = theta
-        for b in fresh:
-            env = env.extend(b, Kind.POLY)
-        deriv = DVar(m.name, prefix, tuple(TVar(b) for b in fresh), ty)
-        return env, _EMPTY, ty, deriv
+        fresh = [TVar(store.fresh(Kind.POLY)) for _ in prefix]
+        ty = Subst(dict(zip(prefix, fresh))).apply(guarded)
+        return ty, DVar(m.name, prefix, tuple(fresh), ty)
 
     if isinstance(m, Lit):
-        return theta, _EMPTY, m.type, DLit(m.value, m.type)
+        return m.type, DLit(m.value, m.type)
 
     if isinstance(m, Lam):
-        a = supply.fresh()
-        env1, subst, body_ty, body_deriv = _infer(
-            delta,
-            theta.extend(a, Kind.MONO),
-            gamma.extend(m.var, TVar(a)),
-            m.body,
-            supply,
-        )
-        arg_ty = subst.lookup(a)
+        a = store.fresh(Kind.MONO)
+        store.bind(m.var, TVar(a))
+        body_ty, body_deriv = _infer(store, m.body)
+        store.unbind(m.var)
+        arg_ty = store.resolved(a)
         ty = arrow(arg_ty, body_ty)
-        return env1, subst, ty, DLam(m.var, arg_ty, body_deriv, ty)
+        return ty, DLam(m.var, arg_ty, body_deriv, ty)
 
     if isinstance(m, LamAnn):
-        env1, subst, body_ty, body_deriv = _infer(
-            delta, theta, gamma.extend(m.var, m.ann), m.body, supply
-        )
+        store.bind(m.var, m.ann)
+        body_ty, body_deriv = _infer(store, m.body)
+        store.unbind(m.var)
         ty = arrow(m.ann, body_ty)
-        return env1, subst, ty, DLamAnn(m.var, m.ann, body_deriv, ty)
+        return ty, DLamAnn(m.var, m.ann, body_deriv, ty)
 
     if isinstance(m, App):
-        env1, s1, fn_ty, fn_deriv = _infer(delta, theta, gamma, m.fn, supply)
-        env2, s2, arg_ty, arg_deriv = _infer(
-            delta, env1, s1.apply_env(gamma), m.arg, supply
-        )
-        b = supply.fresh()
-        try:
-            env3, u = unify_sparse(
-                delta,
-                env2.extend(b, Kind.POLY),
-                s2.apply(fn_ty),
-                arrow(arg_ty, TVar(b)),
-                supply,
-            )
-        except UnifyError as err:
-            raise CannotUnify(err, m.span) from None
-        result_ty = u.lookup(b)
-        deriv = DApp(fn_deriv, arg_deriv, result_ty)
-        return env3, s1.then(s2).then(u), result_ty, deriv
+        fn_ty, fn_deriv = _infer(store, m.fn)
+        arg_ty, arg_deriv = _infer(store, m.arg)
+        b = store.fresh(Kind.POLY)
+        _unify(store, store.apply(fn_ty), arrow(arg_ty, TVar(b)), m.span)
+        result_ty = store.resolved(b)
+        return result_ty, DApp(fn_deriv, arg_deriv, result_ty)
 
     if isinstance(m, Let):
-        env1, s1, bound_ty, bound_deriv = _infer(delta, theta, gamma, m.bound, supply)
-        # The images of theta's names are what the enclosing environment
-        # sees; generalising a variable they mention would be unsound.
-        pinned = [v for v in _images(s1, theta) if v not in delta]
-        basis = tuple(delta.names()) + tuple(pinned)
-        prefix, generalisable = gen(basis, bound_ty, m.bound)
-        demoted = demote(Kind.MONO, env1, generalisable)
+        store.level += 1
+        bound_ty, bound_deriv = _infer(store, m.bound)
+        store.level -= 1
+        # Variables still deeper than this let are reachable from no
+        # binding in scope, so only they may generalise.
+        deeper = [
+            v
+            for v in ftv_ordered(bound_ty)
+            if v in store.kinds and store.levels[v] > store.level
+        ]
+        prefix = tuple(deeper) if is_gval(m.bound) else ()
+        for v in deeper:
+            if prefix:
+                del store.kinds[v]
+            else:  # the binding's type now sits in the environment
+                store.kinds[v] = Kind.MONO
+                store.levels[v] = store.level
         var_ty = foralls(prefix, bound_ty)
-        env2, s2, body_ty, body_deriv = _infer(
-            delta,
-            demoted.remove(prefix),
-            s1.apply_env(gamma).extend(m.var, var_ty),
-            m.body,
-            supply,
-        )
+        store.bind(m.var, var_ty)
+        body_ty, body_deriv = _infer(store, m.body)
+        store.unbind(m.var)
         deriv = DLet(m.var, prefix, bound_deriv, var_ty, body_deriv, body_ty)
-        return env2, s1.then(s2), body_ty, deriv
+        return body_ty, deriv
 
     if isinstance(m, LetAnn):
         prefix, split_ty = split(m.ann, m.bound)
-        if set(prefix) & set(delta.names()):
+        if not store.rigid.isdisjoint(prefix):
             raise InferError(
                 "annotation rebinds a type variable already in scope", m.span
             )
-        inner_delta = delta.extend(*prefix)
-        env1, s1, bound_ty, bound_deriv = _infer(
-            inner_delta, theta, gamma, m.bound, supply
-        )
-        try:
-            env2, u = unify_sparse(inner_delta, env1, split_ty, bound_ty, supply)
-        except UnifyError as err:
-            raise CannotUnify(err, m.span) from None
-        s2 = s1.then(u)
-        # Variables made inside the bound term may mention the prefix;
-        # only the images of theta's names must not.
-        escaped = _images(s2, theta) & set(prefix)
+        store.level += 1
+        store.rigid.update(prefix)
+        store.levels.update(dict.fromkeys(prefix, store.level))
+        bound_ty, bound_deriv = _infer(store, m.bound)
+        _unify(store, split_ty, bound_ty, m.span)
+        store.level -= 1
+        store.rigid.difference_update(prefix)
+        # A prefix variable lowered to this level or an outer one is
+        # reachable from a binding outside the annotation's scope.
+        escaped = [
+            v for v in dict.fromkeys(prefix) if store.levels.pop(v) <= store.level
+        ]
         if escaped:
             raise AnnotationEscape(
                 f"annotation variables {sorted(escaped)} escape their binding",
                 m.span,
             )
-        env3, s3, body_ty, body_deriv = _infer(
-            delta,
-            env2,
-            s2.apply_env(gamma).extend(m.var, m.ann),
-            m.body,
-            supply,
-        )
+        store.bind(m.var, m.ann)
+        body_ty, body_deriv = _infer(store, m.body)
+        store.unbind(m.var)
         deriv = DLetAnn(
             m.var, m.ann, prefix, bound_deriv, body_deriv, body_ty
         )
-        return env3, s2.then(s3), body_ty, deriv
+        return body_ty, deriv
 
     if isinstance(m, (Gen, Inst)):
         raise ValueError("infer applies to desugared terms only")

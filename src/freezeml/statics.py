@@ -9,7 +9,7 @@ via the order mono <= poly, which also realises the upcast rule.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Protocol
 
 from .syntax import (
     Con,
@@ -23,8 +23,6 @@ from .syntax import (
     Let,
     LetAnn,
     Lit,
-    LookupEnv,
-    RefinedKindEnv,
     Span,
     Term,
     TVar,
@@ -36,7 +34,11 @@ from .syntax import (
     is_gval,
 )
 
-KindingEnv = Union[KindEnv, RefinedKindEnv, LookupEnv]
+
+class KindingEnv(Protocol):
+    """Anything that maps a type-variable name to its kind, or to None."""
+
+    def lookup(self, name: str) -> Kind | None: ...
 
 
 class StaticsError(Exception):
@@ -69,10 +71,14 @@ class KindMismatch(StaticsError):
     pass
 
 
-def kind_of(env: KindingEnv, a: Type) -> Kind:
-    """Minimal kind of `a`; raises on unbound variables or bad arities."""
+def kind_of(env: KindingEnv, a: Type, bound: frozenset[str] = frozenset()) -> Kind:
+    """Minimal kind of `a`; raises on unbound variables or bad arities.
+
+    The names in `bound` are quantifier binders in scope: each is
+    monomorphic and shadows `env`.
+    """
     if isinstance(a, TVar):
-        kind = env.lookup(a.name)
+        kind = Kind.MONO if a.name in bound else env.lookup(a.name)
         if kind is None:
             raise UnboundTyVar(a.name)
         return kind
@@ -83,29 +89,12 @@ def kind_of(env: KindingEnv, a: Type) -> Kind:
             )
         kind = Kind.MONO
         for arg in a.args:
-            kind = kind.join(kind_of(env, arg))
+            kind = kind.join(kind_of(env, arg, bound))
         return kind
     if isinstance(a, Forall):
-        shadowed = _Shadow(env, a.var, Kind.MONO)
-        kind_of(shadowed, a.body)  # any kind upcasts to poly
+        kind_of(env, a.body, bound | {a.var})  # any kind upcasts to poly
         return Kind.POLY
     raise TypeError(f"not a type: {a!r}")
-
-
-class _Shadow:
-    """`base` with `name` bound to `kind` in front, for kinding under a binder."""
-
-    __slots__ = ("base", "name", "kind")
-
-    def __init__(self, base: KindingEnv, name: str, kind: Kind):
-        self.base = base
-        self.name = name
-        self.kind = kind
-
-    def lookup(self, n: str):
-        if n == self.name:
-            return self.kind
-        return self.base.lookup(n)
 
 
 def check_kind(env: KindingEnv, a: Type, k: Kind) -> None:

@@ -2,21 +2,17 @@
 
 The same application algorithm serves rigid instantiations and flexible
 substitutions; the two differ only in the judgement that validates them
-(:func:`inst_wf` vs :func:`subst_wf`).  Substitutions are immutable maps,
-composed explicitly rather than resolved through a mutable store, so the
-soundness and completeness properties of unification and inference can
-be tested as written.
+(:func:`inst_wf` vs :func:`subst_wf`).  A :class:`Subst` is an immutable,
+simultaneous map: an image is final as written, so ``{a: b, b: a}``
+swaps and never chases.  Composition is explicit (:meth:`Subst.compose`),
+so the soundness and completeness properties of unification and
+inference can be tested as written.
 
-Inside unification and inference a substitution is a sparse, triangular
-solution: it holds only the variables actually solved, and an entry's
-image may mention variables solved later in the same solution, never
-itself or an earlier one.  Joining two solutions (:meth:`Subst.then`) is
-then a dict merge; application and lookup resolve an image through the
-later entries on demand, once per solution.  The paper's form, idempotent
-and with domain exactly the input flexible environment, is built once by
-the public entry points (:meth:`Subst.restrict`).  Substitutions built
-from a mapping (instantiations, renamings, groundings) are simultaneous:
-an image is final as written, so ``{a: b, b: a}`` swaps and never chases.
+Inference and unification do not compose substitutions as they go.
+They record solutions in one mutable store per call (see
+:class:`freezeml.unify.Store`) and hand back a :class:`Subst` in the
+paper's form, idempotent and with domain exactly the input flexible
+environment, once at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from .syntax import (
     INTERNAL_PREFIX,
     Kind,
     KindEnv,
-    LookupEnv,
     RefinedKindEnv,
     TVar,
     Type,
@@ -46,30 +41,16 @@ from .statics import StaticsError, kind_of
 class Subst:
     """Ordered finite map from type-variable names to types.
 
-    `_map` holds the entries as written.  `_images` holds the final
-    images: for a simultaneous substitution it is `_map` itself, for a
-    triangular solution (built by :meth:`then`) it is filled on demand
-    by :meth:`_resolve`.  Application remembers its results per type node
-    (see :func:`_apply`), so applying one substitution to many types that
-    share subtrees, such as the types along a derivation, visits each
-    shared subtree once.
+    Application remembers its results per type node (see :func:`_apply`),
+    so applying one substitution to many types that share subtrees, such
+    as the types along a derivation, visits each shared subtree once.
     """
 
-    __slots__ = ("_map", "_images", "_memo")
+    __slots__ = ("_map", "_memo")
 
     def __init__(self, mapping: Mapping[str, Type] | Iterable[tuple[str, Type]] = ()):
         self._map = dict(mapping)
-        self._images = self._map
         self._memo: dict = {}
-
-    @classmethod
-    def _solution(cls, entries: dict[str, Type]) -> "Subst":
-        """A triangular solution over `entries`, taken without copying."""
-        s = object.__new__(cls)
-        s._map = entries
-        s._images = {}
-        s._memo = {}
-        return s
 
     @staticmethod
     def identity(names: Iterable[str]) -> "Subst":
@@ -79,101 +60,45 @@ class Subst:
         return tuple(self._map)
 
     def items(self) -> Iterator[tuple[str, Type]]:
-        """The entries as written: in a triangular solution an image may
-        still mention variables solved later."""
         return iter(self._map.items())
 
-    def _resolve(self, names: Iterable[str]) -> dict[str, Type]:
-        """The final images, with every one of `names` in the domain among them.
-
-        A triangular image is resolved after the later entries it
-        mentions, on an explicit stack so that long chains do not
-        recurse.  The order of entries guarantees that the chase ends.
-        """
-        images, raw = self._images, self._map
-        if images is raw or len(images) == len(raw):
-            return images
-        stack = [n for n in names if n in raw and n not in images]
-        while stack:
-            name = stack[-1]
-            if name in images:
-                stack.pop()
-                continue
-            image = raw[name]
-            pending = [v for v in ftv_set(image) if v in raw and v not in images]
-            if pending:
-                stack.extend(pending)
-            else:
-                stack.pop()
-                images[name] = _apply(images, image, self._memo)
-        return images
-
     def get(self, name: str) -> Optional[Type]:
-        return self._resolve((name,)).get(name)
+        return self._map.get(name)
 
     def lookup(self, name: str) -> Type:
         """Image of a variable; unmapped variables are unchanged."""
-        image = self._resolve((name,)).get(name)
+        image = self._map.get(name)
         return TVar(name) if image is None else image
 
     def is_identity(self) -> bool:
-        images = self._resolve(self._map)
-        return all(isinstance(t, TVar) and t.name == n for n, t in images.items())
+        return all(isinstance(t, TVar) and t.name == n for n, t in self._map.items())
 
     def ftv(self) -> list[str]:
         """Ordered free variables of the range, in domain order."""
         if not self._map:
             return []
-        images = self._resolve(self._map)
         chain: Type | None = None
-        for name in reversed(self._map):
-            ty = images[name]
+        for ty in reversed(self._map.values()):
             chain = ty if chain is None else arrow(ty, chain)
         return ftv_ordered(chain)
 
     def apply(self, a: Type) -> Type:
-        images = self._images
-        if images is not self._map:
-            images = self._resolve(ftv_set(a))
-        return _apply(images, a, self._memo)
+        return _apply(self._map, a, self._memo)
 
     def apply_env(self, gamma: TypeEnv) -> TypeEnv:
-        if not self._map or self._map.keys().isdisjoint(gamma.ftv()):
-            return gamma
-        return gamma.map_types(self.apply)
+        return TypeEnv((name, self.apply(ty)) for name, ty in gamma)
 
     def compose(self, inner: "Subst") -> "Subst":
         """self after inner: the domain is inner's, images pass through self.
 
-        The simultaneous composition of the paper; the reference that
-        :meth:`then` is tested against.
+        The simultaneous composition of the paper; the reference that the
+        inference store's solutions are tested against.
         """
         return Subst((n, self.apply(inner.lookup(n))) for n in inner._map)
 
-    def then(self, outer: "Subst") -> "Subst":
-        """The solution self, then the solution outer, as one solution.
-
-        outer solves variables that self left unsolved, and its images
-        never mention self's domain, so the merged entries are
-        triangular: self's images are resolved through outer's entries
-        when they are read, not here.
-        """
-        if not outer._map:
-            return self
-        if not self._map:
-            return outer
-        return Subst._solution({**self._map, **outer._map})
-
     def restrict(self, names: Iterable[str]) -> "Subst":
-        """The substitution on exactly `names`, unmapped ones to themselves.
-
-        Every image is resolved, so the result is simultaneous.
-        """
-        names = tuple(names)
-        images = self._resolve(names)
-        return Subst(
-            (n, images[n] if n in images else TVar(n)) for n in names
-        )
+        """The substitution on exactly `names`, unmapped ones to themselves."""
+        return Subst((n, self.lookup(n)) for n in names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._map
@@ -182,13 +107,10 @@ class Subst:
         return len(self._map)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subst) and self._resolve(self._map) == other._resolve(
-            other._map
-        )
+        return isinstance(other, Subst) and self._map == other._map
 
     def __repr__(self) -> str:
-        images = self._resolve(self._map)
-        inner = ", ".join(f"{n} -> {images[n]}" for n in self._map)
+        inner = ", ".join(f"{n} -> {t}" for n, t in self._map.items())
         return f"Subst[{inner}]"
 
 
@@ -198,8 +120,9 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     Subtrees with no free variable in the mapping come back unchanged.
     `memo` maps a node's id to the node and its image under `mapping`;
     holding the node keeps its id from being reused.  `mapping` may grow
-    between calls sharing one memo (a triangular solution resolving on
-    demand), but it must already hold every mapped variable free in `a`.
+    between calls sharing one memo (the inference store resolving images
+    on demand), but it must already hold every mapped variable free in
+    `a`, and no image a memo entry used may change.
     """
     if not mapping:
         return a
@@ -268,7 +191,7 @@ def subst_wf(
         return False
     if set(theta.domain()) != set(theta_in.names()):
         return False
-    env = LookupEnv(delta, theta_out)
+    env = RefinedKindEnv((*RefinedKindEnv.of_kind_env(delta), *theta_out))
     for name, kind in theta_in:
         image = theta.lookup(name)
         try:

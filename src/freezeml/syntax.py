@@ -584,13 +584,6 @@ class RefinedKindEnv:
             kinds[name] = kind
         self._kinds = kinds
 
-    @classmethod
-    def _of(cls, kinds: dict[str, Kind]) -> "RefinedKindEnv":
-        """Wrap a fresh dict, already free of duplicates, without copying."""
-        env = object.__new__(cls)
-        env._kinds = kinds
-        return env
-
     @staticmethod
     def of_kind_env(delta: KindEnv) -> "RefinedKindEnv":
         return RefinedKindEnv((name, Kind.MONO) for name in delta)
@@ -603,23 +596,6 @@ class RefinedKindEnv:
 
     def lookup(self, name: str) -> Optional[Kind]:
         return self._kinds.get(name)
-
-    def extend(self, name: str, kind: Kind) -> "RefinedKindEnv":
-        assert name not in self._kinds, f"duplicate flexible variable {name}"
-        kinds = dict(self._kinds)
-        kinds[name] = kind
-        return RefinedKindEnv._of(kinds)
-
-    def remove(self, names: Iterable[str]) -> "RefinedKindEnv":
-        drop = set(names)
-        return RefinedKindEnv._of(
-            {n: k for n, k in self._kinds.items() if n not in drop}
-        )
-
-    def without(self, name: str) -> "RefinedKindEnv":
-        kinds = self._kinds.copy()
-        kinds.pop(name, None)
-        return RefinedKindEnv._of(kinds)
 
     def __contains__(self, name: str) -> bool:
         return name in self._kinds
@@ -641,54 +617,22 @@ class RefinedKindEnv:
         return f"RefinedKindEnv({pretty})"
 
 
-class LookupEnv:
-    """Combined rigid + flexible view, used by the kinding judgement."""
-
-    __slots__ = ("delta", "theta")
-
-    def __init__(self, delta: KindEnv, theta: RefinedKindEnv) -> None:
-        self.delta = delta
-        self.theta = theta
-
-    def lookup(self, name: str) -> Optional[Kind]:
-        kind = self.theta.lookup(name)
-        if kind is not None:
-            return kind
-        return self.delta.lookup(name)
-
-
 class TypeEnv:
     """Ordered term-variable bindings; lookup returns the rightmost."""
 
-    __slots__ = ("_bindings", "_ftv")
+    __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Iterable[tuple[str, Type]] = ()) -> None:
         self._bindings = tuple(bindings)
-        self._ftv: Optional[frozenset[str]] = None
-
-    def ftv(self) -> frozenset[str]:
-        """Free type variables of every binding, computed once per env."""
-        if self._ftv is None:
-            self._ftv = _NO_VARS.union(*[ftv_set(ty) for _, ty in self._bindings])
-        return self._ftv
-
-    def bindings(self) -> tuple[tuple[str, Type], ...]:
-        return self._bindings
 
     def extend(self, name: str, ty: Type) -> "TypeEnv":
-        env = TypeEnv(self._bindings + ((name, ty),))
-        if self._ftv is not None:
-            env._ftv = self._ftv | ftv_set(ty)
-        return env
+        return TypeEnv(self._bindings + ((name, ty),))
 
     def lookup(self, name: str) -> Optional[Type]:
         for bound_name, ty in reversed(self._bindings):
             if bound_name == name:
                 return ty
         return None
-
-    def map_types(self, fn) -> "TypeEnv":
-        return TypeEnv((name, fn(ty)) for name, ty in self._bindings)
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._bindings)

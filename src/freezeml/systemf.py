@@ -85,13 +85,6 @@ def f_tyabs_many(names, body: FTerm) -> FTerm:
     return result
 
 
-def f_tyapp_many(fn: FTerm, args) -> FTerm:
-    result = fn
-    for arg in args:
-        result = FTyApp(result, arg)
-    return result
-
-
 def is_instantiation(t: FTerm) -> bool:
     while isinstance(t, FTyApp):
         t = t.fn

@@ -1,19 +1,26 @@
-"""Unification over a fixed rigid environment and a refined flexible one.
+"""Unification, and the store that inference and unification share.
 
-Flexible variables are solved by removing them from the refined
-environment and re-kinding the candidate type in what remains: a
-variable occurring in its own solution is then unbound, so the kinding
-assertion doubles as the occurs check.  Monomorphic variables force
-demotion of any polymorphic flexibles in the solution, so that later
-unifications cannot smuggle polymorphism back in.  Quantifiers unify by
-skolemisation: bodies are opened with one fresh rigid variable which
-must not leak into the resulting substitution.
+One :class:`Store` lives for exactly one :func:`unify` or
+:func:`freezeml.infer.infer` call.  It holds every type variable in
+scope: the rigid ones, and the flexible ones with their kind and their
+let level.  It records the image of each solved flexible variable, logs
+each solve on a trail, and holds the term environment as a scoped map.
 
-The recursion works on sparse, triangular substitutions that hold only
-the variables it solved (see :mod:`freezeml.subst`).  The public
-:func:`unify` resolves and pads the result once, so that it is
-idempotent with domain exactly the input environment; inference calls
-:func:`unify_sparse` and never pays for the padding.
+Solving a flexible variable removes it from the flexible ones and kinds
+the candidate type against what remains: a variable occurring in its own
+solution is then unbound, so the kinding assertion doubles as the occurs
+check.  Solving a monomorphic variable demotes the polymorphic flexibles
+of its solution, so that later unifications cannot smuggle polymorphism
+back in.  Every solve lowers the levels of its solution's variables to
+the solved variable's level, so a variable's level says how far out the
+environment reaches it.  Quantifiers unify by skolemisation: both bodies
+are opened with one fresh rigid variable, which must not appear in any
+image solved since (the trail says which).
+
+An image may mention variables solved after it; application and lookup
+resolve images on demand.  The public :func:`unify` returns the paper's
+form, an idempotent substitution with domain exactly the input
+environment.
 """
 
 from __future__ import annotations
@@ -21,16 +28,17 @@ from __future__ import annotations
 from typing import Optional
 
 from .statics import StaticsError, kind_of
-from .subst import Subst, demote
+from .subst import Subst, _apply
 from .syntax import (
     Con,
     Forall,
+    Kind,
     KindEnv,
-    LookupEnv,
     NameSupply,
     RefinedKindEnv,
     TVar,
     Type,
+    TypeEnv,
     all_type_names,
     ftv_set,
 )
@@ -80,89 +88,202 @@ def unify(
     Returns the updated refined environment and a substitution theta'
     with domain exactly the input environment's variables.
     """
-    theta1, subst = unify_sparse(delta, theta, a, b, supply)
-    return theta1, subst.restrict(theta.names())
-
-
-def unify_sparse(
-    delta: KindEnv,
-    theta: RefinedKindEnv,
-    a: Type,
-    b: Type,
-    supply: Optional[NameSupply] = None,
-) -> tuple[RefinedKindEnv, Subst]:
-    """As :func:`unify`, but the substitution holds only solved variables."""
     if supply is None:
         avoid = set(delta.names()) | set(theta.names())
         avoid |= all_type_names(a) | all_type_names(b)
         supply = NameSupply(avoid)
+    store = Store(delta, theta, supply)
+    store.unify(a, b)
+    return store.theta(), store.solution(theta.names())
 
-    if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
-        return theta, _EMPTY
 
-    if isinstance(a, TVar) and a.name in theta:
-        return _solve(delta, theta, a.name, b)
-    if isinstance(b, TVar) and b.name in theta:
-        return _solve(delta, theta, b.name, a)
+class Store:
+    """The type variables, solutions and term environment of one call.
 
-    if isinstance(a, Con) and isinstance(b, Con):
-        if a.con != b.con:
-            raise ConMismatch(
-                f"cannot unify {a.con.name} with {b.con.name}", a, b
+    `rigid` holds the rigid variables in scope, `kinds` the unsolved
+    flexible ones in order of creation, and `levels` the let level of
+    each flexible variable and of each annotation prefix variable in
+    scope.  `images` maps each solved variable to its solution as
+    written, `trail` lists the solved variables in order, and `gamma`
+    maps each term variable to its bindings, innermost last.  `finals`
+    caches resolved images; one stays valid until a variable free in it
+    is solved.
+    """
+
+    __slots__ = (
+        "supply", "rigid", "kinds", "levels", "level", "images", "trail",
+        "gamma", "_finals", "_memo",
+    )
+
+    def __init__(
+        self,
+        delta: KindEnv,
+        theta: RefinedKindEnv,
+        supply: NameSupply,
+        gamma: TypeEnv = TypeEnv(),
+    ) -> None:
+        self.supply = supply
+        self.rigid = set(delta.names())
+        self.kinds = dict(theta)
+        self.levels = dict.fromkeys(self.kinds, 0)
+        self.level = 0
+        self.images: dict[str, Type] = {}
+        self.trail: list[str] = []
+        self.gamma: dict[str, list[Type]] = {}
+        for name, ty in gamma:
+            self.bind(name, ty)
+        self._finals: dict[str, Type] = {}
+        self._memo: dict = {}
+
+    # -- variables ------------------------------------------------------------
+
+    def lookup(self, name: str) -> Optional[Kind]:
+        """The kind of a variable in scope, for the kinding judgement."""
+        kind = self.kinds.get(name)
+        if kind is None and name in self.rigid:
+            return Kind.MONO
+        return kind
+
+    def fresh(self, kind: Kind) -> str:
+        """A new flexible variable at the current level."""
+        name = self.supply.fresh()
+        self.kinds[name] = kind
+        self.levels[name] = self.level
+        return name
+
+    def theta(self) -> RefinedKindEnv:
+        return RefinedKindEnv(self.kinds.items())
+
+    # -- the term environment -------------------------------------------------
+
+    def bind(self, name: str, ty: Type) -> None:
+        self.gamma.setdefault(name, []).append(ty)
+
+    def unbind(self, name: str) -> None:
+        self.gamma[name].pop()
+
+    def scheme(self, name: str) -> Optional[Type]:
+        """The innermost binding of `name`, read through the solution."""
+        bindings = self.gamma.get(name)
+        return self.apply(bindings[-1]) if bindings else None
+
+    # -- solutions ------------------------------------------------------------
+
+    def _current(self, name: str) -> bool:
+        final = self._finals.get(name)
+        return final is not None and self.images.keys().isdisjoint(ftv_set(final))
+
+    def _resolve(self, names) -> dict[str, Type]:
+        """The resolved images, current for every solved one of `names`.
+
+        An image is resolved after the solved variables it mentions, on
+        an explicit stack so that long chains do not recurse.
+        """
+        images, finals = self.images, self._finals
+        stack = [n for n in names if n in images and not self._current(n)]
+        while stack:
+            name = stack[-1]
+            if self._current(name):
+                stack.pop()
+                continue
+            image = images[name]
+            pending = [
+                v for v in ftv_set(image) if v in images and not self._current(v)
+            ]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                finals[name] = _apply(finals, image, self._memo)
+        return finals
+
+    def apply(self, a: Type) -> Type:
+        if not self.images:
+            return a
+        fv = ftv_set(a)
+        if self.images.keys().isdisjoint(fv):
+            return a
+        return _apply(self._resolve(fv), a, self._memo)
+
+    def resolved(self, name: str) -> Type:
+        """The resolved image of a variable; unsolved ones are unchanged."""
+        if name not in self.images:
+            return TVar(name)
+        return self._resolve((name,))[name]
+
+    def solution(self, names) -> Subst:
+        return Subst((n, self.resolved(n)) for n in names)
+
+    # -- unification ----------------------------------------------------------
+
+    def unify(self, a: Type, b: Type) -> None:
+        """Solve flexible variables so that `a` and `b` become equal.
+
+        Both types must already be read through the solution.
+        """
+        if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
+            return
+        if isinstance(a, TVar) and a.name in self.kinds:
+            return self._solve(a.name, b)
+        if isinstance(b, TVar) and b.name in self.kinds:
+            return self._solve(b.name, a)
+
+        if isinstance(a, Con) and isinstance(b, Con):
+            if a.con != b.con:
+                raise ConMismatch(
+                    f"cannot unify {a.con.name} with {b.con.name}", a, b
+                )
+            for arg_a, arg_b in zip(a.args, b.args):
+                self.unify(self.apply(arg_a), self.apply(arg_b))
+            return
+
+        if isinstance(a, Forall) and isinstance(b, Forall):
+            skolem = self.supply.fresh()
+            open_a = Subst({a.var: TVar(skolem)}).apply(a.body)
+            open_b = Subst({b.var: TVar(skolem)}).apply(b.body)
+            mark = len(self.trail)
+            self.rigid.add(skolem)
+            self.unify(open_a, open_b)
+            self.rigid.remove(skolem)
+            # Only images solved since the mark can mention the skolem,
+            # and a resolved image mentions it exactly when one of those
+            # does as written.
+            images = self.images
+            if any(skolem in ftv_set(images[v]) for v in self.trail[mark:]):
+                raise SkolemEscape(skolem, a, b)
+            return
+
+        if isinstance(a, Forall) or isinstance(b, Forall):
+            raise StructureMismatch(
+                "cannot unify a quantified type with an unquantified one", a, b
             )
-        theta_i = theta
-        subst_i = _EMPTY
-        for arg_a, arg_b in zip(a.args, b.args):
-            theta_i, step = unify_sparse(
-                delta, theta_i, subst_i.apply(arg_a), subst_i.apply(arg_b), supply
+        raise RigidMismatch("cannot unify distinct rigid variables", a, b)
+
+    def _solve(self, var: str, solution: Type) -> None:
+        kind = self.kinds.pop(var)
+        fv = ftv_set(solution)
+        if kind is Kind.MONO:
+            for v in fv:
+                if v in self.kinds:
+                    self.kinds[v] = Kind.MONO
+        try:
+            solution_kind = kind_of(self, solution)
+        except StaticsError as err:
+            raise OccursOrKind(
+                f"solution for {var!r} is ill-kinded: {err.message}",
+                TVar(var),
+                solution,
+            ) from None
+        if not solution_kind.le(kind):
+            raise OccursOrKind(
+                f"solution for {var!r} has kind {solution_kind}, needs {kind}",
+                TVar(var),
+                solution,
             )
-            subst_i = subst_i.then(step)
-        return theta_i, subst_i
-
-    if isinstance(a, Forall) and isinstance(b, Forall):
-        skolem = supply.fresh()
-        open_a = Subst({a.var: TVar(skolem)}).apply(a.body)
-        open_b = Subst({b.var: TVar(skolem)}).apply(b.body)
-        theta1, subst = unify_sparse(delta.extend(skolem), theta, open_a, open_b, supply)
-        # Every solved variable belongs to theta, so the sparse images
-        # are the images of theta's names that can mention the skolem.
-        # The raw, triangular entries suffice: every variable a chain
-        # passes through was solved in this sub-solution, so a resolved
-        # image mentions the skolem exactly when one raw image does.
-        if any(skolem in ftv_set(image) for _, image in subst.items()):
-            raise SkolemEscape(skolem, a, b)
-        return theta1, subst
-
-    if isinstance(a, Forall) or isinstance(b, Forall):
-        raise StructureMismatch(
-            "cannot unify a quantified type with an unquantified one", a, b
-        )
-    raise RigidMismatch("cannot unify distinct rigid variables", a, b)
-
-
-def _solve(
-    delta: KindEnv, theta: RefinedKindEnv, var: str, solution: Type
-) -> tuple[RefinedKindEnv, Subst]:
-    kind = theta.lookup(var)
-    assert kind is not None
-    rest = theta.without(var)
-    # Demotion reaches only flexible variables, so rigid ones may be listed.
-    theta1 = demote(kind, rest, ftv_set(solution))
-    try:
-        solution_kind = kind_of(LookupEnv(delta, theta1), solution)
-    except StaticsError as err:
-        raise OccursOrKind(
-            f"solution for {var!r} is ill-kinded: {err.message}",
-            TVar(var),
-            solution,
-        ) from None
-    if not solution_kind.le(kind):
-        raise OccursOrKind(
-            f"solution for {var!r} has kind {solution_kind}, needs {kind}",
-            TVar(var),
-            solution,
-        )
-    return theta1, Subst({var: solution})
-
-
-_EMPTY = Subst()
+        level = self.levels[var]
+        for v in fv:
+            if self.levels.get(v, level) > level:
+                self.levels[v] = level
+        self.images[var] = solution
+        self.trail.append(var)
+        self._memo = {}

@@ -24,7 +24,6 @@ from freezeml.syntax import (
     Let,
     LetAnn,
     Lit,
-    LookupEnv,
     RefinedKindEnv,
     TVar,
     Term,
@@ -96,6 +95,11 @@ def random_type(
         random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
         random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
     )
+
+
+def kinding_env(delta: KindEnv, theta: RefinedKindEnv) -> RefinedKindEnv:
+    """Rigid and flexible variables in one environment, for kinding."""
+    return RefinedKindEnv((*RefinedKindEnv.of_kind_env(delta), *theta))
 
 
 def random_refined_env(

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import subprocess
 import sys
@@ -253,6 +254,16 @@ class TestPreludeFidelity:
 
 
 class TestEntryPoint:
+    def test_main_writes_to_the_current_streams(self, tmp_path):
+        good = write(tmp_path, "good.fml", "poly ~id")
+        bad = write(tmp_path, "bad.fml", "choose id auto'")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["infer", good]) == EXIT_OK
+            assert main(["infer", bad]) == EXIT_TYPE_ERROR
+        assert out.getvalue() == "poly ~id : (Int, Bool)\n"
+        assert err.getvalue().startswith(f"{bad}:1:")
+
     def test_module_invocation(self, tmp_path):
         path = write(tmp_path, "ex.fml", "poly ~id")
         proc = subprocess.run(

@@ -1,11 +1,14 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module,
+and every top-level function and class of the package has a user."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "freezeml"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "freezeml"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -42,3 +45,59 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def references(node: ast.AST) -> Counter:
+    """Names a subtree refers to: names, attributes, imported names and
+    strings (the benchmark looks functions up by name)."""
+    found: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.split(".")[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found[sub.value] += 1
+    return found
+
+
+def orphans(package: dict[str, str], others: list[str]) -> list[str]:
+    """Top-level functions and classes of the `package` modules (name to
+    source) that nothing outside their own definition refers to."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    counts = {name: references(tree) for name, tree in trees.items()}
+    elsewhere: Counter = Counter()
+    for source in others:
+        elsewhere.update(references(ast.parse(source)))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            outside = counts[module][node.name] - references(node)[node.name]
+            used = outside > 0 or elsewhere[node.name] > 0 or any(
+                counts[other][node.name] for other in trees if other != module
+            )
+            if not used:
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_scan_finds_an_orphan():
+    package = {
+        "a.py": "def used(): pass\ndef lonely(n): return lonely(n - 1)\nclass Kept: pass\n",
+        "b.py": "from a import used\nLAYER = 'Kept'\n",
+    }
+    assert orphans(package, ["used()\n"]) == ["a.py:lonely"]
+
+
+def test_every_definition_has_a_user():
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    others = [
+        p.read_text(encoding="utf-8")
+        for folder in ("tests", "bench")
+        for p in (REPO / folder).glob("*.py")
+    ]
+    assert orphans(package, others) == []

@@ -268,3 +268,38 @@ class TestFreshnessHygiene:
             assert "w" not in ftv_ordered(result.ty)
             checked += 1
         assert checked >= 50
+
+
+class TestLetLevels:
+    """Generalisation by let levels: a variable generalises only if no
+    binding in scope reaches it."""
+
+    def test_monomorphic_binding_reached_from_nested_let(self):
+        # f stays monomorphic, so g, whose type mentions f's variable,
+        # does not generalise although it is a guarded value
+        expect_type("let f = id id in let g = \\x. f x in ~g", "a -> a")
+        with pytest.raises(CannotUnify, match="cannot unify Int with Bool"):
+            infer_str("let f = id id in let g = \\x. f x in (g 1, g True)")
+
+    def test_parameter_solved_inside_nested_let_pins_variable(self):
+        # x is solved to y's variable inside f's bound term, so f keeps it
+        expect_type("\\x. let f = \\y. let u = x y in y in ~f", "(a -> b) -> a -> a")
+
+    def test_annotation_escape_through_a_chain(self):
+        # x is solved to y's unsolved variable, which the annotation then
+        # solves to its prefix variable
+        with pytest.raises(AnnotationEscape) as err:
+            infer_str("\\x. let (f : forall a. a -> a) = \\y. let u = choose x y in y in f")
+        assert err.value.message == "annotation variables ['a'] escape their binding"
+        with pytest.raises(AnnotationEscape) as err:
+            infer_str(
+                "\\x. \\x2. let (f : forall a b. a -> b -> a) = "
+                "\\y. \\v. let u = choose x y in let w = choose x2 v in y in f"
+            )
+        assert err.value.message == "annotation variables ['a', 'b'] escape their binding"
+
+    def test_leak_then_unification_failure_reports_the_failure(self):
+        with pytest.raises(CannotUnify, match="cannot unify Int with Bool"):
+            infer_str(
+                "\\x. let (f : forall a. a -> Int) = \\(y : a). let u = choose x y in True in f"
+            )

@@ -18,7 +18,6 @@ from freezeml.subst import Subst, subst_wf
 from freezeml.syntax import (
     Kind,
     KindEnv,
-    LookupEnv,
     RefinedKindEnv,
     TVar,
     TypeEnv,
@@ -30,7 +29,7 @@ from freezeml.syntax import (
 )
 from freezeml.unify import StructureMismatch, UnifyError, unify
 
-from generators import random_surface_term
+from generators import kinding_env, random_surface_term
 
 PRELUDE = build_prelude()
 EMPTY = KindEnv()
@@ -52,7 +51,7 @@ class TestInferResultContract:
             gamma = PRELUDE.extend("g", arrow(TVar("u0"), TVar("u1"))).extend(
                 "h", arrow(TVar("r0"), TVar("u0"))
             )
-            env_wf(LookupEnv(delta, theta), gamma)
+            env_wf(kinding_env(delta, theta), gamma)
             term = desugar(
                 random_surface_term(rng, ("g", "h"), rng.randrange(0, 5))
             )
@@ -68,9 +67,9 @@ class TestInferResultContract:
             # the substitution is well-formed into the output environment
             assert subst_wf(delta, result.subst, theta, result.env)
             # the result type is well-kinded in the output environment
-            kind_of(LookupEnv(delta, result.env), result.ty)
+            kind_of(kinding_env(delta, result.env), result.ty)
             # the substituted environment stays well-formed
-            env_wf(LookupEnv(delta, result.env), result.subst.apply_env(gamma))
+            env_wf(kinding_env(delta, result.env), result.subst.apply_env(gamma))
             # the derivation replays once the residual variables are
             # grounded, in the environment the substitution produced
             grounding = Subst({name: t_int for name, _ in result.env})

@@ -17,7 +17,6 @@ from freezeml.subst import Subst, subst_wf
 from freezeml.syntax import (
     Kind,
     KindEnv,
-    LookupEnv,
     RefinedKindEnv,
     TVar,
     TypeEnv,
@@ -26,7 +25,7 @@ from freezeml.syntax import (
     ftv_ordered,
 )
 
-from generators import random_subst_problem, random_type
+from generators import kinding_env, random_subst_problem, random_type
 
 
 def ty(src: str):
@@ -139,8 +138,8 @@ class TestStability:
         for _ in range(300):
             delta, theta, theta_out, subst, a, _ = random_subst_problem(rng)
             assert subst_wf(delta, subst, theta, theta_out)
-            env_in = LookupEnv(delta, theta)
-            env_out = LookupEnv(delta, theta_out)
+            env_in = kinding_env(delta, theta)
+            env_out = kinding_env(delta, theta_out)
             k = kind_of(env_in, a)
             image_kind = kind_of(env_out, subst.apply(a))
             assert image_kind.le(k)

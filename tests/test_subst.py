@@ -8,15 +8,17 @@ from freezeml.syntax import (
     Forall,
     Kind,
     KindEnv,
+    NameSupply,
     RefinedKindEnv,
     TVar,
     alpha_eq,
     arrow,
     ftv_ordered,
+    pair_of,
     t_int,
 )
 
-from freezeml.unify import UnifyError, unify, unify_sparse
+from freezeml.unify import Store, UnifyError, unify
 
 from generators import abstract_randomly, random_refined_env, random_subst_problem, random_type
 
@@ -105,33 +107,44 @@ class TestCompose:
             assert alpha_eq(composed.apply(a), s2.apply(s1.apply(a)))
 
 
-class TestThen:
-    """`then` merges triangular solutions; resolved, they must agree with
-    the paper's simultaneous composition."""
+class TestStoreSolutions:
+    """The inference store keeps triangular solutions; resolved, they must
+    agree with the paper's simultaneous composition."""
 
     def test_capture_through_a_later_solution(self):
-        # a's image binds b; the later solution maps c to the rigid b
-        earlier = Subst({"a": Forall("b", arrow(TVar("c"), TVar("b")))})
-        later = Subst({"c": TVar("b")})
-        chained = earlier.then(later).restrict(("a", "c"))
-        reference = later.compose(earlier)
+        # a's image binds b; a later solve maps c to the rigid b
+        delta = KindEnv(("b",))
+        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO)))
+        image = Forall("b", arrow(TVar("c"), TVar("b")))
+        store = Store(delta, theta, NameSupply())
+        store.unify(TVar("a"), image)
+        store.unify(TVar("c"), TVar("b"))
+        reference = Subst({"c": TVar("b")}).compose(Subst({"a": image}))
         expected = ty("forall x. b -> x")
-        assert alpha_eq(chained.lookup("a"), expected)
+        assert alpha_eq(store.resolved("a"), expected)
         assert alpha_eq(reference.lookup("a"), expected)
-        assert chained.lookup("c") == TVar("b")
+        assert store.resolved("c") == TVar("b")
+        chained = store.solution(("a",))
         # the same capture reached through a chain c -> d -> b
-        longer = earlier.then(Subst({"c": TVar("d")})).then(Subst({"d": TVar("b")}))
-        assert alpha_eq(longer.lookup("a"), expected)
-        assert longer.restrict(("a",)) == chained.restrict(("a",))
+        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO), ("d", Kind.MONO)))
+        longer = Store(delta, theta, NameSupply())
+        longer.unify(TVar("a"), image)
+        longer.unify(TVar("c"), TVar("d"))
+        longer.unify(TVar("d"), TVar("b"))
+        assert alpha_eq(longer.resolved("a"), expected)
+        assert longer.solution(("a",)) == chained
 
     def test_capture_through_unification(self):
         delta = KindEnv(("b",))
         theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO)))
-        env1, s1 = unify_sparse(delta, theta, TVar("a"), ty("forall b. c -> b"))
-        env2, s2 = unify_sparse(delta, env1, s1.apply(TVar("c")), TVar("b"))
-        chained = s1.then(s2).restrict(theta.names())
+        env, chained = unify(
+            delta,
+            theta,
+            pair_of(TVar("a"), TVar("c")),
+            pair_of(ty("forall b. c -> b"), TVar("b")),
+        )
         assert alpha_eq(chained.lookup("a"), ty("forall x. b -> x"))
-        assert subst_wf(delta, chained, theta, env2)
+        assert subst_wf(delta, chained, theta, env)
 
     def test_chained_unifiers_match_simultaneous_composition(self):
         rng = random.Random(59)
@@ -142,7 +155,7 @@ class TestThen:
             mono = tuple(delta.names()) + tuple(n for n, k in theta0 if k is Kind.MONO)
             poly = tuple(n for n, k in theta0 if k is Kind.POLY)
             env = theta0
-            chained = Subst()
+            store = Store(delta, theta0, NameSupply())
             reference = Subst.identity(theta0.names())
             for _ in range(rng.randrange(2, 7)):
                 if rng.random() < 0.5:
@@ -159,25 +172,22 @@ class TestThen:
                         delta, env, reference.apply(a), reference.apply(b)
                     )
                 except UnifyError:
+                    # a failed unification ends the store's call
                     with pytest.raises(UnifyError):
-                        unify_sparse(delta, env, chained.apply(a), chained.apply(b))
-                    continue
-                env_next, step = unify_sparse(
-                    delta, env, chained.apply(a), chained.apply(b)
-                )
-                assert env_next == env_ref
-                chained = chained.then(step)
+                        store.unify(store.apply(a), store.apply(b))
+                    break
+                store.unify(store.apply(a), store.apply(b))
+                assert store.theta() == env_ref
                 reference = step_ref.compose(reference)
-                env = env_next
+                env = env_ref
                 steps += 1
-                resolved = chained.restrict(theta0.names())
+                resolved = store.solution(theta0.names())
                 assert resolved.domain() == reference.domain()
                 for name in theta0.names():
                     assert alpha_eq(resolved.lookup(name), reference.lookup(name))
-                    assert alpha_eq(chained.lookup(name), reference.lookup(name))
                 assert subst_wf(delta, resolved, theta0, env)
                 probe = random_type(rng, mono, poly, depth=3)
-                assert alpha_eq(chained.apply(probe), reference.apply(probe))
+                assert alpha_eq(store.apply(probe), reference.apply(probe))
         assert steps >= 300
 
 
@@ -230,7 +240,7 @@ class TestSubstWf:
         out = RefinedKindEnv((("c", Kind.POLY),))
         assert subst_wf(delta, theta, theta_env, out)
         # ftv(theta) mentions neither 's' nor 'c'
-        assert subst_wf(delta.minus(("s",)), theta, theta_env, out.remove(("c",)))
+        assert subst_wf(delta.minus(("s",)), theta, theta_env, RefinedKindEnv())
 
 
 class TestInstWf:

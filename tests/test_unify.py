@@ -9,7 +9,6 @@ from freezeml.subst import Subst, subst_wf
 from freezeml.syntax import (
     Kind,
     KindEnv,
-    LookupEnv,
     RefinedKindEnv,
     TVar,
     alpha_eq,
