@@ -2,12 +2,20 @@
 
 The package exposes the surface language (parser, inference, declarative
 oracle), the explicitly typed System F core, and the translations
-between the two.
+between the two.  The submodules ``freezeml.infer`` and
+``freezeml.unify`` hold the inference and unification entry points.
 """
 
 from .declcheck import check_typing, match_instance, replay
-from .infer import InferResult, check_program, gen, infer, infer_top, split
-from .parser import parse_program, parse_term, parse_type, render_term, render_type
+from .infer import InferResult, check_program, gen, infer_top, split
+from .parser import (
+    normalize_type_names,
+    parse_program,
+    parse_term,
+    parse_type,
+    render_term,
+    render_type,
+)
 from .prelude import build_prelude
 from .statics import env_wf, kind_of, wellscoped
 from .subst import Subst, demote, inst_wf, subst_wf
@@ -31,7 +39,6 @@ from .translate import (
     rebuild_derivation,
     to_systemf,
 )
-from .unify import unify
 
 __all__ = [
     "Kind",
@@ -58,11 +65,11 @@ __all__ = [
     "ftv_ordered",
     "gen",
     "ground_derivation",
-    "infer",
     "infer_top",
     "inst_wf",
     "kind_of",
     "match_instance",
+    "normalize_type_names",
     "parse_fterm",
     "parse_program",
     "parse_term",
@@ -75,6 +82,5 @@ __all__ = [
     "split",
     "subst_wf",
     "to_systemf",
-    "unify",
     "wellscoped",
 ]

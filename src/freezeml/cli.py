@@ -34,6 +34,7 @@ from .systemf import FTypeError, f_typecheck, parse_fterm, render_fterm
 from .translate import (
     from_systemf,
     ground_derivation,
+    readable_fterm,
     rebuild_derivation,
     to_systemf,
 )
@@ -87,13 +88,11 @@ def cmd_infer(args, out, err) -> int:
         span = getattr(failure, "span", None)
         print(_diag(args.path, span, str(failure)), file=err)
         return EXIT_TYPE_ERROR
-    rendered = render_type(
-        normalize_type_names(result.ty), normalize=False, unicode=args.unicode
-    )
+    rendered = render_type(normalize_type_names(result.ty), unicode=args.unicode)
     print(f"{render_term(surface, unicode=args.unicode)} : {rendered}", file=out)
     if args.show_elab:
-        derivation = ground_derivation(delta, gamma, result)
-        print(render_fterm(to_systemf(derivation), unicode=args.unicode), file=out)
+        elaborated = to_systemf(ground_derivation(delta, gamma, result))
+        print(render_fterm(readable_fterm(elaborated), unicode=args.unicode), file=out)
     return EXIT_OK
 
 
@@ -134,9 +133,9 @@ def cmd_elaborate(args, out, err) -> int:
         return EXIT_TYPE_ERROR
     elaborated = to_systemf(derivation)
     checked = f_typecheck(delta, gamma, elaborated)
-    print(render_fterm(elaborated, unicode=args.unicode), file=out)
+    print(render_fterm(readable_fterm(elaborated), unicode=args.unicode), file=out)
     print(
-        f": {render_type(checked, normalize=False, unicode=args.unicode)}",
+        f": {render_type(normalize_type_names(checked), unicode=args.unicode)}",
         file=out,
     )
     return EXIT_OK
@@ -161,66 +160,8 @@ def cmd_import(args, out, err) -> int:
         print(_diag(args.path, None, str(failure)), file=err)
         return EXIT_TYPE_ERROR
     encoded = from_systemf(delta, gamma, fterm)
-    print(render_term(_readable(encoded), unicode=args.unicode), file=out)
+    print(render_term(encoded, unicode=args.unicode), file=out)
     return EXIT_OK
-
-
-def _readable(term: Term) -> Term:
-    """Rename surviving internal term variables for display."""
-    from .syntax import (
-        App,
-        Freeze,
-        Lam,
-        LamAnn,
-        Let,
-        LetAnn,
-        Lit,
-        Var,
-        is_internal_name,
-        term_names,
-    )
-
-    taken = {n for n in term_names(term) if not is_internal_name(n)}
-    mapping: dict[str, str] = {}
-
-    def display(name: str) -> str:
-        if not is_internal_name(name):
-            return name
-        if name not in mapping:
-            base = "xyzuvw"
-            i = len(mapping)
-            candidate = base[i % 6] if i < 6 else f"x{i}"
-            while candidate in taken:
-                i += 1
-                candidate = base[i % 6] if i < 6 else f"x{i}"
-            taken.add(candidate)
-            mapping[name] = candidate
-        return mapping[name]
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            return Var(display(t.name))
-        if isinstance(t, Freeze):
-            return Freeze(display(t.name))
-        if isinstance(t, Lit):
-            return t
-        if isinstance(t, Lam):
-            return Lam(display(t.var), walk(t.body))
-        if isinstance(t, LamAnn):
-            return LamAnn(display(t.var), t.ann, walk(t.body))
-        if isinstance(t, App):
-            return App(walk(t.fn), walk(t.arg))
-        if isinstance(t, Let):
-            # Internal instantiation lets keep their internal binder so the
-            # printer can fold them back into the `@` sugar.
-            if isinstance(t.body, (Var, Freeze)) and t.body.name == t.var:
-                return Let(t.var, walk(t.bound), t.body)
-            return Let(display(t.var), walk(t.bound), walk(t.body))
-        if isinstance(t, LetAnn):
-            return LetAnn(display(t.var), t.ann, walk(t.bound), walk(t.body))
-        raise TypeError(f"unexpected term: {t!r}")
-
-    return walk(term)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +220,13 @@ def run_corpus_row(row: CorpusRow, gamma: TypeEnv) -> tuple[bool, str]:
             return True, "rejected as expected"
         return False, f"unexpected failure: {failure}"
     if row.expected is None:
-        got = render_type(normalize_type_names(result.ty), normalize=False)
+        got = render_type(normalize_type_names(result.ty))
         return False, f"expected failure, inferred {got}"
     expected_ty = parse_type(row.expected)
     got_ty = normalize_type_names(result.ty)
     if alpha_eq(got_ty, expected_ty):
-        return True, render_type(got_ty, normalize=False)
-    return False, (
-        f"expected {render_type(expected_ty, normalize=False)}, "
-        f"got {render_type(got_ty, normalize=False)}"
-    )
+        return True, render_type(got_ty)
+    return False, f"expected {render_type(expected_ty)}, got {render_type(got_ty)}"
 
 
 def cmd_golden(args, out, err) -> int:

@@ -31,7 +31,7 @@ final term; declarations nest into let/let-annotated bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .syntax import (
     BUILTIN_CONS,
@@ -576,21 +576,42 @@ def parse_program(text: str) -> Term:
 # ---------------------------------------------------------------------------
 
 _DISPLAY_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_DISPLAY_TERM_NAMES = "xyzuvw"
 
 
-def _display_names(count: int, taken: set[str]) -> list[str]:
-    names: list[str] = []
+def display_type_names(taken: set[str]) -> Iterator[str]:
+    """Readable type-variable names a, b, ..., z, a1, ..., z1, a2, ...
+    that are not in `taken`; each one handed out is added to `taken`."""
+    return _untaken(
+        taken, lambda i: _DISPLAY_LETTERS[i % 26] + (str(i // 26) if i >= 26 else "")
+    )
+
+
+def display_term_names(taken: set[str]) -> Iterator[str]:
+    """Readable term-variable names x, y, z, u, v, w, x6, x7, ... that
+    are not in `taken`; each one handed out is added to `taken`."""
+    return _untaken(taken, lambda i: _DISPLAY_TERM_NAMES[i] if i < 6 else f"x{i}")
+
+
+def _untaken(taken: set[str], name_at) -> Iterator[str]:
     i = 0
-    while len(names) < count:
-        letter = _DISPLAY_LETTERS[i % 26]
-        suffix = i // 26
-        name = letter if suffix == 0 else f"{letter}{suffix}"
+    while True:
+        name = name_at(i)
         i += 1
-        if name in taken:
-            continue
-        taken.add(name)
-        names.append(name)
-    return names
+        if name not in taken:
+            taken.add(name)
+            yield name
+
+
+def rename_type(a: Type, mapping: dict[str, str]) -> Type:
+    """Rename variables of `a`, free and bound, by `mapping`."""
+    if isinstance(a, TVar):
+        return TVar(mapping.get(a.name, a.name))
+    if isinstance(a, Con):
+        return Con(a.con, tuple(rename_type(arg, mapping) for arg in a.args))
+    if isinstance(a, Forall):
+        return Forall(mapping.get(a.var, a.var), rename_type(a.body, mapping))
+    raise TypeError(f"not a type: {a!r}")
 
 
 def normalize_type_names(a: Type) -> Type:
@@ -618,23 +639,12 @@ def normalize_type_names(a: Type) -> Type:
     if not internals:
         return a
     taken = {n for n in all_type_names(a) if not is_internal_name(n)}
-    mapping = dict(zip(internals, _display_names(len(internals), taken)))
-
-    def rename(t: Type) -> Type:
-        if isinstance(t, TVar):
-            return TVar(mapping.get(t.name, t.name))
-        if isinstance(t, Con):
-            return Con(t.con, tuple(rename(arg) for arg in t.args))
-        if isinstance(t, Forall):
-            return Forall(mapping.get(t.var, t.var), rename(t.body))
-        raise TypeError(f"not a type: {t!r}")
-
-    return rename(a)
+    return rename_type(a, dict(zip(internals, display_type_names(taken))))
 
 
-def render_type(a: Type, normalize: bool = True, unicode: bool = False) -> str:
-    if normalize:
-        a = normalize_type_names(a)
+def render_type(a: Type, unicode: bool = False) -> str:
+    """Print `a` with its variable names as given; showing inferred types
+    to people goes through :func:`normalize_type_names` first."""
     arrow_sym = " → " if unicode else " -> "
 
     def atom(t: Type) -> str:
@@ -683,14 +693,6 @@ def render_type(a: Type, normalize: bool = True, unicode: bool = False) -> str:
 def render_term(m: Term, unicode: bool = False) -> str:
     freeze_sym = "⌈{}⌉" if unicode else "~{}"
 
-    def is_internal_let_sugar(t: Term) -> Optional[str]:
-        if isinstance(t, Let) and is_internal_name(t.var):
-            if isinstance(t.body, Freeze) and t.body.name == t.var:
-                return "gen"
-            if isinstance(t.body, Var) and t.body.name == t.var:
-                return "inst"
-        return None
-
     def atom(t: Term) -> str:
         if isinstance(t, Var):
             return constant_name(t.name)
@@ -706,11 +708,6 @@ def render_term(m: Term, unicode: bool = False) -> str:
             return f"${atom(t.body)}"
         if isinstance(t, Inst):
             return f"{atom(t.body)}@"
-        sugar = is_internal_let_sugar(t)
-        if sugar == "gen":
-            return f"${atom(t.bound)}"
-        if sugar == "inst":
-            return f"{atom(t.bound)}@"
         return f"({top(t)})"
 
     def app(t: Term) -> str:
@@ -722,15 +719,12 @@ def render_term(m: Term, unicode: bool = False) -> str:
         if isinstance(t, Lam):
             return f"\\{t.var}. {top(t.body)}"
         if isinstance(t, LamAnn):
-            return f"\\({t.var} : {render_type(t.ann, normalize=False, unicode=unicode)}). {top(t.body)}"
+            return f"\\({t.var} : {render_type(t.ann, unicode=unicode)}). {top(t.body)}"
         if isinstance(t, Let):
-            sugar = is_internal_let_sugar(t)
-            if sugar is not None:
-                return atom(t)
             return f"let {t.var} = {top(t.bound)} in {top(t.body)}"
         if isinstance(t, LetAnn):
             return (
-                f"let ({t.var} : {render_type(t.ann, normalize=False, unicode=unicode)})"
+                f"let ({t.var} : {render_type(t.ann, unicode=unicode)})"
                 f" = {top(t.bound)} in {top(t.body)}"
             )
         return app(t)

@@ -42,6 +42,6 @@ EXTRA_SIGNATURES: tuple[tuple[str, str], ...] = (
 )
 
 
-def build_prelude(include_extras: bool = True) -> TypeEnv:
-    entries = PRELUDE_SIGNATURES + (EXTRA_SIGNATURES if include_extras else ())
+def build_prelude() -> TypeEnv:
+    entries = PRELUDE_SIGNATURES + EXTRA_SIGNATURES
     return TypeEnv((name, parse_type(source)) for name, source in entries)

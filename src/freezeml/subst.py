@@ -96,10 +96,6 @@ class Subst:
         """
         return Subst((n, self.apply(inner.lookup(n))) for n in inner._map)
 
-    def restrict(self, names: Iterable[str]) -> "Subst":
-        """The substitution on exactly `names`, unmapped ones to themselves."""
-        return Subst((n, self.lookup(n)) for n in names)
-
     def __contains__(self, name: str) -> bool:
         return name in self._map
 

@@ -441,7 +441,7 @@ def is_gval(m: Term) -> bool:
 
 def internal_index(name: str) -> Optional[int]:
     if name.startswith(INTERNAL_PREFIX):
-        rest = name[len(INTERNAL_PREFIX):].lstrip("vg")
+        rest = name[len(INTERNAL_PREFIX):].lstrip("g")
         if rest.isdigit():
             return int(rest)
     return None

@@ -119,10 +119,7 @@ class NotAForall(FTypeError):
 
 class TypeMismatch(FTypeError):
     def __init__(self, expected: Type, got: Type):
-        super().__init__(
-            f"expected {render_type(expected, normalize=False)}, "
-            f"got {render_type(got, normalize=False)}"
-        )
+        super().__init__(f"expected {render_type(expected)}, got {render_type(got)}")
         self.expected = expected
         self.got = got
 
@@ -157,7 +154,7 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
         arg_ty = f_typecheck(delta, gamma, t.arg)
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             raise NotAFunction(
-                f"cannot apply a term of type {render_type(fn_ty, normalize=False)}"
+                f"cannot apply a term of type {render_type(fn_ty)}"
             )
         if not alpha_eq(fn_ty.args[0], arg_ty):
             raise TypeMismatch(fn_ty.args[0], arg_ty)
@@ -177,7 +174,7 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
         fn_ty = f_typecheck(delta, gamma, t.fn)
         if not isinstance(fn_ty, Forall):
             raise NotAForall(
-                f"cannot instantiate a term of type {render_type(fn_ty, normalize=False)}"
+                f"cannot instantiate a term of type {render_type(fn_ty)}"
             )
         try:
             check_kind(delta, t.arg, Kind.POLY)
@@ -204,7 +201,7 @@ def render_fterm(t: FTerm, unicode: bool = False) -> str:
     tyabs = "Λ" if unicode else "/\\"
 
     def ty(a: Type) -> str:
-        return render_type(a, normalize=False, unicode=unicode)
+        return render_type(a, unicode=unicode)
 
     pieces: list[str] = []
     # Each entry is text to emit or (level, term); the levels are the

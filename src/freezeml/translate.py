@@ -3,14 +3,17 @@
 Outbound, a recorded inference derivation drives elaboration: variable
 occurrences become type applications of their recorded instantiations,
 and let-bindings wrap their bound term in the recorded abstraction
-prefix.  Inbound, type abstraction and application are encoded with
-annotated lets around an instantiating let (the ``@`` expansion); the
-naive encoding without that extra step is kept behind a flag as a
-negative example, since a frozen variable cannot be implicitly
-instantiated to the annotated type.
+prefix.  Inbound, type abstraction and application are encoded as
+annotated lets whose bound term is instantiated with the ``M@`` sugar,
+as the paper states the translation; :func:`desugar` expands it like
+any other ``@``.  The naive encoding without the ``@`` is kept behind a
+flag as a negative example, since a frozen variable cannot be
+implicitly instantiated to the annotated type.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .declcheck import replay
 from .infer import (
@@ -26,21 +29,25 @@ from .infer import (
     InferResult,
     check_program,
 )
+from .parser import display_term_names, display_type_names, rename_type
 from .subst import Subst
 from .syntax import (
     App,
+    Con,
     Forall,
     Freeze,
+    Inst,
     KindEnv,
     LamAnn,
-    Let,
     LetAnn,
     Lit,
-    NameSupply,
     Term,
+    TVar,
     Type,
     TypeEnv,
-    Var,
+    decompose,
+    foralls,
+    is_internal_name,
     t_int,
 )
 from .systemf import (
@@ -62,6 +69,7 @@ __all__ = [
     "rebuild_derivation",
     "to_systemf",
     "from_systemf",
+    "readable_fterm",
 ]
 
 
@@ -119,19 +127,21 @@ def from_systemf(
 ) -> Term:
     """Encode a well-typed core term in the surface language.
 
-    Type abstraction becomes an annotated, generalising let around an
-    instantiating let; type application becomes an annotated let at the
-    substituted type.  With `naive_tyapp` the instantiating step of the
-    type-application case is skipped, which breaks typeability whenever
-    the operand is a frozen variable or application (kept as a negative
-    example on purpose).
-    """
-    supply = NameSupply(_term_var_names(t) | set(gamma.names()))
-    namer = _annotation_namer(delta, gamma, t)
+    Type abstraction ``/\\a. V`` becomes ``let (x : forall a. A) = V@ in ~x``
+    and type application ``M [B]`` becomes ``let (x : A[B/a]) = M@ in ~x``;
+    the ``@`` sugar is left for :func:`desugar` to expand.  With
+    `naive_tyapp` the ``@`` of the type-application case is left out,
+    which breaks typeability whenever the operand is a frozen variable
+    or application (kept as a negative example on purpose).
 
-    def wrap_inst(term: Term) -> Term:
-        var = supply.fresh("v")
-        return Let(var, term, Var(var))
+    The let binders get readable names in pre-order, and the annotation
+    prefixes readable type names, none of them a name of `t`.
+    """
+    term_names, type_names = _fterm_names(t)
+    binders = display_term_names(set(term_names))
+    letters = display_type_names(
+        set(type_names) | set(delta.names()) | gamma.type_names()
+    )
 
     def go(dlt: KindEnv, env: TypeEnv, x: FTerm) -> Term:
         if isinstance(x, FVar):
@@ -144,101 +154,102 @@ def from_systemf(
         if isinstance(x, FApp):
             return App(go(dlt, env, x.fn), go(dlt, env, x.arg))
         if isinstance(x, FTyAbs):
+            var = next(binders)
             inner_delta = dlt.extend(x.var)
             body_ty = f_typecheck(inner_delta, env, x.body)
             translated = go(inner_delta, env, x.body)
-            var = supply.fresh("v")
             # The body type's own quantifier prefix is about to be peeled
             # into scope over the bound term, where translated inner
             # abstractions restate the same binders; give the annotation
             # copy fresh names so the scopes stay disjoint.
-            ann = Forall(x.var, _freshen_prefix(body_ty, namer))
-            return LetAnn(var, ann, wrap_inst(translated), Freeze(var))
+            ann = Forall(x.var, _freshen_prefix(body_ty, letters))
+            return LetAnn(var, ann, Inst(translated), Freeze(var))
         if isinstance(x, FTyApp):
+            var = next(binders)
             fn_ty = f_typecheck(dlt, env, x.fn)
             assert isinstance(fn_ty, Forall), "precondition: operand typechecks"
             result_ty = Subst({fn_ty.var: x.arg}).apply(fn_ty.body)
             translated = go(dlt, env, x.fn)
-            var = supply.fresh("v")
-            ann = _freshen_prefix(result_ty, namer)
-            if naive_tyapp:
-                return LetAnn(var, ann, translated, Freeze(var))
-            return LetAnn(var, ann, wrap_inst(translated), Freeze(var))
+            ann = _freshen_prefix(result_ty, letters)
+            bound = translated if naive_tyapp else Inst(translated)
+            return LetAnn(var, ann, bound, Freeze(var))
         raise TypeError(f"not an F term: {x!r}")
 
     f_typecheck(delta, gamma, t)  # precondition
     return go(delta, gamma, t)
 
 
-def _annotation_namer(delta: KindEnv, gamma: TypeEnv, t: FTerm):
-    """Fresh, user-writable type-variable names for annotation prefixes."""
-    from .syntax import all_type_names
+def readable_fterm(t: FTerm) -> FTerm:
+    """Rename the internal names of an elaborated term for display.
 
-    taken = set(delta.names()) | gamma.type_names()
+    Internal type names become a, b, ... and internal term names x, y,
+    ..., each in order of first occurrence and none of them a name of
+    `t`.  The renaming is one to one onto fresh names, so the term means
+    and typechecks the same.
+    """
+    term_names, type_names = _fterm_names(t)
+    term_map = _readable_names(term_names, display_term_names)
+    type_map = _readable_names(type_names, display_type_names)
+    if not term_map and not type_map:
+        return t
 
-    def collect(x: FTerm) -> None:
+    def go(x: FTerm) -> FTerm:
+        if isinstance(x, FVar):
+            return FVar(term_map.get(x.name, x.name))
+        if isinstance(x, FLit):
+            return x
         if isinstance(x, FLam):
-            taken.update(all_type_names(x.ann))
-            collect(x.body)
-        elif isinstance(x, FApp):
-            collect(x.fn)
-            collect(x.arg)
-        elif isinstance(x, FTyAbs):
-            taken.add(x.var)
-            collect(x.body)
-        elif isinstance(x, FTyApp):
-            taken.update(all_type_names(x.arg))
-            collect(x.fn)
+            var = term_map.get(x.var, x.var)
+            return FLam(var, rename_type(x.ann, type_map), go(x.body))
+        if isinstance(x, FApp):
+            return FApp(go(x.fn), go(x.arg))
+        if isinstance(x, FTyAbs):
+            return FTyAbs(type_map.get(x.var, x.var), go(x.body))
+        if isinstance(x, FTyApp):
+            return FTyApp(go(x.fn), rename_type(x.arg, type_map))
+        raise TypeError(f"not an F term: {x!r}")
 
-    collect(t)
-    counter = [0]
-
-    def fresh() -> str:
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        while True:
-            i = counter[0]
-            counter[0] += 1
-            name = letters[i % 26] if i < 26 else f"{letters[i % 26]}{i // 26}"
-            if name not in taken:
-                taken.add(name)
-                return name
-
-    return fresh
+    return go(t)
 
 
-def _freshen_prefix(ann: Type, namer) -> Type:
-    from .syntax import decompose, foralls, TVar
+def _readable_names(names: dict[str, None], generator) -> dict[str, str]:
+    internal = [name for name in names if is_internal_name(name)]
+    taken = {name for name in names if not is_internal_name(name)}
+    return dict(zip(internal, generator(taken)))
 
+
+def _freshen_prefix(ann: Type, letters: Iterator[str]) -> Type:
     prefix, body = decompose(ann)
     if not prefix:
         return ann
-    renaming = {}
-    new_names = []
-    for name in prefix:
-        fresh = namer()
-        renaming[name] = TVar(fresh)
-        new_names.append(fresh)
+    new_names = [next(letters) for _ in prefix]
+    renaming = {name: TVar(fresh) for name, fresh in zip(prefix, new_names)}
     return foralls(new_names, Subst(renaming).apply(body))
 
 
-def _term_var_names(t: FTerm) -> set[str]:
-    names: set[str] = set()
-
-    def walk(x: FTerm) -> None:
+def _fterm_names(t: FTerm) -> tuple[dict[str, None], dict[str, None]]:
+    """Term and type variable names of `t`, free or bound, each in order
+    of first occurrence (as the keys of a dict)."""
+    terms: dict[str, None] = {}
+    types: dict[str, None] = {}
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
         if isinstance(x, FVar):
-            names.add(x.name)
-        elif isinstance(x, FLit):
-            pass
+            terms[x.name] = None
         elif isinstance(x, FLam):
-            names.add(x.var)
-            walk(x.body)
-        elif isinstance(x, FApp):
-            walk(x.fn)
-            walk(x.arg)
+            terms[x.var] = None
+            stack += (x.body, x.ann)
+        elif isinstance(x, (FApp, FTyApp)):
+            stack += (x.arg, x.fn)
         elif isinstance(x, FTyAbs):
-            walk(x.body)
-        elif isinstance(x, FTyApp):
-            walk(x.fn)
-
-    walk(t)
-    return names
+            types[x.var] = None
+            stack.append(x.body)
+        elif isinstance(x, TVar):
+            types[x.name] = None
+        elif isinstance(x, Forall):
+            types[x.var] = None
+            stack.append(x.body)
+        elif isinstance(x, Con):
+            stack.extend(reversed(x.args))
+    return terms, types

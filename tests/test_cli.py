@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from freezeml import cli
 from freezeml.cli import (
     EXIT_OK,
     EXIT_TYPE_ERROR,
@@ -183,6 +184,30 @@ class TestElaborateImport:
         path = write(tmp_path, "ex.f", "/\\a. \\x:a. x x")
         code, _, err = run_cli(["import", path])
         assert code == EXIT_TYPE_ERROR
+
+
+ACCEPTED_ROWS = [row for row in load_corpus() if row.expected is not None]
+
+
+class TestElaborationRoundTrip:
+    @pytest.mark.parametrize("row", ACCEPTED_ROWS, ids=[row.label for row in ACCEPTED_ROWS])
+    def test_elaboration_imports_back(self, tmp_path, monkeypatch, row):
+        # `elaborate` prints only user-writable names, `import` reads its
+        # F term back, and the encoding infers the type it printed
+        gamma = build_prelude()
+        for name, source in row.extras:
+            gamma = gamma.extend(name, parse_type(source))
+        monkeypatch.setattr(cli, "build_prelude", lambda: gamma)
+        code, out, err = run_cli(["elaborate", write(tmp_path, "row.fml", row.source)])
+        assert code == EXIT_OK, err
+        assert "%" not in out
+        fterm, type_line = out.splitlines()
+        code, encoding, err = run_cli(["import", write(tmp_path, "row.f", fterm)])
+        assert code == EXIT_OK, err
+        code, inferred, err = run_cli(["infer", write(tmp_path, "enc.fml", encoding)])
+        assert code == EXIT_OK, err
+        got = parse_type(inferred.rsplit(" : ", 1)[1])
+        assert alpha_eq(got, parse_type(type_line.removeprefix(": ")))
 
 
 class TestGolden:

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
-and every top-level function and class of the package has a user."""
+and every top-level function and class of the package, and every
+non-dunder method of those classes, has a user."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -65,32 +67,55 @@ def references(node: ast.AST) -> Counter:
 
 def orphans(package: dict[str, str], others: list[str]) -> list[str]:
     """Top-level functions and classes of the `package` modules (name to
-    source) that nothing outside their own definition refers to."""
+    source), and non-dunder methods of those classes, that nothing outside
+    their own definition refers to."""
     trees = {name: ast.parse(source) for name, source in package.items()}
     counts = {name: references(tree) for name, tree in trees.items()}
     elsewhere: Counter = Counter()
     for source in others:
         elsewhere.update(references(ast.parse(source)))
+
+    def used(module: str, node: ast.AST) -> bool:
+        outside = counts[module][node.name] - references(node)[node.name]
+        return outside > 0 or elsewhere[node.name] > 0 or any(
+            counts[other][node.name] for other in trees if other != module
+        )
+
     found = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            outside = counts[module][node.name] - references(node)[node.name]
-            used = outside > 0 or elsewhere[node.name] > 0 or any(
-                counts[other][node.name] for other in trees if other != module
-            )
-            if not used:
+            if not used(module, node):
                 found.append(f"{module}:{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if (
+                    isinstance(method, ast.FunctionDef)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                    and not used(module, method)
+                ):
+                    found.append(f"{module}:{node.name}.{method.name}")
     return found
 
 
 def test_scan_finds_an_orphan():
     package = {
-        "a.py": "def used(): pass\ndef lonely(n): return lonely(n - 1)\nclass Kept: pass\n",
+        "a.py": (
+            "def used(): pass\n"
+            "def lonely(n): return lonely(n - 1)\n"
+            "class Kept:\n"
+            "    def called(self): pass\n"
+            "    def alone(self): return self.alone()\n"
+            "    def __repr__(self): return ''\n"
+        ),
         "b.py": "from a import used\nLAYER = 'Kept'\n",
     }
-    assert orphans(package, ["used()\n"]) == ["a.py:lonely"]
+    assert orphans(package, ["used()\nKept().called()\n"]) == [
+        "a.py:lonely",
+        "a.py:Kept.alone",
+    ]
 
 
 def test_every_definition_has_a_user():
@@ -101,3 +126,12 @@ def test_every_definition_has_a_user():
         for p in (REPO / folder).glob("*.py")
     ]
     assert orphans(package, others) == []
+
+
+def test_submodules_are_reachable_by_attribute():
+    # a package attribute named like a submodule would hide the submodule
+    import freezeml.infer as infer_module
+    import freezeml.unify as unify_module
+
+    assert unify_module.Store is sys.modules["freezeml.unify"].Store
+    assert infer_module.check_program is sys.modules["freezeml.infer"].check_program

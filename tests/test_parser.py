@@ -8,6 +8,8 @@ from freezeml.parser import (
     ArityError,
     MissingFinalTerm,
     SyntaxError_,
+    display_term_names,
+    display_type_names,
     normalize_type_names,
     parse_program,
     parse_term,
@@ -155,15 +157,15 @@ class TestParseProgram:
 class TestRenderType:
     def test_normalizes_internal_names(self):
         t = Forall("%7", arrow(TVar("%7"), TVar("%7")))
-        assert render_type(t) == "forall a. a -> a"
+        assert render_type(normalize_type_names(t)) == "forall a. a -> a"
 
     def test_residuals_in_first_occurrence_order(self):
         t = arrow(TVar("%3"), arrow(TVar("%9"), TVar("%9")))
-        assert render_type(t) == "a -> b -> b"
+        assert render_type(normalize_type_names(t)) == "a -> b -> b"
 
     def test_residual_display_avoids_bound_names(self):
         t = arrow(parse_type("forall a. a -> a"), arrow(TVar("%1"), TVar("%1")))
-        assert render_type(t) == "(forall a. a -> a) -> b -> b"
+        assert render_type(normalize_type_names(t)) == "(forall a. a -> a) -> b -> b"
 
     def test_int(self):
         assert render_type(t_int) == "Int"
@@ -176,13 +178,28 @@ class TestRenderType:
         rng = random.Random(5)
         for _ in range(400):
             t = random_type(rng, ("m", "n"), ("p",), depth=4)
-            assert parse_type(render_type(t, normalize=False)) == t
+            assert parse_type(render_type(t)) == t
 
     def test_round_trip_alpha_with_normalize(self):
         rng = random.Random(6)
         for _ in range(400):
             t = random_type(rng, ("m", "n"), ("p",), depth=4)
-            assert alpha_eq(parse_type(render_type(t, normalize=True)), t)
+            assert alpha_eq(parse_type(render_type(normalize_type_names(t))), t)
+
+
+class TestDisplayNames:
+    def test_type_names_skip_taken_ones(self):
+        taken = {"b", "a1"}
+        names = display_type_names(taken)
+        first = [next(names) for _ in range(27)]
+        assert first[:2] == ["a", "c"]
+        assert first[-3:] == ["z", "b1", "c1"]
+
+    def test_term_names_skip_taken_ones(self):
+        taken = {"y", "x6"}
+        names = display_term_names(taken)
+        assert [next(names) for _ in range(7)] == ["x", "z", "u", "v", "w", "x7", "x8"]
+        assert {"x", "x8"} <= taken
 
 
 class TestRenderTerm:

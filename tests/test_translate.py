@@ -9,11 +9,12 @@ from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
 from freezeml.syntax import (
     Freeze,
+    Inst,
     KindEnv,
     LamAnn,
-    Let,
     LetAnn,
     RefinedKindEnv,
+    TVar,
     TypeEnv,
     Var,
     alpha_eq,
@@ -34,7 +35,12 @@ from freezeml.systemf import (
     parse_fterm,
     render_fterm,
 )
-from freezeml.translate import from_systemf, rebuild_derivation, to_systemf
+from freezeml.translate import (
+    from_systemf,
+    readable_fterm,
+    rebuild_derivation,
+    to_systemf,
+)
 
 from generators import GiveUp, random_f_term
 
@@ -145,8 +151,8 @@ class TestFromSystemF:
         term = from_systemf(EMPTY, PRELUDE, parse_fterm("/\\a. \\x:a. x"))
         assert isinstance(term, LetAnn)
         assert alpha_eq(term.ann, ty("forall a. a -> a"))
-        # the bound side instantiates through an inner let
-        assert isinstance(term.bound, Let)
+        # the bound side instantiates with the `@` sugar
+        assert isinstance(term.bound, Inst)
         assert isinstance(term.body, Freeze)
         inferred = infer_encoded(term)
         assert alpha_eq(inferred, ty("forall a. a -> a"))
@@ -158,6 +164,12 @@ class TestFromSystemF:
         assert term.ann == ty("Int -> Int")
         inferred = infer_encoded(term, gamma)
         assert inferred == ty("Int -> Int")
+
+    def test_binders_avoid_the_terms_names(self):
+        source = "/\\a. \\x:a. \\y:a. \\z:a. \\u:a. \\v:a. \\w:a. x"
+        term = from_systemf(EMPTY, PRELUDE, parse_fterm(source))
+        assert render_term(term).startswith("let (x6 : forall a. a -> ")
+        assert render_term(term).endswith(")@ in ~x6")
 
     def test_naive_translation_is_incorrect(self):
         gamma = PRELUDE.extend("x", ty("forall a. a -> a"))
@@ -188,6 +200,19 @@ class TestFromSystemF:
             expected = f_typecheck(EMPTY, PRELUDE, fterm)
             encoded = from_systemf(EMPTY, PRELUDE, fterm)
             assert alpha_eq(infer_encoded(encoded), expected)
+
+
+class TestReadableFTerm:
+    def test_renames_internal_names_apart(self):
+        # `%0` and `%g0` become the first names not already in the term
+        t = FTyAbs("%0", FLam("x", TVar("%0"), FTyAbs(
+            "a", FLam("%g0", TVar("a"), FApp(FVar("%g0"), FVar("x")))
+        )))
+        assert render_fterm(readable_fterm(t)) == "/\\b. \\x:b. /\\a. \\y:a. y x"
+
+    def test_term_without_internal_names_is_returned_as_is(self):
+        t = parse_fterm("/\\a. \\x:a. x")
+        assert readable_fterm(t) is t
 
 
 def infer_encoded(term, gamma=PRELUDE):
