@@ -5,6 +5,15 @@ against a candidate type), ``elaborate`` (print the explicitly typed
 core term), ``import`` (read a core term, print its surface encoding),
 ``golden`` (run the bundled example corpus).
 
+Every command goes through one front door.  Files are read by
+:func:`_read`, and each handler is wrapped by :func:`_front_door`,
+which turns an expected failure into one ``PATH[:line:col]: error: ...``
+line on standard error and returns its exit code; the handlers
+themselves are straight-line read, parse, check and print code.  An
+unreadable or non-UTF-8 file, a syntax error and input nested too deeply
+to walk are usage errors; what counts as a type error depends on the
+command.  Any other exception is a fault of the checker and propagates.
+
 Exit codes: 0 success, 1 type error, 2 usage/IO/syntax error.
 Diagnostics go to standard error, results to standard output.
 """
@@ -12,6 +21,7 @@ Diagnostics go to standard error, results to standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -29,8 +39,8 @@ from .parser import (
 )
 from .prelude import build_prelude
 from .statics import StaticsError
-from .syntax import KindEnv, Span, Term, TypeEnv, alpha_eq
-from .systemf import FTypeError, f_typecheck, parse_fterm, render_fterm
+from .syntax import KindEnv, Span, TypeEnv, alpha_eq
+from .systemf import FTerm, FTypeError, f_typecheck, parse_fterm, render_fterm
 from .translate import (
     from_systemf,
     ground_derivation,
@@ -42,6 +52,9 @@ from .translate import (
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
 EXIT_USAGE = 2
+
+# Failures of any command that are the input's fault but not type errors.
+_USAGE_ERRORS = (OSError, UnicodeDecodeError, SyntaxError_, RecursionError)
 
 
 def _diag(path: str, span: Optional[Span], message: str) -> str:
@@ -55,85 +68,91 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _message(failure: Exception) -> str:
+    if isinstance(failure, RecursionError):
+        return "input is nested too deeply to process"
+    if isinstance(failure, UnicodeDecodeError):
+        return f"not valid UTF-8: {failure.reason} at byte {failure.start}"
+    if isinstance(failure, OSError):
+        return failure.strerror or str(failure)
+    return str(failure)
+
+
+def _front_door(*type_errors: type[Exception]):
+    """Wrap a command handler so that each expected failure becomes one
+    diagnostic line on `err` and an exit code.
+
+    `type_errors` are the command's type errors (exit 1); the usage
+    errors (exit 2) are the same for every command.  The diagnostic
+    names the command's file, or ``freezeml`` for a command without one.
+    """
+
+    def wrap(handler):
+        @functools.wraps(handler)
+        def run(args, out, err) -> int:
+            try:
+                return handler(args, out, err)
+            except type_errors as failure:
+                caught, code = failure, EXIT_TYPE_ERROR
+            except _USAGE_ERRORS as failure:
+                caught, code = failure, EXIT_USAGE
+            path = getattr(args, "path", "freezeml")
+            span = getattr(caught, "span", None)
+            print(_diag(path, span, _message(caught)), file=err)
+            return code
+
+        return run
+
+    return wrap
+
+
 def _environment(args) -> TypeEnv:
     if getattr(args, "no_prelude", False):
         return TypeEnv()
     return build_prelude()
 
 
-def _load_term(path: str, out) -> Optional[Term]:
-    """Parse a program file; returns the surface term, or None."""
-    try:
-        source = _read(path)
-    except OSError as err:
-        print(f"{path}: error: {err.strerror or err}", file=out)
-        return None
-    try:
-        surface = parse_program(source)
-    except SyntaxError_ as err:
-        print(_diag(path, err.span, err.message), file=out)
-        return None
-    return surface
+def _print_core(elaborated: FTerm, args, out) -> None:
+    print(render_fterm(readable_fterm(elaborated), unicode=args.unicode), file=out)
 
 
+@_front_door(StaticsError, InferError)
 def cmd_infer(args, out, err) -> int:
-    surface = _load_term(args.path, err)
-    if surface is None:
-        return EXIT_USAGE
+    surface = parse_program(_read(args.path))
     gamma = _environment(args)
     delta = KindEnv()
-    try:
-        result = check_program(delta, gamma, surface)
-    except (StaticsError, InferError) as failure:
-        span = getattr(failure, "span", None)
-        print(_diag(args.path, span, str(failure)), file=err)
-        return EXIT_TYPE_ERROR
+    result = check_program(delta, gamma, surface)
     rendered = render_type(normalize_type_names(result.ty), unicode=args.unicode)
     print(f"{render_term(surface, unicode=args.unicode)} : {rendered}", file=out)
     if args.show_elab:
-        elaborated = to_systemf(ground_derivation(delta, gamma, result))
-        print(render_fterm(readable_fterm(elaborated), unicode=args.unicode), file=out)
+        _print_core(to_systemf(ground_derivation(delta, gamma, result)), args, out)
     return EXIT_OK
 
 
+@_front_door(StaticsError, InferError)
 def cmd_check(args, out, err) -> int:
-    term = _load_term(args.path, err)
-    if term is None:
-        return EXIT_USAGE
+    term = parse_program(_read(args.path))
     try:
         candidate = parse_type(args.type)
     except SyntaxError_ as failure:
         print(_diag("<type>", failure.span, failure.message), file=err)
         return EXIT_USAGE
-    gamma = _environment(args)
-    try:
-        accepted = check_typing(KindEnv(), gamma, term, candidate)
-    except StaticsError as failure:
-        print(_diag(args.path, failure.span, str(failure)), file=err)
-        return EXIT_TYPE_ERROR
-    if not accepted:
-        print(
-            _diag(args.path, None, "term does not have the given type"), file=err
-        )
+    if not check_typing(KindEnv(), _environment(args), term, candidate):
+        print(_diag(args.path, None, "term does not have the given type"), file=err)
         return EXIT_TYPE_ERROR
     return EXIT_OK
 
 
+@_front_door(StaticsError, InferError)
 def cmd_elaborate(args, out, err) -> int:
-    term = _load_term(args.path, err)
-    if term is None:
-        return EXIT_USAGE
+    term = parse_program(_read(args.path))
     gamma = _environment(args)
     delta = KindEnv()
-    try:
-        derivation = rebuild_derivation(delta, gamma, term)
-    except (StaticsError, InferError) as failure:
-        span = getattr(failure, "span", None)
-        print(_diag(args.path, span, str(failure)), file=err)
-        return EXIT_TYPE_ERROR
-    elaborated = to_systemf(derivation)
+    elaborated = to_systemf(rebuild_derivation(delta, gamma, term))
+    # A self-check: elaboration preserves types, so an FTypeError here is
+    # a fault of the checker, not the program's type error, and propagates.
     checked = f_typecheck(delta, gamma, elaborated)
-    print(render_fterm(readable_fterm(elaborated), unicode=args.unicode), file=out)
+    _print_core(elaborated, args, out)
     print(
         f": {render_type(normalize_type_names(checked), unicode=args.unicode)}",
         file=out,
@@ -141,25 +160,11 @@ def cmd_elaborate(args, out, err) -> int:
     return EXIT_OK
 
 
+@_front_door(FTypeError)
 def cmd_import(args, out, err) -> int:
-    try:
-        source = _read(args.path)
-    except OSError as failure:
-        print(f"{args.path}: error: {failure.strerror or failure}", file=err)
-        return EXIT_USAGE
-    try:
-        fterm = parse_fterm(source)
-    except SyntaxError_ as failure:
-        print(_diag(args.path, failure.span, failure.message), file=err)
-        return EXIT_USAGE
-    gamma = _environment(args)
-    delta = KindEnv()
-    try:
-        f_typecheck(delta, gamma, fterm)
-    except FTypeError as failure:
-        print(_diag(args.path, None, str(failure)), file=err)
-        return EXIT_TYPE_ERROR
-    encoded = from_systemf(delta, gamma, fterm)
+    fterm = parse_fterm(_read(args.path))
+    # from_systemf checks its input first; an ill-typed term is exit 1.
+    encoded = from_systemf(KindEnv(), _environment(args), fterm)
     print(render_term(encoded, unicode=args.unicode), file=out)
     return EXIT_OK
 
@@ -229,6 +234,7 @@ def run_corpus_row(row: CorpusRow, gamma: TypeEnv) -> tuple[bool, str]:
     return False, f"expected {render_type(expected_ty)}, got {render_type(got_ty)}"
 
 
+@_front_door()
 def cmd_golden(args, out, err) -> int:
     rows = load_corpus()
     gamma = _environment(args)
@@ -303,13 +309,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
-    try:
-        return args.handler(args, out=sys.stdout, err=sys.stderr)
-    except RecursionError:
-        # Exit 1 means a type error; input too deep to walk is not one.
-        path = getattr(args, "path", None) or "freezeml"
-        print(_diag(path, None, "input is nested too deeply to process"), file=sys.stderr)
-        return EXIT_USAGE
+    return args.handler(args, out=sys.stdout, err=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -163,7 +163,8 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         # The scheme binds its prefix, which may share a name with a rigid
         # variable in scope (an annotation's `a` against the prelude's);
         # rename the prefix apart before checking the instantiation.
-        apart = NameSupply(delta.names() + prefix).fresh_many(len(prefix))
+        supply = NameSupply(delta.names() + prefix)
+        apart = tuple(supply.fresh() for _ in prefix)
         renamed = Subst(dict(zip(apart, d.inst)))
         if prefix and not inst_wf(delta, renamed, KindEnv(apart), Kind.POLY, KindEnv()):
             _fail(d, "instantiation not well-formed")

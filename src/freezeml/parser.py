@@ -148,9 +148,11 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("ident", text[i:j], Span(i, j, line, col)))
             i = j
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: superscripts such as '²' are digits
+        # that int() refuses.
+        if ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], Span(i, j, line, col)))
             i = j

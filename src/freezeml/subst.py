@@ -22,9 +22,9 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .syntax import (
     Con,
     Forall,
-    INTERNAL_PREFIX,
     Kind,
     KindEnv,
+    NameSupply,
     RefinedKindEnv,
     TVar,
     Type,
@@ -33,7 +33,6 @@ from .syntax import (
     arrow,
     ftv_ordered,
     ftv_set,
-    internal_index,
 )
 from .statics import StaticsError, kind_of
 
@@ -138,7 +137,10 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
         inner = {n: mapping[n] for n in fv if n in mapping}
         # Rename the binder when an image could capture it.
         if any(a.var in ftv_set(t) for t in inner.values()):
-            fresh = _fresh_name(inner, a)
+            taken = set(all_type_names(a)).union(inner)
+            for ty in inner.values():
+                taken.update(all_type_names(ty))
+            fresh = NameSupply(taken).fresh()
             renamed = _apply({a.var: TVar(fresh)}, a.body, {})
             result = Forall(fresh, _apply(inner, renamed, {}))
         else:
@@ -147,22 +149,6 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
         raise TypeError(f"not a type: {a!r}")
     memo[id(a)] = (a, result)
     return result
-
-
-def _fresh_name(mapping: dict[str, Type], a: Type) -> str:
-    """Deterministic fresh name: one past the largest internal index in play."""
-    taken = set(all_type_names(a))
-    taken.update(mapping)
-    for ty in mapping.values():
-        taken.update(all_type_names(ty))
-    index = 0
-    for name in taken:
-        i = internal_index(name)
-        if i is not None:
-            index = max(index, i + 1)
-    while f"{INTERNAL_PREFIX}{index}" in taken:
-        index += 1
-    return f"{INTERNAL_PREFIX}{index}"
 
 
 # ---------------------------------------------------------------------------

@@ -442,7 +442,7 @@ def is_gval(m: Term) -> bool:
 def internal_index(name: str) -> Optional[int]:
     if name.startswith(INTERNAL_PREFIX):
         rest = name[len(INTERNAL_PREFIX):].lstrip("g")
-        if rest.isdigit():
+        if rest.isdecimal():
             return int(rest)
     return None
 
@@ -450,29 +450,21 @@ def internal_index(name: str) -> Optional[int]:
 class NameSupply:
     """Emits internal names %0, %1, ...; never collides with `avoid`.
 
-    Explicit state: callers thread a supply through inference so that
-    independent runs stay deterministic and reentrant.
+    Counting starts one past the largest internal index in `avoid`, so
+    every name issued, with or without the ``g`` tag that
+    :func:`internal_index` reads through, is new.  Explicit state:
+    callers thread a supply through inference so that independent runs
+    stay deterministic and reentrant.
     """
 
     def __init__(self, avoid: Iterable[str] = ()) -> None:
-        self._avoid = set(avoid)
-        start = 0
-        for name in self._avoid:
-            idx = internal_index(name)
-            if idx is not None:
-                start = max(start, idx + 1)
-        self._next = start
+        indices = (internal_index(name) for name in avoid)
+        self._next = max((i + 1 for i in indices if i is not None), default=0)
 
     def fresh(self, tag: str = "") -> str:
-        while True:
-            name = f"{INTERNAL_PREFIX}{tag}{self._next}"
-            self._next += 1
-            if name not in self._avoid:
-                self._avoid.add(name)
-                return name
-
-    def fresh_many(self, n: int, tag: str = "") -> tuple[str, ...]:
-        return tuple(self.fresh(tag) for _ in range(n))
+        name = f"{INTERNAL_PREFIX}{tag}{self._next}"
+        self._next += 1
+        return name
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +526,7 @@ class KindEnv:
     __slots__ = ("_names",)
 
     def __init__(self, names: Iterable[str] = ()) -> None:
-        ordered: list[str] = []
-        for name in names:
-            if name not in ordered:
-                ordered.append(name)
-        self._names = tuple(ordered)
+        self._names = tuple(dict.fromkeys(names))
 
     def names(self) -> tuple[str, ...]:
         return self._names

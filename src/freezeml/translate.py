@@ -45,6 +45,7 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
+    arrow,
     decompose,
     foralls,
     is_internal_name,
@@ -135,7 +136,10 @@ def from_systemf(
     or application (kept as a negative example on purpose).
 
     The let binders get readable names in pre-order, and the annotation
-    prefixes readable type names, none of them a name of `t`.
+    prefixes readable type names, none of them a name of `t`.  Raises
+    :class:`FTypeError` when `t` does not typecheck; otherwise `t` is
+    typechecked once, and each annotation is built from the types of
+    the subterms below it.
     """
     term_names, type_names = _fterm_names(t)
     binders = display_term_names(set(term_names))
@@ -143,40 +147,40 @@ def from_systemf(
         set(type_names) | set(delta.names()) | gamma.type_names()
     )
 
-    def go(dlt: KindEnv, env: TypeEnv, x: FTerm) -> Term:
+    def go(env: TypeEnv, x: FTerm) -> tuple[Term, Type]:
+        """The translation of `x` and its F type, by f_typecheck's rules."""
         if isinstance(x, FVar):
-            return Freeze(x.name)
+            return Freeze(x.name), env.lookup(x.name)
         if isinstance(x, FLit):
-            return Lit(x.value)
+            return Lit(x.value), x.type
         if isinstance(x, FLam):
-            body = go(dlt, env.extend(x.var, x.ann), x.body)
-            return LamAnn(x.var, x.ann, body)
+            body, body_ty = go(env.extend(x.var, x.ann), x.body)
+            return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty)
         if isinstance(x, FApp):
-            return App(go(dlt, env, x.fn), go(dlt, env, x.arg))
+            fn, fn_ty = go(env, x.fn)
+            arg, _ = go(env, x.arg)
+            return App(fn, arg), fn_ty.args[1]
         if isinstance(x, FTyAbs):
             var = next(binders)
-            inner_delta = dlt.extend(x.var)
-            body_ty = f_typecheck(inner_delta, env, x.body)
-            translated = go(inner_delta, env, x.body)
+            translated, body_ty = go(env, x.body)
             # The body type's own quantifier prefix is about to be peeled
             # into scope over the bound term, where translated inner
             # abstractions restate the same binders; give the annotation
             # copy fresh names so the scopes stay disjoint.
             ann = Forall(x.var, _freshen_prefix(body_ty, letters))
-            return LetAnn(var, ann, Inst(translated), Freeze(var))
+            encoded = LetAnn(var, ann, Inst(translated), Freeze(var))
+            return encoded, Forall(x.var, body_ty)
         if isinstance(x, FTyApp):
             var = next(binders)
-            fn_ty = f_typecheck(dlt, env, x.fn)
-            assert isinstance(fn_ty, Forall), "precondition: operand typechecks"
+            translated, fn_ty = go(env, x.fn)
             result_ty = Subst({fn_ty.var: x.arg}).apply(fn_ty.body)
-            translated = go(dlt, env, x.fn)
             ann = _freshen_prefix(result_ty, letters)
             bound = translated if naive_tyapp else Inst(translated)
-            return LetAnn(var, ann, bound, Freeze(var))
+            return LetAnn(var, ann, bound, Freeze(var)), result_ty
         raise TypeError(f"not an F term: {x!r}")
 
-    f_typecheck(delta, gamma, t)  # precondition
-    return go(delta, gamma, t)
+    f_typecheck(delta, gamma, t)  # precondition: every type below exists
+    return go(gamma, t)[0]
 
 
 def readable_fterm(t: FTerm) -> FTerm:

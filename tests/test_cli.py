@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freezeml import cli
 from freezeml.cli import (
@@ -18,6 +19,7 @@ from freezeml.cli import (
 from freezeml.parser import parse_type, render_type
 from freezeml.prelude import PRELUDE_SIGNATURES, build_prelude
 from freezeml.syntax import alpha_eq
+from freezeml.systemf import FApp, FLit, FTypeError
 
 
 def run_cli(argv, tmp_path=None):
@@ -320,3 +322,79 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith(f"{path}: error: ")
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "bad.fml"
+    path.write_bytes(b"\xff\xfe1")
+    return str(path)
+
+
+FAILURE_INPUTS = {
+    "undecodable": _undecodable,
+    "superscript_digit": lambda tmp_path: write(tmp_path, "sup.fml", "1²"),
+    "missing": lambda tmp_path: str(tmp_path / "missing.fml"),
+    "directory": lambda tmp_path: str(tmp_path),
+}
+COMMANDS = {
+    "infer": ["infer"],
+    "check": ["check", "--type", "Int"],
+    "elaborate": ["elaborate"],
+    "import": ["import"],
+}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("entry", [run_cli, run_main], ids=["handler", "main"])
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    @pytest.mark.parametrize("make", FAILURE_INPUTS.values(), ids=FAILURE_INPUTS.keys())
+    def test_unusable_input_is_a_usage_error(self, tmp_path, entry, command, make):
+        path = make(tmp_path)
+        code, out, err = entry([command[0], path, *command[1:]])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{path}:")
+
+    def test_deep_input_is_a_usage_error_in_process(self, tmp_path):
+        source = "".join(f"x{i} = {i};\n" for i in range(1000)) + "x999"
+        code, out, err = run_cli(["infer", write(tmp_path, "deep.fml", source)])
+        assert code == EXIT_USAGE
+        assert err.endswith("error: input is nested too deeply to process\n")
+
+    def test_elaboration_self_check_is_not_a_type_error(self, tmp_path, monkeypatch):
+        # an ill-typed elaboration is a fault of the checker: it must not
+        # be reported as the program's type error (exit 1)
+        monkeypatch.setattr(cli, "to_systemf", lambda derivation: FApp(FLit(1), FLit(2)))
+        with pytest.raises(FTypeError):
+            run_cli(["elaborate", write(tmp_path, "ex.fml", "1")])
+
+
+# Tokens of the surface and the core grammar, some glued into phrases so
+# that some of the drawn texts parse and check.
+TOKENS = (
+    "\\x.", "\\x:Int.", "\\x:a.", "\\(x : forall a. a -> a).", "/\\a.", "x", "~x",
+    "id", "~id", "auto", "poly", "choose", "1", "True", "(", ")", "[Int]", "[a]",
+    "[", "]", "@", "$", ",", "::", "+", "let x =", "let (x : forall a. a -> a) =", "in",
+)
+
+
+class TestEveryInputGetsAVerdict:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=14).map(" ".join))
+    def test_commands_return_an_exit_code(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("verdict") / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        for command in (
+            ["infer"], ["infer", "--show-elab"], ["check", "--type", "Int"], ["import"]
+        ):
+            code, _, _ = run_cli([command[0], str(path), *command[1:]])
+            assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_USAGE)

@@ -37,6 +37,7 @@ from freezeml.syntax import (
     t_bool,
     t_int,
 )
+from freezeml.systemf import parse_fterm
 
 from generators import random_type
 
@@ -217,6 +218,20 @@ class TestRenderTerm:
         ):
             term = parse_term(source)
             assert parse_term(render_term(term)) == term
+
+
+class TestLexer:
+    @pytest.mark.parametrize("entry", [parse_term, parse_type, parse_fterm])
+    def test_superscript_digit_is_unexpected(self, entry):
+        # int() refuses '²', so the lexer must not take it into an int token
+        with pytest.raises(SyntaxError_) as caught:
+            entry("1²")
+        assert caught.value.message == "unexpected character '²'"
+        assert (caught.value.span.start, caught.value.span.end) == (1, 2)
+        assert (caught.value.span.line, caught.value.span.col) == (1, 2)
+
+    def test_superscript_digit_continues_an_identifier(self):
+        assert parse_term("x²") == Var("x²")
 
 
 class TestParserTotality:
