@@ -38,7 +38,7 @@ from .parser import (
     render_type,
 )
 from .prelude import build_prelude
-from .statics import StaticsError
+from .statics import StaticsError, kind_of
 from .syntax import KindEnv, Span, TypeEnv, alpha_eq
 from .systemf import FTerm, FTypeError, f_typecheck, parse_fterm, render_fterm
 from .translate import (
@@ -134,7 +134,8 @@ def cmd_check(args, out, err) -> int:
     term = parse_program(_read(args.path))
     try:
         candidate = parse_type(args.type)
-    except SyntaxError_ as failure:
+        kind_of(KindEnv(), candidate)  # its variables must be bound
+    except (SyntaxError_, StaticsError) as failure:
         print(_diag("<type>", failure.span, failure.message), file=err)
         return EXIT_USAGE
     if not check_typing(KindEnv(), _environment(args), term, candidate):
@@ -182,11 +183,8 @@ class CorpusRow:
     line: int
 
 
-def load_corpus(text: Optional[str] = None) -> list[CorpusRow]:
-    if text is None:
-        text = (
-            resources.files("freezeml").joinpath("corpus.fml").read_text("utf-8")
-        )
+def load_corpus() -> list[CorpusRow]:
+    text = resources.files("freezeml").joinpath("corpus.fml").read_text("utf-8")
     rows: list[CorpusRow] = []
     label = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):

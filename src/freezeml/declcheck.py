@@ -43,13 +43,13 @@ from .syntax import (
     Term,
     Type,
     TypeEnv,
-    all_type_names,
     alpha_eq,
     arrow,
     decompose,
     foralls,
     ftv_ordered,
     is_monotype,
+    names,
     t_bool,
     t_int,
 )
@@ -68,9 +68,9 @@ def match_instance(
     positionally: both bodies are opened with a common fresh variable
     which must not leak into any image.
     """
-    avoid = set(theta_res.names()) | set(delta.names())
-    avoid |= all_type_names(pattern) | all_type_names(target)
-    supply = NameSupply(avoid)
+    supply = NameSupply(
+        (*theta_res.names(), *delta.names(), *names(pattern, target)[1])
+    )
     bindings: dict[str, Type] = {}
 
     def go(pat: Type, tgt: Type, skolems: frozenset[str]) -> bool:

@@ -46,7 +46,6 @@ from .syntax import (
     Term,
     Type,
     TypeEnv,
-    annotation_type_names,
     arrow,
     decompose,
     desugar,
@@ -54,7 +53,7 @@ from .syntax import (
     ftv_ordered,
     has_sugar,
     is_gval,
-    term_names,
+    names,
     Var,
 )
 from .unify import Store, UnifyError
@@ -379,11 +378,15 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
 def make_supply(
     delta: KindEnv, theta: RefinedKindEnv, gamma: TypeEnv, m: Term
 ) -> NameSupply:
-    avoid = set(delta.names()) | set(theta.names())
-    avoid |= gamma.type_names()
-    avoid |= annotation_type_names(m)
-    avoid |= term_names(m)
-    return NameSupply(avoid)
+    """The name supply for inferring `m` under `delta`, `theta`; `gamma`.
+
+    One walk of :func:`freezeml.syntax.names` over `m` and Γ's types
+    collects what the supply must avoid, together with the names of Δ
+    and Θ: every term variable of `m`, every type variable of its
+    annotations and of Γ, free or bound.
+    """
+    term_vars, type_vars = names(m, *(ty for _, ty in gamma))
+    return NameSupply((*delta.names(), *theta.names(), *type_vars, *term_vars))
 
 
 def check_program(delta: KindEnv, gamma: TypeEnv, m: Term) -> InferResult:

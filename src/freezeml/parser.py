@@ -52,11 +52,11 @@ from .syntax import (
     TVar,
     Type,
     Var,
-    all_type_names,
     arrow,
     ftv_ordered,
     is_internal_name,
     list_of,
+    names,
     pair_of,
     t_bool,
     t_int,
@@ -620,27 +620,17 @@ def normalize_type_names(a: Type) -> Type:
     """Rename internal (%-prefixed) variables for display.
 
     Free internal variables are renamed first, in first-occurrence
-    order, then bound ones; names already present in the type are never
-    reused, so e.g. a residual next to ``forall a`` becomes ``b``.
+    order, then bound ones in the order :func:`freezeml.syntax.names`
+    lists them, which is the order of their first binders; names already
+    present in the type are never reused, so e.g. a residual next to
+    ``forall a`` becomes ``b``.
     """
-    internals: list[str] = []
-    for v in ftv_ordered(a):
-        if is_internal_name(v) and v not in internals:
-            internals.append(v)
-
-    def bound_internals(t: Type) -> None:
-        if isinstance(t, Forall):
-            if is_internal_name(t.var) and t.var not in internals:
-                internals.append(t.var)
-            bound_internals(t.body)
-        elif isinstance(t, Con):
-            for arg in t.args:
-                bound_internals(arg)
-
-    bound_internals(a)
+    type_names = names(a)[1]
+    ordered = dict.fromkeys((*ftv_ordered(a), *type_names))
+    internals = [v for v in ordered if is_internal_name(v)]
     if not internals:
         return a
-    taken = {n for n in all_type_names(a) if not is_internal_name(n)}
+    taken = {n for n in type_names if not is_internal_name(n)}
     return rename_type(a, dict(zip(internals, display_type_names(taken))))
 
 

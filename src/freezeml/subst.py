@@ -29,10 +29,10 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
-    all_type_names,
     arrow,
     ftv_ordered,
     ftv_set,
+    names,
 )
 from .statics import StaticsError, kind_of
 
@@ -137,10 +137,7 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
         inner = {n: mapping[n] for n in fv if n in mapping}
         # Rename the binder when an image could capture it.
         if any(a.var in ftv_set(t) for t in inner.values()):
-            taken = set(all_type_names(a)).union(inner)
-            for ty in inner.values():
-                taken.update(all_type_names(ty))
-            fresh = NameSupply(taken).fresh()
+            fresh = NameSupply((*inner, *names(a, *inner.values())[1])).fresh()
             renamed = _apply({a.var: TVar(fresh)}, a.body, {})
             result = Forall(fresh, _apply(inner, renamed, {}))
         else:

@@ -200,24 +200,6 @@ def ftv_set(a: Type) -> frozenset[str]:
     return fv
 
 
-def all_type_names(a: Type) -> set[str]:
-    """Every variable name occurring in `a`, free or bound."""
-    names: set[str] = set()
-
-    def walk(t: Type) -> None:
-        if isinstance(t, TVar):
-            names.add(t.name)
-        elif isinstance(t, Con):
-            for arg in t.args:
-                walk(arg)
-        elif isinstance(t, Forall):
-            names.add(t.var)
-            walk(t.body)
-
-    walk(a)
-    return names
-
-
 def alpha_eq(a: Type, b: Type) -> bool:
     """Equality up to consistent renaming of quantifier-bound variables.
 
@@ -336,64 +318,50 @@ class Inst(Term):
     span: Optional[Span] = field(default=None, compare=False)
 
 
-def term_names(m: Term) -> set[str]:
-    """All term-variable names occurring in `m` (free or bound)."""
-    names: set[str] = set()
+def names(*nodes: Union[Type, Term]) -> tuple[dict[str, None], dict[str, None]]:
+    """Term and type variable names of `nodes`, free or bound.
 
-    def walk(t: Term) -> None:
-        if isinstance(t, (Var, Freeze)):
-            names.add(t.name)
-        elif isinstance(t, Lit):
+    Each result is a dict whose keys are the names in order of first
+    occurrence in a pre-order walk: a binder before its annotation and
+    its body, constructor arguments and subterms left to right.  The
+    walk keeps its own stack, so nesting depth is not limited by the
+    Python recursion limit.
+    """
+    terms: dict[str, None] = {}
+    types: dict[str, None] = {}
+    stack: list = list(reversed(nodes))
+    while stack:
+        x = stack.pop()
+        if isinstance(x, TVar):
+            types[x.name] = None
+        elif isinstance(x, Con):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, Forall):
+            types[x.var] = None
+            stack.append(x.body)
+        elif isinstance(x, (Var, Freeze)):
+            terms[x.name] = None
+        elif isinstance(x, Lit):
             pass
-        elif isinstance(t, Lam):
-            names.add(t.var)
-            walk(t.body)
-        elif isinstance(t, LamAnn):
-            names.add(t.var)
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, (Let, LetAnn)):
-            names.add(t.var)
-            walk(t.bound)
-            walk(t.body)
-        elif isinstance(t, (Gen, Inst)):
-            walk(t.body)
+        elif isinstance(x, Lam):
+            terms[x.var] = None
+            stack.append(x.body)
+        elif isinstance(x, LamAnn):
+            terms[x.var] = None
+            stack += (x.body, x.ann)
+        elif isinstance(x, App):
+            stack += (x.arg, x.fn)
+        elif isinstance(x, Let):
+            terms[x.var] = None
+            stack += (x.body, x.bound)
+        elif isinstance(x, LetAnn):
+            terms[x.var] = None
+            stack += (x.body, x.bound, x.ann)
+        elif isinstance(x, (Gen, Inst)):
+            stack.append(x.body)
         else:
-            raise TypeError(f"not a term: {t!r}")
-
-    walk(m)
-    return names
-
-
-def annotation_type_names(m: Term) -> set[str]:
-    """All type-variable names in annotations of `m` (free or bound)."""
-    names: set[str] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, (Var, Freeze, Lit)):
-            pass
-        elif isinstance(t, Lam):
-            walk(t.body)
-        elif isinstance(t, LamAnn):
-            names.update(all_type_names(t.ann))
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-        elif isinstance(t, Let):
-            walk(t.bound)
-            walk(t.body)
-        elif isinstance(t, LetAnn):
-            names.update(all_type_names(t.ann))
-            walk(t.bound)
-            walk(t.body)
-        elif isinstance(t, (Gen, Inst)):
-            walk(t.body)
-
-    walk(m)
-    return names
+            raise TypeError(f"not a type or term: {x!r}")
+    return terms, types
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +446,7 @@ def desugar(m: Term) -> Term:
     occur.  ``$`` is expanded for arbitrary bodies; whether the binding
     generalises is decided later by the let rule.
     """
-    supply = NameSupply(term_names(m))
+    supply = NameSupply(names(m)[0])
 
     def walk(t: Term) -> Term:
         if isinstance(t, (Var, Freeze, Lit)):
@@ -624,12 +592,6 @@ class TypeEnv:
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._bindings)
-
-    def type_names(self) -> set[str]:
-        names: set[str] = set()
-        for _, ty in self._bindings:
-            names.update(all_type_names(ty))
-        return names
 
     def __contains__(self, name: str) -> bool:
         return self.lookup(name) is not None

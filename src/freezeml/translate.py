@@ -49,6 +49,7 @@ from .syntax import (
     decompose,
     foralls,
     is_internal_name,
+    names,
     t_int,
 )
 from .systemf import (
@@ -144,7 +145,7 @@ def from_systemf(
     term_names, type_names = _fterm_names(t)
     binders = display_term_names(set(term_names))
     letters = display_type_names(
-        set(type_names) | set(delta.names()) | gamma.type_names()
+        {*type_names, *delta.names(), *names(*(ty for _, ty in gamma))[1]}
     )
 
     def go(env: TypeEnv, x: FTerm) -> tuple[Term, Type]:

@@ -39,8 +39,8 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
-    all_type_names,
     ftv_set,
+    names,
 )
 
 
@@ -81,17 +81,13 @@ def unify(
     theta: RefinedKindEnv,
     a: Type,
     b: Type,
-    supply: Optional[NameSupply] = None,
 ) -> tuple[RefinedKindEnv, Subst]:
     """Most general unifier of `a` and `b`.
 
     Returns the updated refined environment and a substitution theta'
     with domain exactly the input environment's variables.
     """
-    if supply is None:
-        avoid = set(delta.names()) | set(theta.names())
-        avoid |= all_type_names(a) | all_type_names(b)
-        supply = NameSupply(avoid)
+    supply = NameSupply((*delta.names(), *theta.names(), *names(a, b)[1]))
     store = Store(delta, theta, supply)
     store.unify(a, b)
     return store.theta(), store.solution(theta.names())

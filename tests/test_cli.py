@@ -141,6 +141,13 @@ class TestCheckCommand:
         code, _, _ = run_cli(["check", path, "--type", "Int ->"])
         assert code == EXIT_USAGE
 
+    def test_unbound_candidate_variable_blames_the_type(self, tmp_path):
+        path = write(tmp_path, "ex.fml", "\\x. x")
+        code, out, err = run_cli(["check", path, "--type", "a -> a"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "<type>: error: unbound type variable 'a'\n"
+
 
 class TestElaborateImport:
     def test_elaborate_frozen_var(self, tmp_path):

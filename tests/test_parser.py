@@ -168,6 +168,14 @@ class TestRenderType:
         t = arrow(parse_type("forall a. a -> a"), arrow(TVar("%1"), TVar("%1")))
         assert render_type(normalize_type_names(t)) == "(forall a. a -> a) -> b -> b"
 
+    def test_free_internals_before_bound_ones_in_binder_order(self):
+        inner = Forall("%1", arrow(TVar("%1"), TVar("%0")))
+        t = Forall("%2", arrow(inner, arrow(TVar("%2"), TVar("%5"))))
+        assert (
+            render_type(normalize_type_names(t))
+            == "forall c. (forall d. d -> a) -> c -> b"
+        )
+
     def test_int(self):
         assert render_type(t_int) == "Int"
 

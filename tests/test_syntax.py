@@ -3,21 +3,29 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freezeml.infer import make_supply
 from freezeml.parser import parse_term, parse_type
 from freezeml.syntax import (
+    Con,
     Forall,
     Freeze,
     Gen,
     Inst,
     App,
     Kind,
+    KindEnv,
     Lam,
+    LamAnn,
     Let,
+    LetAnn,
+    Lit,
+    RefinedKindEnv,
     TermClass,
     TVar,
     TypeEnv,
     Var,
     alpha_eq,
+    arrow,
     classify,
     decompose,
     desugar,
@@ -27,6 +35,7 @@ from freezeml.syntax import (
     is_gval,
     is_monotype,
     is_value,
+    names,
     t_int,
 )
 
@@ -70,6 +79,98 @@ class TestFtvOrdered:
             assert len(free) == len(set(free))
             # q-prefixed names are only introduced bound
             assert all(not v.startswith("q") for v in free)
+
+
+def reference_names(*nodes):
+    """A plain recursive pre-order walk: what `names` must agree with."""
+    terms: dict[str, None] = {}
+    types: dict[str, None] = {}
+
+    def go(x):
+        if isinstance(x, TVar):
+            types[x.name] = None
+        elif isinstance(x, Con):
+            for arg in x.args:
+                go(arg)
+        elif isinstance(x, Forall):
+            types[x.var] = None
+            go(x.body)
+        elif isinstance(x, (Var, Freeze)):
+            terms[x.name] = None
+        elif isinstance(x, Lit):
+            pass
+        elif isinstance(x, Lam):
+            terms[x.var] = None
+            go(x.body)
+        elif isinstance(x, LamAnn):
+            terms[x.var] = None
+            go(x.ann)
+            go(x.body)
+        elif isinstance(x, App):
+            go(x.fn)
+            go(x.arg)
+        elif isinstance(x, Let):
+            terms[x.var] = None
+            go(x.bound)
+            go(x.body)
+        elif isinstance(x, LetAnn):
+            terms[x.var] = None
+            go(x.ann)
+            go(x.bound)
+            go(x.body)
+        elif isinstance(x, (Gen, Inst)):
+            go(x.body)
+        else:
+            raise TypeError(x)
+
+    for node in nodes:
+        go(node)
+    return list(terms), list(types)
+
+
+class TestNames:
+    def test_free_and_bound_in_first_occurrence_order(self):
+        terms, types = names(ty("forall b. (a -> b) -> [forall a. c]"))
+        assert terms == {}
+        assert list(types) == ["b", "a", "c"]
+
+    def test_binders_annotations_and_sugar(self):
+        term = parse_term("let (f : forall a. a -> b) = $(\\x. x) in \\(y : c). (f ~y)@")
+        terms, types = names(term)
+        assert list(terms) == ["f", "x", "y"]
+        assert list(types) == ["a", "b", "c"]
+
+    def test_agrees_with_recursive_walk_on_random_input(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            annotations = tuple(
+                random_type(rng, ("a", "%3"), ("p", "%g7"), depth=3) for _ in range(4)
+            )
+            term = random_surface_term(rng, ("z",), 5, annotations)
+            extra = random_type(rng, ("m", "%1"), ("p",), depth=4)
+            other = random_surface_term(rng, (), 3, annotations)
+            nodes = (term, extra, other)
+            terms, types = names(*nodes)
+            assert (list(terms), list(types)) == reference_names(*nodes)
+
+    def test_deep_type(self):
+        t = t_int
+        for i in range(10_000):
+            t = Forall(f"a{i}", arrow(TVar(f"a{i}"), t))
+        assert len(names(t)[1]) == 10_000
+
+    def test_deep_term(self):
+        m = Var("x0")
+        for i in range(10_000):
+            m = App(Lam(f"x{i}", m), Lit(i))
+        assert len(names(m)[0]) == 10_000
+
+    def test_make_supply_on_deep_lambda_chain(self):
+        m = Var("x0")
+        for i in range(5_000):
+            m = Lam(f"x{i}", m)
+        supply = make_supply(KindEnv(), RefinedKindEnv(), TypeEnv(), m)
+        assert supply.fresh() == "%0"
 
 
 class TestSyntacticClasses:
