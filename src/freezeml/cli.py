@@ -12,9 +12,11 @@ line on standard error and returns its exit code; the handlers
 themselves are straight-line read, parse, check and print code.  An
 unreadable or non-UTF-8 file, a syntax error and input nested too deeply
 to walk are usage errors; what counts as a type error depends on the
-command.  Any other exception is a fault of the checker and propagates.
+command.  Any other exception is a fault of the checker: it propagates
+out of the handler, and :func:`main` reports it as one internal-error
+line.
 
-Exit codes: 0 success, 1 type error, 2 usage/IO/syntax error.
+Exit codes: 0 success, 1 type error, 2 usage/IO/syntax or internal error.
 Diagnostics go to standard error, results to standard output.
 """
 
@@ -307,7 +309,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return EXIT_USAGE if exit_.code not in (0, None) else EXIT_OK
-    return args.handler(args, out=sys.stdout, err=sys.stderr)
+    try:
+        return args.handler(args, out=sys.stdout, err=sys.stderr)
+    except Exception as fault:
+        message = f"internal error: {type(fault).__name__}: {fault}"
+        print(_diag(getattr(args, "path", "freezeml"), None, message), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .infer import (
     InferError,
     check_program,
     gen,
-    term_of_derivation,
 )
 from .statics import StaticsError, check_kind, kind_of, split
 from .subst import Subst, inst_wf
@@ -211,8 +210,7 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLet):
-        bound_term = term_of_derivation(d.bound)
-        prefix, generalisable = gen(delta.names(), d.bound.ty, bound_term)
+        prefix, generalisable = gen(delta.names(), d.bound.ty, d.bound)
         if d.gen_prefix != prefix:
             _fail(d, "recorded abstraction prefix disagrees with gen")
         replay(delta.extend(*generalisable), gamma, d.bound)
@@ -231,12 +229,11 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLetAnn):
-        bound_term = term_of_derivation(d.bound)
         try:
             check_kind(delta, d.ann, Kind.POLY)
         except StaticsError as err:
             _fail(d, str(err))
-        prefix, split_ty = split(d.ann, bound_term)
+        prefix, split_ty = split(d.ann, d.bound)
         if prefix != d.split_prefix:
             _fail(d, "recorded split prefix disagrees with split")
         if set(prefix) & set(delta.names()):

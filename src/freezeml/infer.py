@@ -10,6 +10,11 @@ and a derivation whose types may still mention variables solved later.
 solution restricted to the input flexible environment, the paper's form.
 The translation to the explicit core replays the resolved tree.
 
+A derivation node is the term node it derives, with derivations as
+children, plus what its rule chose: its type, an instantiation, a
+prefix.  Term functions such as :func:`freezeml.syntax.classify` and
+:func:`freezeml.parser.render_term` read derivations directly.
+
 A let infers its bound term one level deeper.  The bound type's flexible
 variables still deeper afterwards are reachable from no binding in scope:
 a guarded value generalises them, and any other bound term keeps them,
@@ -91,130 +96,92 @@ class AnnotationEscape(InferError):
 TypeFn = Callable[[Type], Type]
 
 
-@dataclass(frozen=True)
-class DFreeze:
-    name: str
+# The rule's choices are keyword-only fields: the term's span has a default.
+
+@dataclass(frozen=True, kw_only=True)
+class DFreeze(Freeze):
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DFreeze":
-        return DFreeze(self.name, fn(self.ty))
+        return DFreeze(self.name, self.span, ty=fn(self.ty))
 
 
-@dataclass(frozen=True)
-class DVar:
-    name: str
+@dataclass(frozen=True, kw_only=True)
+class DVar(Var):
     prefix: tuple[str, ...]  # quantifier prefix of the scheme in the env
     inst: tuple[Type, ...]  # instantiation images, aligned with prefix
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DVar":
-        return DVar(self.name, self.prefix, tuple(fn(t) for t in self.inst), fn(self.ty))
+        inst = tuple(fn(t) for t in self.inst)
+        return DVar(self.name, self.span, prefix=self.prefix, inst=inst, ty=fn(self.ty))
 
 
-@dataclass(frozen=True)
-class DLit:
-    value: Union[int, bool]
+@dataclass(frozen=True, kw_only=True)
+class DLit(Lit):
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DLit":
-        return DLit(self.value, fn(self.ty))
+        return DLit(self.value, self.span, ty=fn(self.ty))
 
 
-@dataclass(frozen=True)
-class DLam:
-    var: str
+@dataclass(frozen=True, kw_only=True)
+class DLam(Lam):
     arg_ty: Type
-    body: "Derivation"
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DLam":
-        return DLam(self.var, fn(self.arg_ty), self.body.map_types(fn), fn(self.ty))
+        body = self.body.map_types(fn)
+        return DLam(self.var, body, self.span, arg_ty=fn(self.arg_ty), ty=fn(self.ty))
 
 
-@dataclass(frozen=True)
-class DLamAnn:
-    var: str
-    ann: Type
-    body: "Derivation"
+@dataclass(frozen=True, kw_only=True)
+class DLamAnn(LamAnn):
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DLamAnn":
-        return DLamAnn(self.var, self.ann, self.body.map_types(fn), fn(self.ty))
+        body = self.body.map_types(fn)
+        return DLamAnn(self.var, self.ann, body, self.span, ty=fn(self.ty))
 
 
-@dataclass(frozen=True)
-class DApp:
-    fn: "Derivation"
-    arg: "Derivation"
+@dataclass(frozen=True, kw_only=True)
+class DApp(App):
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DApp":
-        return DApp(self.fn.map_types(fn), self.arg.map_types(fn), fn(self.ty))
-
-
-@dataclass(frozen=True)
-class DLet:
-    var: str
-    gen_prefix: tuple[str, ...]  # abstraction prefix (empty unless guarded value)
-    bound: "Derivation"
-    var_ty: Type
-    body: "Derivation"
-    ty: Type
-
-    def map_types(self, fn: TypeFn) -> "DLet":
-        return DLet(
-            self.var,
-            self.gen_prefix,
-            self.bound.map_types(fn),
-            fn(self.var_ty),
-            self.body.map_types(fn),
-            fn(self.ty),
+        return DApp(
+            self.fn.map_types(fn), self.arg.map_types(fn), self.span, ty=fn(self.ty)
         )
 
 
-@dataclass(frozen=True)
-class DLetAnn:
-    var: str
-    ann: Type
+@dataclass(frozen=True, kw_only=True)
+class DLet(Let):
+    gen_prefix: tuple[str, ...]  # abstraction prefix (empty unless guarded value)
+    var_ty: Type
+    ty: Type
+
+    def map_types(self, fn: TypeFn) -> "DLet":
+        bound, body = self.bound.map_types(fn), self.body.map_types(fn)
+        return DLet(
+            self.var, bound, body, self.span,
+            gen_prefix=self.gen_prefix, var_ty=fn(self.var_ty), ty=fn(self.ty),
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class DLetAnn(LetAnn):
     split_prefix: tuple[str, ...]
-    bound: "Derivation"
-    body: "Derivation"
     ty: Type
 
     def map_types(self, fn: TypeFn) -> "DLetAnn":
+        bound, body = self.bound.map_types(fn), self.body.map_types(fn)
         return DLetAnn(
-            self.var,
-            self.ann,
-            self.split_prefix,
-            self.bound.map_types(fn),
-            self.body.map_types(fn),
-            fn(self.ty),
+            self.var, self.ann, bound, body, self.span,
+            split_prefix=self.split_prefix, ty=fn(self.ty),
         )
 
 
 Derivation = Union[DFreeze, DVar, DLit, DLam, DLamAnn, DApp, DLet, DLetAnn]
-
-
-def term_of_derivation(d: Derivation) -> Term:
-    if isinstance(d, DFreeze):
-        return Freeze(d.name)
-    if isinstance(d, DVar):
-        return Var(d.name)
-    if isinstance(d, DLit):
-        return Lit(d.value)
-    if isinstance(d, DLam):
-        return Lam(d.var, term_of_derivation(d.body))
-    if isinstance(d, DLamAnn):
-        return LamAnn(d.var, d.ann, term_of_derivation(d.body))
-    if isinstance(d, DApp):
-        return App(term_of_derivation(d.fn), term_of_derivation(d.arg))
-    if isinstance(d, DLet):
-        return Let(d.var, term_of_derivation(d.bound), term_of_derivation(d.body))
-    if isinstance(d, DLetAnn):
-        return LetAnn(
-            d.var, d.ann, term_of_derivation(d.bound), term_of_derivation(d.body)
-        )
-    raise TypeError(f"not a derivation: {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +243,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         ty = store.scheme(m.name)
         if ty is None:
             raise UnboundVar(m.name, m.span)
-        return ty, DFreeze(m.name, ty)
+        return ty, DFreeze(m.name, m.span, ty=ty)
 
     if isinstance(m, Var):
         scheme = store.scheme(m.name)
@@ -285,10 +252,10 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         prefix, guarded = decompose(scheme)
         fresh = [TVar(store.fresh(Kind.POLY)) for _ in prefix]
         ty = Subst(dict(zip(prefix, fresh))).apply(guarded)
-        return ty, DVar(m.name, prefix, tuple(fresh), ty)
+        return ty, DVar(m.name, m.span, prefix=prefix, inst=tuple(fresh), ty=ty)
 
     if isinstance(m, Lit):
-        return m.type, DLit(m.value, m.type)
+        return m.type, DLit(m.value, m.span, ty=m.type)
 
     if isinstance(m, Lam):
         a = store.fresh(Kind.MONO)
@@ -297,14 +264,14 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         store.unbind(m.var)
         arg_ty = store.resolved(a)
         ty = arrow(arg_ty, body_ty)
-        return ty, DLam(m.var, arg_ty, body_deriv, ty)
+        return ty, DLam(m.var, body_deriv, m.span, arg_ty=arg_ty, ty=ty)
 
     if isinstance(m, LamAnn):
         store.bind(m.var, m.ann)
         body_ty, body_deriv = _infer(store, m.body)
         store.unbind(m.var)
         ty = arrow(m.ann, body_ty)
-        return ty, DLamAnn(m.var, m.ann, body_deriv, ty)
+        return ty, DLamAnn(m.var, m.ann, body_deriv, m.span, ty=ty)
 
     if isinstance(m, App):
         fn_ty, fn_deriv = _infer(store, m.fn)
@@ -312,7 +279,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         b = store.fresh(Kind.POLY)
         _unify(store, store.apply(fn_ty), arrow(arg_ty, TVar(b)), m.span)
         result_ty = store.resolved(b)
-        return result_ty, DApp(fn_deriv, arg_deriv, result_ty)
+        return result_ty, DApp(fn_deriv, arg_deriv, m.span, ty=result_ty)
 
     if isinstance(m, Let):
         store.level += 1
@@ -336,8 +303,10 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         store.bind(m.var, var_ty)
         body_ty, body_deriv = _infer(store, m.body)
         store.unbind(m.var)
-        deriv = DLet(m.var, prefix, bound_deriv, var_ty, body_deriv, body_ty)
-        return body_ty, deriv
+        return body_ty, DLet(
+            m.var, bound_deriv, body_deriv, m.span,
+            gen_prefix=prefix, var_ty=var_ty, ty=body_ty,
+        )
 
     if isinstance(m, LetAnn):
         prefix, split_ty = split(m.ann, m.bound)
@@ -365,10 +334,10 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         store.bind(m.var, m.ann)
         body_ty, body_deriv = _infer(store, m.body)
         store.unbind(m.var)
-        deriv = DLetAnn(
-            m.var, m.ann, prefix, bound_deriv, body_deriv, body_ty
+        return body_ty, DLetAnn(
+            m.var, m.ann, bound_deriv, body_deriv, m.span,
+            split_prefix=prefix, ty=body_ty,
         )
-        return body_ty, deriv
 
     if isinstance(m, (Gen, Inst)):
         raise ValueError("infer applies to desugared terms only")

@@ -114,10 +114,10 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
 
     Subtrees with no free variable in the mapping come back unchanged.
     `memo` maps a node's id to the node and its image under `mapping`;
-    holding the node keeps its id from being reused.  `mapping` may grow
-    between calls sharing one memo (the inference store resolving images
-    on demand), but it must already hold every mapped variable free in
-    `a`, and no image a memo entry used may change.
+    holding the node keeps its id from being reused.  `mapping` may
+    change between calls sharing one memo (the inference store resolving
+    images on demand), but it must already hold every mapped variable
+    free in `a`, and no image a memo entry used may change.
     """
     if not mapping:
         return a

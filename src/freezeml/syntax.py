@@ -156,23 +156,29 @@ def is_guarded(a: Type) -> bool:
 
 
 def ftv_ordered(a: Type) -> list[str]:
-    """Distinct free type variables in first-occurrence order."""
-    seen: list[str] = []
+    """Distinct free type variables in first-occurrence order.
 
-    def walk(t: Type, bound: tuple[str, ...]) -> None:
+    The walk keeps its own stack and counts the binders in scope of each
+    name; a binder's name on the stack marks the end of its scope.
+    """
+    seen: dict[str, None] = {}
+    bound: dict[str, int] = {}
+    stack: list = [a]
+    while stack:
+        t = stack.pop()
         if isinstance(t, TVar):
-            if t.name not in bound and t.name not in seen:
-                seen.append(t.name)
+            if not bound.get(t.name):
+                seen[t.name] = None
         elif isinstance(t, Con):
-            for arg in t.args:
-                walk(arg, bound)
+            stack.extend(reversed(t.args))
         elif isinstance(t, Forall):
-            walk(t.body, bound + (t.var,))
+            bound[t.var] = bound.get(t.var, 0) + 1
+            stack += (t.var, t.body)
+        elif isinstance(t, str):
+            bound[t] -= 1
         else:
             raise TypeError(f"not a type: {t!r}")
-
-    walk(a, ())
-    return seen
+    return list(seen)
 
 
 _NO_VARS: frozenset[str] = frozenset()

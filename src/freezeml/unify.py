@@ -3,8 +3,8 @@
 One :class:`Store` lives for exactly one :func:`unify` or
 :func:`freezeml.infer.infer` call.  It holds every type variable in
 scope: the rigid ones, and the flexible ones with their kind and their
-let level.  It records the image of each solved flexible variable, logs
-each solve on a trail, and holds the term environment as a scoped map.
+let level.  It records the image of each solved flexible variable, in
+the order solved, and holds the term environment as a scoped map.
 
 Solving a flexible variable removes it from the flexible ones and kinds
 the candidate type against what remains: a variable occurring in its own
@@ -15,16 +15,17 @@ back in.  Every solve lowers the levels of its solution's variables to
 the solved variable's level, so a variable's level says how far out the
 environment reaches it.  Quantifiers unify by skolemisation: both bodies
 are opened with one fresh rigid variable, which must not appear in any
-image solved since (the trail says which).
+image solved since.
 
 An image may mention variables solved after it; application and lookup
-resolve images on demand.  The public :func:`unify` returns the paper's
-form, an idempotent substitution with domain exactly the input
-environment.
+resolve images on demand and write the resolved image back.  The public
+:func:`unify` returns the paper's form, an idempotent substitution with
+domain exactly the input environment.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from .statics import StaticsError, kind_of
@@ -99,16 +100,14 @@ class Store:
     `rigid` holds the rigid variables in scope, `kinds` the unsolved
     flexible ones in order of creation, and `levels` the let level of
     each flexible variable and of each annotation prefix variable in
-    scope.  `images` maps each solved variable to its solution as
-    written, `trail` lists the solved variables in order, and `gamma`
-    maps each term variable to its bindings, innermost last.  `finals`
-    caches resolved images; one stays valid until a variable free in it
-    is solved.
+    scope.  `images` maps each solved variable to its solution, in the
+    order solved; an image is resolved once no variable free in it is
+    solved.  `gamma` maps each term variable to its bindings, innermost
+    last.
     """
 
     __slots__ = (
-        "supply", "rigid", "kinds", "levels", "level", "images", "trail",
-        "gamma", "_finals", "_memo",
+        "supply", "rigid", "kinds", "levels", "level", "images", "gamma", "_memo",
     )
 
     def __init__(
@@ -124,11 +123,9 @@ class Store:
         self.levels = dict.fromkeys(self.kinds, 0)
         self.level = 0
         self.images: dict[str, Type] = {}
-        self.trail: list[str] = []
         self.gamma: dict[str, list[Type]] = {}
         for name, ty in gamma:
             self.bind(name, ty)
-        self._finals: dict[str, Type] = {}
         self._memo: dict = {}
 
     # -- variables ------------------------------------------------------------
@@ -166,16 +163,15 @@ class Store:
     # -- solutions ------------------------------------------------------------
 
     def _current(self, name: str) -> bool:
-        final = self._finals.get(name)
-        return final is not None and self.images.keys().isdisjoint(ftv_set(final))
+        return self.images.keys().isdisjoint(ftv_set(self.images[name]))
 
     def _resolve(self, names) -> dict[str, Type]:
-        """The resolved images, current for every solved one of `names`.
+        """The images, resolved for every solved one of `names`.
 
         An image is resolved after the solved variables it mentions, on
         an explicit stack so that long chains do not recurse.
         """
-        images, finals = self.images, self._finals
+        images = self.images
         stack = [n for n in names if n in images and not self._current(n)]
         while stack:
             name = stack[-1]
@@ -190,8 +186,8 @@ class Store:
                 stack.extend(pending)
             else:
                 stack.pop()
-                finals[name] = _apply(finals, image, self._memo)
-        return finals
+                images[name] = _apply(images, image, self._memo)
+        return images
 
     def apply(self, a: Type) -> Type:
         if not self.images:
@@ -237,15 +233,15 @@ class Store:
             skolem = self.supply.fresh()
             open_a = Subst({a.var: TVar(skolem)}).apply(a.body)
             open_b = Subst({b.var: TVar(skolem)}).apply(b.body)
-            mark = len(self.trail)
+            mark = len(self.images)
             self.rigid.add(skolem)
             self.unify(open_a, open_b)
             self.rigid.remove(skolem)
             # Only images solved since the mark can mention the skolem,
-            # and a resolved image mentions it exactly when one of those
-            # does as written.
-            images = self.images
-            if any(skolem in ftv_set(images[v]) for v in self.trail[mark:]):
+            # resolved by now or not: resolution never removes the rigid
+            # skolem, and brings it in only from another of them.
+            since = islice(self.images.values(), mark, None)
+            if any(skolem in ftv_set(image) for image in since):
                 raise SkolemEscape(skolem, a, b)
             return
 
@@ -281,5 +277,4 @@ class Store:
             if self.levels.get(v, level) > level:
                 self.levels[v] = level
         self.images[var] = solution
-        self.trail.append(var)
         self._memo = {}

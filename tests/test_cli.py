@@ -384,6 +384,17 @@ class TestFrontDoor:
         with pytest.raises(FTypeError):
             run_cli(["elaborate", write(tmp_path, "ex.fml", "1")])
 
+    def test_internal_error_is_one_line_through_main(self, tmp_path):
+        # The elaboration of a let whose bound term is a let is not an F
+        # value, so elaborate's self-check fails: a fault of the checker
+        # (listed in ROADMAP), which main reports without a traceback.
+        path = write(tmp_path, "ex.fml", "let x = id@ in x")
+        code, out, err = run_main(["elaborate", path])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"{path}: error: internal error: ValueRestriction: ")
+        assert len(err.splitlines()) == 1
+
 
 # Tokens of the surface and the core grammar, some glued into phrases so
 # that some of the drawn texts parse and check.

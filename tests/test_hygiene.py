@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-and every top-level function and class of the package, and every
-non-dunder method of those classes, has a user."""
+every top-level function and class of the package, and every
+non-dunder method of those classes, has a user, and no module raises
+the recursion limit or the thread stack size."""
 
 import ast
 import sys
@@ -47,6 +48,48 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+STACK_LIMITS = {"setrecursionlimit", "stack_size"}
+
+
+def stack_limit_uses(source: str) -> list[str]:
+    """Uses of sys.setrecursionlimit or threading.stack_size, by attribute
+    or by import: deep input must be handled by the code, not the limits."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in STACK_LIMITS:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [
+                f"{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in STACK_LIMITS
+            ]
+    return found
+
+
+def test_scan_finds_a_stack_limit_use():
+    source = (
+        "import sys, threading\n"
+        "from sys import setrecursionlimit as raise_it\n"
+        "sys.setrecursionlimit(10 ** 6)\n"
+        "threading.stack_size(1 << 30)\n"
+        "sys.getrecursionlimit()\n"
+    )
+    assert stack_limit_uses(source) == [
+        "setrecursionlimit (line 2)",
+        "setrecursionlimit (line 3)",
+        "stack_size (line 4)",
+    ]
+
+
+def test_no_stack_limit_changes():
+    found = {
+        path.name: stack_limit_uses(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
 
 
 def references(node: ast.AST) -> Counter:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -7,13 +9,14 @@ from freezeml.infer import (
     CannotUnify,
     InferError,
     UnboundVar,
+    check_program,
     gen,
     infer,
     infer_top,
     make_supply,
     split,
 )
-from freezeml.parser import normalize_type_names, parse_term, parse_type
+from freezeml.parser import normalize_type_names, parse_term, parse_type, render_term
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
 from freezeml.syntax import (
@@ -22,11 +25,13 @@ from freezeml.syntax import (
     Lam,
     NameSupply,
     RefinedKindEnv,
+    Span,
     TVar,
     TypeEnv,
     Var,
     alpha_eq,
     arrow,
+    classify,
     desugar,
     ftv_ordered,
 )
@@ -303,3 +308,41 @@ class TestLetLevels:
             infer_str(
                 "\\x. let (f : forall a. a -> Int) = \\(y : a). let u = choose x y in True in f"
             )
+
+
+def with_spans(m, counter):
+    """`m` with a distinct span, numbered by `counter`, on every node."""
+    children = {
+        field: with_spans(getattr(m, field), counter)
+        for field in ("fn", "arg", "bound", "body")
+        if hasattr(m, field)
+    }
+    i = next(counter)
+    return dataclasses.replace(m, span=Span(i, i, 1, i + 1), **children)
+
+
+class TestDerivationIsItsTerm:
+    def test_derivation_reads_as_the_desugared_term(self):
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(400):
+            term = random_surface_term(rng, (), rng.randrange(1, 6))
+            term = with_spans(term, itertools.count())
+            try:
+                derivation = check_program(KindEnv(), PRELUDE, term).derivation
+            except (InferError, StaticsError):
+                continue
+            checked += 1
+            desugared = desugar(term)
+            assert render_term(derivation) == render_term(desugared)
+            assert derivation.span == term.span is not None
+            stack = [(derivation, desugared)]
+            while stack:
+                node, source = stack.pop()
+                assert isinstance(node, type(source))
+                assert classify(node) is classify(source)
+                assert node.span == source.span
+                for field in ("fn", "arg", "bound", "body"):
+                    if hasattr(source, field):
+                        stack.append((getattr(node, field), getattr(source, field)))
+        assert checked > 100

@@ -80,6 +80,38 @@ class TestFtvOrdered:
             # q-prefixed names are only introduced bound
             assert all(not v.startswith("q") for v in free)
 
+    def test_agrees_with_recursive_walk_on_random_input(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            # the same names free and bound, so binders shadow free uses
+            t = random_type(rng, ("a", "b", "%2"), ("p", "q0"), depth=5)
+            t = Forall("a", t) if rng.random() < 0.3 else t
+            assert ftv_ordered(t) == reference_ftv(t)
+
+    def test_deep_type(self):
+        t = arrow(TVar("b"), TVar("a"))
+        for i in range(10_000):
+            t = Forall("a", arrow(TVar(f"c{i % 2}"), t))
+        assert ftv_ordered(t) == ["c1", "c0", "b"]
+
+
+def reference_ftv(t):
+    """A plain recursive walk: what `ftv_ordered` must agree with."""
+    seen: list[str] = []
+
+    def go(x, bound):
+        if isinstance(x, TVar):
+            if x.name not in bound and x.name not in seen:
+                seen.append(x.name)
+        elif isinstance(x, Con):
+            for arg in x.args:
+                go(arg, bound)
+        else:
+            go(x.body, bound | {x.var})
+
+    go(t, frozenset())
+    return seen
+
 
 def reference_names(*nodes):
     """A plain recursive pre-order walk: what `names` must agree with."""
