@@ -29,7 +29,7 @@ from .infer import (
     check_program,
     gen,
 )
-from .statics import StaticsError, check_kind, kind_of, split
+from .statics import StaticsError, kind_of, split
 from .subst import Subst, inst_wf
 from .syntax import (
     Con,
@@ -49,7 +49,6 @@ from .syntax import (
     ftv_ordered,
     is_monotype,
     names,
-    t_bool,
     t_int,
 )
 
@@ -76,7 +75,7 @@ def match_instance(
         if isinstance(pat, TVar) and pat.name in theta_res:
             if pat.name in bindings:
                 return alpha_eq(bindings[pat.name], tgt)
-            if set(ftv_ordered(tgt)) & skolems:
+            if not skolems.isdisjoint(ftv_ordered(tgt)):
                 return False
             if theta_res.lookup(pat.name) is Kind.MONO and not is_monotype(tgt):
                 return False
@@ -113,7 +112,7 @@ def check_typing(
     candidate must be an instance of the inferred result, obtained by a
     kind-respecting substitution of the residual flexible variables.
     """
-    check_kind(delta, candidate, Kind.POLY)
+    kind_of(delta, candidate)  # raises unless well-formed
     try:
         result = check_program(delta, gamma, m)
     except InferError:
@@ -172,8 +171,7 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLit):
-        expected = t_bool if isinstance(d.value, bool) else t_int
-        if d.ty != expected:
+        if d.ty != d.type:
             _fail(d, "literal type mismatch")
         return d.ty
 
@@ -190,7 +188,7 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
 
     if isinstance(d, DLamAnn):
         try:
-            check_kind(delta, d.ann, Kind.POLY)
+            kind_of(delta, d.ann)
         except StaticsError as err:
             _fail(d, str(err))
         body_ty = replay(delta, gamma.extend(d.var, d.ann), d.body)
@@ -230,7 +228,7 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
 
     if isinstance(d, DLetAnn):
         try:
-            check_kind(delta, d.ann, Kind.POLY)
+            kind_of(delta, d.ann)
         except StaticsError as err:
             _fail(d, str(err))
         prefix, split_ty = split(d.ann, d.bound)

@@ -22,6 +22,11 @@ demoted to the monomorphic kind and lowered to the let's level, because
 its type now sits in the environment.  An annotated let checks its bound
 term the same way, and its quantifier prefix escapes when a variable of
 the prefix has been lowered to an outer level.
+
+:func:`check_program` always passes the program through
+:func:`freezeml.syntax.desugar`, which hands a term without sugar back
+as is.  A failed unification names both types, read through the
+solution and normalised together for display.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .parser import normalize_type_names
+from .parser import normalize_type_names, render_type
 from .statics import env_wf, split, wellscoped
 from .subst import Subst
 from .syntax import (
@@ -56,7 +61,6 @@ from .syntax import (
     desugar,
     foralls,
     ftv_ordered,
-    has_sugar,
     is_gval,
     names,
     Var,
@@ -67,8 +71,11 @@ from .unify import Store, UnifyError
 class InferError(Exception):
     def __init__(self, message: str, span: Optional[Span] = None):
         super().__init__(message)
-        self.message = message
         self.span = span
+
+    @property
+    def message(self) -> str:
+        return str(self)
 
 
 class UnboundVar(InferError):
@@ -78,11 +85,20 @@ class UnboundVar(InferError):
 
 
 class CannotUnify(InferError):
-    def __init__(self, cause: UnifyError, span: Optional[Span] = None):
+    """`left` and `right` are the types that failed, read through the
+    solution.  The message names both, normalised together so that they
+    share display names; it is rendered only when read."""
+
+    def __init__(self, cause: UnifyError, left: Type, right: Type, span: Optional[Span]):
         super().__init__(cause.message, span)
         self.cause = cause
-        self.left = cause.left
-        self.right = cause.right
+        self.left = left
+        self.right = right
+
+    def __str__(self) -> str:
+        both = normalize_type_names(arrow(self.left, self.right))
+        left, right = (render_type(t) for t in both.args)
+        return f"{self.cause.message}: {left} vs {right}"
 
 
 class AnnotationEscape(InferError):
@@ -235,7 +251,8 @@ def _unify(store: Store, a: Type, b: Type, span: Optional[Span]) -> None:
     try:
         store.unify(a, b)
     except UnifyError as err:
-        raise CannotUnify(err, span) from None
+        left, right = store.apply(err.left), store.apply(err.right)
+        raise CannotUnify(err, left, right, span) from None
 
 
 def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
@@ -365,8 +382,7 @@ def check_program(delta: KindEnv, gamma: TypeEnv, m: Term) -> InferResult:
     environment well-formedness are checked before inference runs under
     an empty flexible environment.  Raises StaticsError or InferError.
     """
-    if has_sugar(m):
-        m = desugar(m)
+    m = desugar(m)
     wellscoped(delta, m)
     env_wf(RefinedKindEnv.of_kind_env(delta), gamma)
     theta = RefinedKindEnv()

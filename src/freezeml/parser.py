@@ -511,12 +511,10 @@ class _Parser:
         decls: list[tuple[str, Optional[Type], Term, Span]] = []
         final: Optional[Term] = None
         while self.peek().kind != "eof":
-            checkpoint = self.pos
             decl = self._try_declaration()
             if decl is not None:
                 decls.append(decl)
                 continue
-            self.pos = checkpoint
             final = self.term()
             if self.at_punct(";"):
                 self.advance()
@@ -626,7 +624,7 @@ def normalize_type_names(a: Type) -> Type:
     ``forall a`` becomes ``b``.
     """
     type_names = names(a)[1]
-    ordered = dict.fromkeys((*ftv_ordered(a), *type_names))
+    ordered = {**ftv_ordered(a), **type_names}
     internals = [v for v in ordered if is_internal_name(v)]
     if not internals:
         return a
@@ -697,6 +695,9 @@ def render_term(m: Term, unicode: bool = False) -> str:
                 return "False"
             return str(t.value)
         if isinstance(t, Gen):
+            # `$` takes an atom: a nested `$` or `@` body needs parentheses.
+            if isinstance(t.body, (Gen, Inst)):
+                return f"$({atom(t.body)})"
             return f"${atom(t.body)}"
         if isinstance(t, Inst):
             return f"{atom(t.body)}@"

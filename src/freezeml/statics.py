@@ -3,8 +3,9 @@
 The kinding judgement assigns each type its minimal kind: a variable
 gets its environment kind, a constructor application the join of its
 arguments' kinds, and a quantified type is always polymorphic (binding
-its variable monomorphically).  Checking against a kind K is derived
-via the order mono <= poly, which also realises the upcast rule.
+its variable monomorphically).  A type checks against kind K when its
+minimal kind is at most K in the order mono <= poly (the upcast rule),
+so a type is well formed exactly when :func:`kind_of` returns.
 """
 
 from __future__ import annotations
@@ -67,10 +68,6 @@ class PolyVarInEnv(StaticsError):
         self.tyvar = tyvar
 
 
-class KindMismatch(StaticsError):
-    pass
-
-
 def kind_of(env: KindingEnv, a: Type, bound: frozenset[str] = frozenset()) -> Kind:
     """Minimal kind of `a`; raises on unbound variables or bad arities.
 
@@ -97,12 +94,6 @@ def kind_of(env: KindingEnv, a: Type, bound: frozenset[str] = frozenset()) -> Ki
     raise TypeError(f"not a type: {a!r}")
 
 
-def check_kind(env: KindingEnv, a: Type, k: Kind) -> None:
-    actual = kind_of(env, a)
-    if not actual.le(k):
-        raise KindMismatch(f"type has kind {actual}, expected at most {k}")
-
-
 def env_wf(theta: KindingEnv, gamma: TypeEnv) -> None:
     """Every binding must be well-kinded with monomorphic free variables.
 
@@ -110,12 +101,9 @@ def env_wf(theta: KindingEnv, gamma: TypeEnv) -> None:
     in the environment would let inference guess polymorphism.
     """
     for var, ty in gamma:
-        check_kind(theta, ty, Kind.POLY)
+        kind_of(theta, ty)  # raises unless well-formed
         for tv in ftv_ordered(ty):
-            kind = theta.lookup(tv)
-            if kind is None:
-                raise UnboundTyVar(tv)
-            if kind is not Kind.MONO:
+            if theta.lookup(tv) is not Kind.MONO:
                 raise PolyVarInEnv(var, tv)
 
 
@@ -177,7 +165,7 @@ def wellscoped(delta: KindEnv, m: Term) -> None:
 
 def _check_annotation(delta: KindEnv, ann: Type, span: Span | None) -> None:
     try:
-        check_kind(delta, ann, Kind.POLY)
+        kind_of(delta, ann)
     except UnboundTyVar as err:
         raise UnboundTyVar(err.name, span) from None
     except StaticsError as err:

@@ -29,9 +29,7 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
-    arrow,
     ftv_ordered,
-    ftv_set,
     names,
 )
 from .statics import StaticsError, kind_of
@@ -72,14 +70,9 @@ class Subst:
     def is_identity(self) -> bool:
         return all(isinstance(t, TVar) and t.name == n for n, t in self._map.items())
 
-    def ftv(self) -> list[str]:
-        """Ordered free variables of the range, in domain order."""
-        if not self._map:
-            return []
-        chain: Type | None = None
-        for ty in reversed(self._map.values()):
-            chain = ty if chain is None else arrow(ty, chain)
-        return ftv_ordered(chain)
+    def ftv(self) -> dict[str, None]:
+        """Free variables of the range, in domain order, as dict keys."""
+        return {v: None for ty in self._map.values() for v in ftv_ordered(ty)}
 
     def apply(self, a: Type) -> Type:
         return _apply(self._map, a, self._memo)
@@ -121,8 +114,8 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     """
     if not mapping:
         return a
-    fv = ftv_set(a)
-    if mapping.keys().isdisjoint(fv):
+    fv = ftv_ordered(a)
+    if mapping.keys().isdisjoint(fv.keys()):
         return a
     if isinstance(a, TVar):
         return mapping[a.name]
@@ -136,7 +129,7 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
         # binder itself is not free, so it shadows its own entry.
         inner = {n: mapping[n] for n in fv if n in mapping}
         # Rename the binder when an image could capture it.
-        if any(a.var in ftv_set(t) for t in inner.values()):
+        if any(a.var in ftv_ordered(t) for t in inner.values()):
             fresh = NameSupply((*inner, *names(a, *inner.values())[1])).fresh()
             renamed = _apply({a.var: TVar(fresh)}, a.body, {})
             result = Forall(fresh, _apply(inner, renamed, {}))

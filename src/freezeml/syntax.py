@@ -2,7 +2,9 @@
 
 Types are shared between the surface language and the System F core:
 type variables, saturated constructor applications, and universal
-quantification.  Two syntactic subclasses matter throughout:
+quantification.  One cached walk, :func:`ftv_ordered`, gives every
+type's free variables; no caller may mutate its shared result.  Two
+syntactic subclasses matter throughout:
 
 * monotypes (S): no quantifier anywhere,
 * guarded types (H): no quantifier at the root (polymorphism may sit
@@ -12,7 +14,8 @@ Terms distinguish plain variable occurrences ``x`` (implicitly
 instantiated) from frozen ones ``~x`` (type returned verbatim), and
 carry optional annotations on lambda and let binders.  The surface
 operators ``$M`` (generalise) and ``M@`` (instantiate) are sugar nodes,
-removed by :func:`desugar` before any checking.
+removed by :func:`desugar` before any checking.  The walks over nested
+types and terms keep their own stacks.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class Kind(enum.Enum):
         return self is other or (self is Kind.MONO and other is Kind.POLY)
 
     def __str__(self) -> str:
-        return "*" if self is Kind.POLY else "."
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -155,54 +158,50 @@ def is_guarded(a: Type) -> bool:
     return not isinstance(a, Forall)
 
 
-def ftv_ordered(a: Type) -> list[str]:
-    """Distinct free type variables in first-occurrence order.
+_NO_VARS: dict[str, None] = {}
 
-    The walk keeps its own stack and counts the binders in scope of each
-    name; a binder's name on the stack marks the end of its scope.
+
+def ftv_ordered(a: Type) -> dict[str, None]:
+    """Distinct free type variables of `a`, in order of first free
+    occurrence in a pre-order walk, as the keys of a shared dict.
+
+    Each type node caches its dict (nodes are frozen, so it never goes
+    stale), and a node that adds no variable to its first child's shares
+    that child's dict: callers must never mutate the result.  Uncached
+    nodes are filled on an explicit stack, children first.
     """
-    seen: dict[str, None] = {}
-    bound: dict[str, int] = {}
-    stack: list = [a]
+    fv = a.__dict__.get("_ftv")
+    if fv is not None:
+        return fv
+    stack: list[Type] = [a]
     while stack:
-        t = stack.pop()
+        t = stack[-1]
+        if "_ftv" in t.__dict__:  # a shared child, filled on an earlier visit
+            stack.pop()
+            continue
         if isinstance(t, TVar):
-            if not bound.get(t.name):
-                seen[t.name] = None
+            fv = {t.name: None}
         elif isinstance(t, Con):
-            stack.extend(reversed(t.args))
+            todo = [arg for arg in t.args if "_ftv" not in arg.__dict__]
+            if todo:
+                stack += todo
+                continue
+            fv = _NO_VARS
+            for arg in t.args:
+                arg_fv = arg.__dict__["_ftv"]
+                if not fv.keys() >= arg_fv.keys():
+                    fv = {**fv, **arg_fv} if fv else arg_fv
         elif isinstance(t, Forall):
-            bound[t.var] = bound.get(t.var, 0) + 1
-            stack += (t.var, t.body)
-        elif isinstance(t, str):
-            bound[t] -= 1
+            fv = t.body.__dict__.get("_ftv")
+            if fv is None:
+                stack.append(t.body)
+                continue
+            if t.var in fv:
+                fv = {v: None for v in fv if v != t.var}
         else:
             raise TypeError(f"not a type: {t!r}")
-    return list(seen)
-
-
-_NO_VARS: frozenset[str] = frozenset()
-
-
-def ftv_set(a: Type) -> frozenset[str]:
-    """Free type variables of `a` as a set, cached on each node.
-
-    Type nodes are frozen, so a node's free variables never change and
-    the cache needs no invalidation.
-    """
-    try:
-        return a.__dict__["_ftv"]
-    except (AttributeError, KeyError):
-        pass
-    if isinstance(a, TVar):
-        fv = frozenset((a.name,))
-    elif isinstance(a, Con):
-        fv = _NO_VARS.union(*[ftv_set(arg) for arg in a.args])
-    elif isinstance(a, Forall):
-        fv = ftv_set(a.body) - {a.var}
-    else:
-        raise TypeError(f"not a type: {a!r}")
-    a.__dict__["_ftv"] = fv
+        t.__dict__["_ftv"] = fv
+        stack.pop()
     return fv
 
 
@@ -448,46 +447,59 @@ class NameSupply:
 def desugar(m: Term) -> Term:
     """Expand ``$M`` to ``let x = M in ~x`` and ``M@`` to ``let x = M in x``.
 
-    The let-bound variables are fresh internal names, so no capture can
-    occur.  ``$`` is expanded for arbitrary bodies; whether the binding
-    generalises is decided later by the let rule.
+    The let-bound variables are fresh internal names, numbered in
+    pre-order, so no capture can occur.  ``$`` is expanded for arbitrary
+    bodies; whether the binding generalises is decided later by the let
+    rule.  Only nodes with sugar below them are rebuilt, so a term
+    without sugar comes back as is.  The walk keeps its own stack, where
+    a node waits below its children, paired with the name it binds.
     """
-    supply = NameSupply(names(m)[0])
-
-    def walk(t: Term) -> Term:
-        if isinstance(t, (Var, Freeze, Lit)):
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.var, walk(t.body), t.span)
-        if isinstance(t, LamAnn):
-            return LamAnn(t.var, t.ann, walk(t.body), t.span)
-        if isinstance(t, App):
-            return App(walk(t.fn), walk(t.arg), t.span)
-        if isinstance(t, Let):
-            return Let(t.var, walk(t.bound), walk(t.body), t.span)
-        if isinstance(t, LetAnn):
-            return LetAnn(t.var, t.ann, walk(t.bound), walk(t.body), t.span)
-        if isinstance(t, Gen):
-            x = supply.fresh("g")
-            return Let(x, walk(t.body), Freeze(x, t.span), t.span)
-        if isinstance(t, Inst):
-            x = supply.fresh("g")
-            return Let(x, walk(t.body), Var(x, t.span), t.span)
-        raise TypeError(f"not a term: {t!r}")
-
-    return walk(m)
-
-
-def has_sugar(m: Term) -> bool:
-    if isinstance(m, (Gen, Inst)):
-        return True
-    if isinstance(m, (Lam, LamAnn)):
-        return has_sugar(m.body)
-    if isinstance(m, App):
-        return has_sugar(m.fn) or has_sugar(m.arg)
-    if isinstance(m, (Let, LetAnn)):
-        return has_sugar(m.bound) or has_sugar(m.body)
-    return False
+    supply: Optional[NameSupply] = None
+    done: list[Term] = []
+    stack: list = [m]
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            t, x = t
+            if x is not None:
+                tail = Freeze(x, t.span) if isinstance(t, Gen) else Var(x, t.span)
+                t = Let(x, done.pop(), tail, t.span)
+            elif isinstance(t, App):
+                arg, fn = done.pop(), done.pop()
+                if fn is not t.fn or arg is not t.arg:
+                    t = App(fn, arg, t.span)
+            elif isinstance(t, Lam):
+                body = done.pop()
+                if body is not t.body:
+                    t = Lam(t.var, body, t.span)
+            elif isinstance(t, Let):
+                body, bound = done.pop(), done.pop()
+                if bound is not t.bound or body is not t.body:
+                    t = Let(t.var, bound, body, t.span)
+            elif isinstance(t, LamAnn):
+                body = done.pop()
+                if body is not t.body:
+                    t = LamAnn(t.var, t.ann, body, t.span)
+            else:
+                body, bound = done.pop(), done.pop()
+                if bound is not t.bound or body is not t.body:
+                    t = LetAnn(t.var, t.ann, bound, body, t.span)
+            done.append(t)
+        elif isinstance(t, (Var, Freeze, Lit)):
+            done.append(t)
+        elif isinstance(t, App):
+            stack += ((t, None), t.arg, t.fn)
+        elif isinstance(t, (Lam, LamAnn)):
+            stack += ((t, None), t.body)
+        elif isinstance(t, (Let, LetAnn)):
+            stack += ((t, None), t.body, t.bound)
+        elif isinstance(t, (Gen, Inst)):
+            if supply is None:
+                supply = NameSupply(names(m)[0])
+            stack += ((t, supply.fresh("g")), t.body)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +522,6 @@ class KindEnv:
 
     def lookup(self, name: str) -> Optional[Kind]:
         return Kind.MONO if name in self._names else None
-
-    def minus(self, names: Iterable[str]) -> "KindEnv":
-        drop = set(names)
-        return KindEnv(n for n in self._names if n not in drop)
 
     def __contains__(self, name: str) -> bool:
         return name in self._names

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from typing import Union
 
 from .parser import SyntaxError_, _Parser, constant_name, render_type
-from .statics import StaticsError, check_kind
+from .statics import StaticsError, kind_of
 from .subst import Subst
 from .syntax import (
     Con,
     Forall,
-    Kind,
     KindEnv,
     Type,
     TypeEnv,
@@ -144,7 +143,7 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
         return t.type
     if isinstance(t, FLam):
         try:
-            check_kind(delta, t.ann, Kind.POLY)
+            kind_of(delta, t.ann)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
         body_ty = f_typecheck(delta, gamma.extend(t.var, t.ann), t.body)
@@ -177,7 +176,7 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
                 f"cannot instantiate a term of type {render_type(fn_ty)}"
             )
         try:
-            check_kind(delta, t.arg, Kind.POLY)
+            kind_of(delta, t.arg)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
         return Subst({fn_ty.var: t.arg}).apply(fn_ty.body)

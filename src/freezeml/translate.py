@@ -9,6 +9,9 @@ as the paper states the translation; :func:`desugar` expands it like
 any other ``@``.  The naive encoding without the ``@`` is kept behind a
 flag as a negative example, since a frozen variable cannot be
 implicitly instantiated to the annotated type.
+
+The readable names of both directions avoid every name of the core
+term; the walk collecting them leaves types to :func:`names`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .parser import display_term_names, display_type_names, rename_type
 from .subst import Subst
 from .syntax import (
     App,
-    Con,
     Forall,
     Freeze,
     Inst,
@@ -234,7 +236,8 @@ def _freshen_prefix(ann: Type, letters: Iterator[str]) -> Type:
 
 def _fterm_names(t: FTerm) -> tuple[dict[str, None], dict[str, None]]:
     """Term and type variable names of `t`, free or bound, each in order
-    of first occurrence (as the keys of a dict)."""
+    of first occurrence in a pre-order walk (as the keys of a dict) that
+    hands each type it meets to :func:`freezeml.syntax.names`."""
     terms: dict[str, None] = {}
     types: dict[str, None] = {}
     stack: list = [t]
@@ -250,11 +253,6 @@ def _fterm_names(t: FTerm) -> tuple[dict[str, None], dict[str, None]]:
         elif isinstance(x, FTyAbs):
             types[x.var] = None
             stack.append(x.body)
-        elif isinstance(x, TVar):
-            types[x.name] = None
-        elif isinstance(x, Forall):
-            types[x.var] = None
-            stack.append(x.body)
-        elif isinstance(x, Con):
-            stack.extend(reversed(x.args))
+        elif isinstance(x, Type):
+            types.update(names(x)[1])
     return terms, types

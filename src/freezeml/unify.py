@@ -40,7 +40,7 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
-    ftv_set,
+    ftv_ordered,
     names,
 )
 
@@ -68,7 +68,7 @@ class OccursOrKind(UnifyError):
 
 class SkolemEscape(UnifyError):
     def __init__(self, skolem: str, left: Type, right: Type):
-        super().__init__(f"quantified variable {skolem!r} escapes its scope", left, right)
+        super().__init__("a quantified variable escapes its scope", left, right)
         self.skolem = skolem
 
 
@@ -163,7 +163,7 @@ class Store:
     # -- solutions ------------------------------------------------------------
 
     def _current(self, name: str) -> bool:
-        return self.images.keys().isdisjoint(ftv_set(self.images[name]))
+        return self.images.keys().isdisjoint(ftv_ordered(self.images[name]).keys())
 
     def _resolve(self, names) -> dict[str, Type]:
         """The images, resolved for every solved one of `names`.
@@ -180,7 +180,7 @@ class Store:
                 continue
             image = images[name]
             pending = [
-                v for v in ftv_set(image) if v in images and not self._current(v)
+                v for v in ftv_ordered(image) if v in images and not self._current(v)
             ]
             if pending:
                 stack.extend(pending)
@@ -192,8 +192,8 @@ class Store:
     def apply(self, a: Type) -> Type:
         if not self.images:
             return a
-        fv = ftv_set(a)
-        if self.images.keys().isdisjoint(fv):
+        fv = ftv_ordered(a)
+        if self.images.keys().isdisjoint(fv.keys()):
             return a
         return _apply(self._resolve(fv), a, self._memo)
 
@@ -241,7 +241,7 @@ class Store:
             # resolved by now or not: resolution never removes the rigid
             # skolem, and brings it in only from another of them.
             since = islice(self.images.values(), mark, None)
-            if any(skolem in ftv_set(image) for image in since):
+            if any(skolem in ftv_ordered(image) for image in since):
                 raise SkolemEscape(skolem, a, b)
             return
 
@@ -249,29 +249,24 @@ class Store:
             raise StructureMismatch(
                 "cannot unify a quantified type with an unquantified one", a, b
             )
-        raise RigidMismatch("cannot unify distinct rigid variables", a, b)
+        raise RigidMismatch("cannot unify a rigid variable with another type", a, b)
 
     def _solve(self, var: str, solution: Type) -> None:
         kind = self.kinds.pop(var)
-        fv = ftv_set(solution)
+        fv = ftv_ordered(solution)
         if kind is Kind.MONO:
             for v in fv:
                 if v in self.kinds:
                     self.kinds[v] = Kind.MONO
         try:
             solution_kind = kind_of(self, solution)
-        except StaticsError as err:
-            raise OccursOrKind(
-                f"solution for {var!r} is ill-kinded: {err.message}",
-                TVar(var),
-                solution,
-            ) from None
+        except StaticsError:
+            reason = "occurs in its own" if var in fv else "has an ill-kinded"
+            err = OccursOrKind(f"a variable {reason} solution", TVar(var), solution)
+            raise err from None
         if not solution_kind.le(kind):
-            raise OccursOrKind(
-                f"solution for {var!r} has kind {solution_kind}, needs {kind}",
-                TVar(var),
-                solution,
-            )
+            message = f"a variable of kind {kind} has a solution of kind {solution_kind}"
+            raise OccursOrKind(message, TVar(var), solution)
         level = self.levels[var]
         for v in fv:
             if self.levels.get(v, level) > level:

@@ -167,7 +167,7 @@ class TestLetRestriction:
 class TestInferTop:
     def test_returns_normalized_display(self):
         got = infer_top(PRELUDE, desugar(parse_term("\\x y. y")))
-        assert ftv_ordered(got) == ["a", "b"]
+        assert list(ftv_ordered(got)) == ["a", "b"]
 
     def test_id_poly_gen(self):
         expect_type("id poly $(\\x. x)", "(Int, Bool)")
@@ -240,6 +240,52 @@ class TestErrorPayloads:
             assert err.left is not None and err.right is not None
         else:
             pytest.fail("expected a unification failure")
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "poly (\\x. x)",
+                "cannot unify a quantified type with an unquantified one:"
+                " forall a. a -> a vs b -> b",
+            ),
+            (
+                "\\(bot : forall a. a). let f = bot bot in (poly ~f, (f 42) + 1)",
+                "a variable of kind mono has a solution of kind poly:"
+                " b vs forall a. a -> a",
+            ),
+            ("\\x. x x", "a variable occurs in its own solution: a vs a -> b"),
+            (
+                "\\y. let f = \\x. y in poly ~f",
+                "a quantified variable escapes its scope:"
+                " forall a. a -> a vs forall c. c -> b",
+            ),
+            (
+                "let (f : forall a. a -> a) = \\x. 1 in f",
+                "cannot unify a rigid variable with another type: a vs Int",
+            ),
+            ("1 + True", "cannot unify Int with Bool: Int vs Bool"),
+        ],
+    )
+    def test_unify_failure_names_both_types(self, source, message):
+        with pytest.raises(CannotUnify) as err:
+            infer_str(source)
+        assert err.value.message == message
+        assert str(err.value) == message
+
+    def test_no_unify_failure_prints_an_internal_name(self):
+        rng = random.Random(103)
+        failed = 0
+        for _ in range(2000):
+            term = random_surface_term(rng, (), rng.randint(1, 6))
+            try:
+                check_program(KindEnv(), PRELUDE, term)
+            except CannotUnify as err:
+                assert "%" not in err.message, err.message
+                failed += 1
+            except (InferError, StaticsError):
+                pass
+        assert failed >= 200
 
     def test_unbound_var_carries_span(self):
         term = parse_term("missing 1")

@@ -37,9 +37,11 @@ from freezeml.syntax import (
     t_bool,
     t_int,
 )
-from freezeml.systemf import parse_fterm
+from freezeml.prelude import build_prelude
+from freezeml.syntax import KindEnv
+from freezeml.systemf import parse_fterm, render_fterm
 
-from generators import random_type
+from generators import GiveUp, random_f_term, random_surface_term, random_type
 
 
 class TestParseType:
@@ -185,8 +187,8 @@ class TestRenderType:
 
     def test_round_trip_exact_without_normalize(self):
         rng = random.Random(5)
-        for _ in range(400):
-            t = random_type(rng, ("m", "n"), ("p",), depth=4)
+        for _ in range(2000):
+            t = random_type(rng, ("m", "n"), ("p",), depth=rng.randint(0, 5))
             assert parse_type(render_type(t)) == t
 
     def test_round_trip_alpha_with_normalize(self):
@@ -226,6 +228,36 @@ class TestRenderTerm:
         ):
             term = parse_term(source)
             assert parse_term(render_term(term)) == term
+
+    def test_nested_sugar_is_parenthesised(self):
+        for source in ("$($(\\x. x))", "$((\\x. x)@)", "$(\\x. x)@", "(\\x. x)@@"):
+            term = parse_term(source)
+            assert render_term(term) == source
+            assert parse_term(render_term(term)) == term
+
+
+class TestPrintedFormsParseBack:
+    """Seeded round trips through each printer and its parser; types are
+    covered by `TestRenderType.test_round_trip_exact_without_normalize`."""
+
+    def test_surface_terms(self):
+        rng = random.Random(41)
+        for _ in range(2000):
+            term = random_surface_term(rng, (), rng.randint(1, 6))
+            assert parse_term(render_term(term)) == term
+
+    def test_f_terms(self):
+        rng = random.Random(43)
+        prelude = build_prelude()
+        checked = 0
+        for _ in range(2000):
+            try:
+                term = random_f_term(rng, KindEnv(), prelude, depth=rng.randint(1, 4))
+            except GiveUp:
+                continue
+            assert parse_fterm(render_fterm(term)) == term
+            checked += 1
+        assert checked >= 1500
 
 
 class TestLexer:

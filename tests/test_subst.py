@@ -240,7 +240,7 @@ class TestSubstWf:
         out = RefinedKindEnv((("c", Kind.POLY),))
         assert subst_wf(delta, theta, theta_env, out)
         # ftv(theta) mentions neither 's' nor 'c'
-        assert subst_wf(delta.minus(("s",)), theta, theta_env, RefinedKindEnv())
+        assert subst_wf(KindEnv(("r",)), theta, theta_env, RefinedKindEnv())
 
 
 class TestInstWf:

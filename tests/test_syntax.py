@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freezeml.infer import make_supply
-from freezeml.parser import parse_term, parse_type
+from freezeml.parser import parse_term, parse_type, render_term
+from freezeml.subst import Subst
 from freezeml.syntax import (
     Con,
     Forall,
@@ -19,6 +20,7 @@ from freezeml.syntax import (
     Let,
     LetAnn,
     Lit,
+    NameSupply,
     RefinedKindEnv,
     TermClass,
     TVar,
@@ -57,19 +59,22 @@ class TestKind:
         assert Kind.MONO.le(Kind.POLY)
         assert not Kind.POLY.le(Kind.MONO)
 
+    def test_printed_as_words(self):
+        assert (str(Kind.MONO), str(Kind.POLY)) == ("mono", "poly")
+
 
 class TestFtvOrdered:
     def test_first_occurrence_order(self):
-        assert ftv_ordered(ty("(a -> b) -> (a -> c)")) == ["a", "b", "c"]
+        assert list(ftv_ordered(ty("(a -> b) -> (a -> c)"))) == ["a", "b", "c"]
 
     def test_closed(self):
-        assert ftv_ordered(t_int) == []
+        assert list(ftv_ordered(t_int)) == []
 
     def test_bound_excluded(self):
-        assert ftv_ordered(ty("forall a. a -> b")) == ["b"]
+        assert list(ftv_ordered(ty("forall a. a -> b"))) == ["b"]
 
     def test_shadowing(self):
-        assert ftv_ordered(Forall("a", ty("a -> b"))) == ["b"]
+        assert list(ftv_ordered(Forall("a", ty("a -> b")))) == ["b"]
 
     def test_no_duplicates_no_bound(self):
         rng = random.Random(7)
@@ -86,13 +91,42 @@ class TestFtvOrdered:
             # the same names free and bound, so binders shadow free uses
             t = random_type(rng, ("a", "b", "%2"), ("p", "q0"), depth=5)
             t = Forall("a", t) if rng.random() < 0.3 else t
-            assert ftv_ordered(t) == reference_ftv(t)
+            assert list(ftv_ordered(t)) == reference_ftv(t)
 
     def test_deep_type(self):
         t = arrow(TVar("b"), TVar("a"))
         for i in range(10_000):
             t = Forall("a", arrow(TVar(f"c{i % 2}"), t))
-        assert ftv_ordered(t) == ["c1", "c0", "b"]
+        assert list(ftv_ordered(t)) == ["c1", "c0", "b"]
+        # substitution asks for the free variables first, and skips a
+        # type that has none of its domain
+        assert Subst({"z": t_int}).apply(t) is t
+
+    def test_second_call_returns_the_cached_dict(self):
+        t = ty("forall a. a -> b -> c")
+        assert ftv_ordered(t) is ftv_ordered(t)
+
+    def test_node_adding_no_variable_shares_its_childs_dict(self):
+        inner = ty("a -> b")
+        assert ftv_ordered(arrow(inner, TVar("a"))) is ftv_ordered(inner)
+        assert ftv_ordered(Forall("c", inner)) is ftv_ordered(inner)
+
+    def test_cached_subtrees_agree_with_recursive_walk(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            # one uncached subtree reached twice, then every node re-read
+            shared = random_type(rng, ("a", "b"), ("p", "a"), depth=3)
+            other = random_type(rng, ("b", "c"), ("p",), depth=3)
+            t = Forall("b", arrow(arrow(shared, other), shared))
+            ftv_ordered(t)
+            stack = [t]
+            while stack:
+                node = stack.pop()
+                assert list(ftv_ordered(node)) == reference_ftv(node)
+                if isinstance(node, Con):
+                    stack.extend(node.args)
+                elif isinstance(node, Forall):
+                    stack.append(node.body)
 
 
 def reference_ftv(t):
@@ -303,7 +337,33 @@ class TestDesugar:
 
     def test_no_sugar_unchanged(self):
         term = parse_term("\\x. x")
-        assert desugar(term) == term
+        assert desugar(term) is term
+
+    def test_sugar_free_random_terms_come_back_as_is(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            term = reference_desugar(random_surface_term(rng, (), rng.randint(0, 6)))
+            assert desugar(term) is term
+
+    def test_only_the_path_to_sugar_is_rebuilt(self):
+        term = parse_term("(\\y. y) (\\z. $(\\x. x))")
+        out = desugar(term)
+        assert out.fn is term.fn
+        assert out.arg is not term.arg
+
+    def test_agrees_with_recursive_reference_on_random_terms(self):
+        rng = random.Random(31)
+        for _ in range(1000):
+            # printed and parsed back, so every node carries a span
+            term = parse_term(render_term(random_surface_term(rng, (), rng.randint(1, 6))))
+            # the repr shows the %g names and the spans
+            assert repr(desugar(term)) == repr(reference_desugar(term))
+
+    def test_deep_term(self):
+        m = Var("x")
+        for _ in range(10_000):
+            m = Gen(Lam("x", m))
+        assert len(names(desugar(m))[0]) == 10_001
 
     def test_gen_of_value_is_val_not_gval(self):
         term = desugar(parse_term("$(\\x. x)"))
@@ -319,3 +379,27 @@ class TestDesugar:
         outer = term
         inner = outer.bound.body  # \x. <inner let>
         assert outer.var != inner.var
+
+
+def reference_desugar(m):
+    """A plain recursive walk: what `desugar` must agree with."""
+    supply = NameSupply(names(m)[0])
+
+    def walk(t):
+        if isinstance(t, (Var, Freeze, Lit)):
+            return t
+        if isinstance(t, Lam):
+            return Lam(t.var, walk(t.body), t.span)
+        if isinstance(t, LamAnn):
+            return LamAnn(t.var, t.ann, walk(t.body), t.span)
+        if isinstance(t, App):
+            return App(walk(t.fn), walk(t.arg), t.span)
+        if isinstance(t, Let):
+            return Let(t.var, walk(t.bound), walk(t.body), t.span)
+        if isinstance(t, LetAnn):
+            return LetAnn(t.var, t.ann, walk(t.bound), walk(t.body), t.span)
+        x = supply.fresh("g")
+        tail = Freeze(x, t.span) if isinstance(t, Gen) else Var(x, t.span)
+        return Let(x, walk(t.body), tail, t.span)
+
+    return walk(m)
