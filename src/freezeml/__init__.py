@@ -18,7 +18,7 @@ from .parser import (
 )
 from .prelude import build_prelude
 from .statics import env_wf, kind_of, wellscoped
-from .subst import Subst, demote, inst_wf, subst_wf
+from .subst import Subst, inst_wf
 from .syntax import (
     Kind,
     KindEnv,
@@ -56,7 +56,6 @@ __all__ = [
     "check_program",
     "check_typing",
     "classify",
-    "demote",
     "desugar",
     "env_wf",
     "f_let",
@@ -80,7 +79,6 @@ __all__ = [
     "render_type",
     "replay",
     "split",
-    "subst_wf",
     "to_systemf",
     "wellscoped",
 ]

@@ -4,9 +4,17 @@ All entries are axioms (no bodies).  The arithmetic operator and the
 literal typing rule live alongside: list and pair syntax elaborates to
 the ``::``/``[]``/``pair`` constants, and ``e + e`` to the ``+``
 constant, keeping the calculus free of special-cased forms.
+
+:func:`build_prelude` parses the signatures on its first call and hands
+every later caller the same environment.  Its types carry the shared
+free-variable caches that :func:`freezeml.syntax.ftv_ordered` fills, so
+callers must not mutate them; extend the prelude with
+:meth:`~freezeml.syntax.TypeEnv.extend`, which copies.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .parser import parse_type
 from .syntax import TypeEnv
@@ -42,6 +50,7 @@ EXTRA_SIGNATURES: tuple[tuple[str, str], ...] = (
 )
 
 
+@functools.cache
 def build_prelude() -> TypeEnv:
     entries = PRELUDE_SIGNATURES + EXTRA_SIGNATURES
     return TypeEnv((name, parse_type(source)) for name, source in entries)

@@ -1,8 +1,9 @@
 """Finite maps on type variables: application, composition, well-formedness.
 
 The same application algorithm serves rigid instantiations and flexible
-substitutions; the two differ only in the judgement that validates them
-(:func:`inst_wf` vs :func:`subst_wf`).  A :class:`Subst` is an immutable,
+substitutions.  :func:`inst_wf` validates an instantiation; the
+judgement for flexible substitutions is a test oracle, kept with the
+tests that use it.  A :class:`Subst` is an immutable,
 simultaneous map: an image is final as written, so ``{a: b, b: a}``
 swaps and never chases.  Composition is explicit (:meth:`Subst.compose`),
 so the soundness and completeness properties of unification and
@@ -25,7 +26,6 @@ from .syntax import (
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     TVar,
     Type,
     TypeEnv,
@@ -49,10 +49,6 @@ class Subst:
         self._map = dict(mapping)
         self._memo: dict = {}
 
-    @staticmethod
-    def identity(names: Iterable[str]) -> "Subst":
-        return Subst((n, TVar(n)) for n in names)
-
     def domain(self) -> tuple[str, ...]:
         return tuple(self._map)
 
@@ -66,9 +62,6 @@ class Subst:
         """Image of a variable; unmapped variables are unchanged."""
         image = self._map.get(name)
         return TVar(name) if image is None else image
-
-    def is_identity(self) -> bool:
-        return all(isinstance(t, TVar) and t.name == n for n, t in self._map.items())
 
     def ftv(self) -> dict[str, None]:
         """Free variables of the range, in domain order, as dict keys."""
@@ -145,35 +138,6 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
 # Well-formedness judgements
 # ---------------------------------------------------------------------------
 
-def _disjoint(xs: Iterable[str], ys: Iterable[str]) -> bool:
-    return not (set(xs) & set(ys))
-
-
-def subst_wf(
-    delta: KindEnv,
-    theta: Subst,
-    theta_in: RefinedKindEnv,
-    theta_out: RefinedKindEnv,
-) -> bool:
-    """Does theta map each flexible variable of theta_in to a type of its
-    kind over delta, theta_out?"""
-    if not _disjoint(delta.names(), theta_in.names()):
-        return False
-    if not _disjoint(delta.names(), theta_out.names()):
-        return False
-    if set(theta.domain()) != set(theta_in.names()):
-        return False
-    env = RefinedKindEnv((*RefinedKindEnv.of_kind_env(delta), *theta_out))
-    for name, kind in theta_in:
-        image = theta.lookup(name)
-        try:
-            if not kind_of(env, image).le(kind):
-                return False
-        except StaticsError:
-            return False
-    return True
-
-
 def inst_wf(
     delta: KindEnv,
     inst: Subst,
@@ -183,9 +147,8 @@ def inst_wf(
 ) -> bool:
     """Does inst map each rigid variable of delta_in to a type of kind at
     most `kind` over delta, delta_out?"""
-    if not _disjoint(delta.names(), delta_in.names()):
-        return False
-    if not _disjoint(delta.names(), delta_out.names()):
+    rigid = set(delta.names())
+    if rigid & set(delta_in.names()) or rigid & set(delta_out.names()):
         return False
     if set(inst.domain()) != set(delta_in.names()):
         return False
@@ -199,16 +162,3 @@ def inst_wf(
             return False
     return True
 
-
-def demote(kind: Kind, theta: RefinedKindEnv, names: Iterable[str]) -> RefinedKindEnv:
-    """Force the listed flexible variables down to the monomorphic kind.
-
-    Demoting at poly is the identity; demotion never changes which
-    variables are present.
-    """
-    if kind is Kind.POLY:
-        return theta
-    targets = set(names)
-    return RefinedKindEnv(
-        (n, Kind.MONO if n in targets else k) for n, k in theta
-    )

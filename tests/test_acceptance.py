@@ -14,7 +14,7 @@ from freezeml.infer import InferError, infer, make_supply
 from freezeml.parser import parse_program, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
-from freezeml.subst import Subst, subst_wf
+from freezeml.subst import Subst
 from freezeml.syntax import (
     Forall,
     Kind,
@@ -41,6 +41,7 @@ from generators import (
     random_subst_problem,
     random_surface_term,
 )
+from subst_oracles import subst_wf
 from test_conservativity import ML_PRELUDE_SOURCES, canonical
 
 PRELUDE = build_prelude()

@@ -17,8 +17,8 @@ from freezeml.cli import (
     run_corpus_row,
 )
 from freezeml.parser import parse_type, render_type
-from freezeml.prelude import PRELUDE_SIGNATURES, build_prelude
-from freezeml.syntax import alpha_eq
+from freezeml.prelude import EXTRA_SIGNATURES, PRELUDE_SIGNATURES, build_prelude
+from freezeml.syntax import TypeEnv, alpha_eq, ftv_ordered
 from freezeml.systemf import FApp, FLit, FTypeError
 
 
@@ -416,3 +416,48 @@ class TestEveryInputGetsAVerdict:
         ):
             code, _, _ = run_cli([command[0], str(path), *command[1:]])
             assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_USAGE)
+
+
+class TestSharedPrelude:
+    """`build_prelude` builds one environment per process; no command may
+    change it, or the free-variable caches its types carry."""
+
+    def test_commands_leave_the_prelude_pristine(self, tmp_path):
+        for index, row in enumerate(load_corpus()):
+            if row.extras:
+                ok, detail = run_corpus_row(row, build_prelude())
+                assert ok, (row.label, detail)
+                continue
+            path = write(tmp_path, f"row{index}.fml", row.source)
+            run_main(["infer", "--show-elab", path])
+            code, out, _ = run_main(["elaborate", path])
+            if code == EXIT_OK:
+                run_main(["import", write(tmp_path, f"row{index}.f", out.splitlines()[0])])
+            run_main(["check", path, "--type", row.expected or "Int"])
+        assert run_main(["golden"])[0] == EXIT_OK
+        for source, ty in (("let id = 1 in id", "Int"), ("\\(id : Int). id", "Int -> Int")):
+            code, out, _ = run_main(["infer", write(tmp_path, "shadow.fml", source)])
+            assert (code, out.rsplit(" : ", 1)[1]) == (EXIT_OK, f"{ty}\n"), source
+
+        shared = build_prelude()
+        assert shared is build_prelude()
+        fresh = TypeEnv(
+            (name, parse_type(source))
+            for name, source in PRELUDE_SIGNATURES + EXTRA_SIGNATURES
+        )
+        assert list(shared) == list(fresh)
+        extras = {name for row in load_corpus() for name, _ in row.extras}
+        assert extras and not extras & set(shared.names())
+        for (_, ty), (_, parsed) in zip(shared, fresh):
+            assert list(ftv_ordered(ty)) == list(ftv_ordered(parsed))
+
+    def test_no_prelude_ignores_the_shared_prelude(self, tmp_path):
+        path = write(tmp_path, "id.fml", "id")
+        bare, full = ["infer", "--no-prelude", path], ["infer", path]
+        bare_first = [run_main(bare), run_main(full)]
+        full_first = [run_main(full), run_main(bare)]
+        assert bare_first == full_first[::-1]
+        code, out, err = bare_first[0]
+        assert (code, out) == (EXIT_TYPE_ERROR, "")
+        assert "unbound variable 'id'" in err
+        assert bare_first[1] == (EXIT_OK, "id : a -> a\n", "")

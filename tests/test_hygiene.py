@@ -1,10 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
 every top-level function and class of the package, and every
 non-dunder method of those classes, has a user other than a re-export
-from the package's ``__init__``, and no module raises the recursion
-limit or the thread stack size."""
+from the package's ``__init__``, no module raises the recursion limit
+or the thread stack size, and every function the traced benchmark wraps
+still exists."""
 
 import ast
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -180,3 +182,23 @@ def test_submodules_are_reachable_by_attribute():
 
     assert unify_module.Store is sys.modules["freezeml.unify"].Store
     assert infer_module.check_program is sys.modules["freezeml.infer"].check_program
+
+
+def test_traced_benchmark_hooks_resolve(tmp_path):
+    # bench/spans.py wraps the functions its LAYERS list by module and
+    # name, and counts calls of a few methods; a fresh interpreter keeps
+    # that patching out of the other tests.
+    path = tmp_path / "ex.fml"
+    path.write_text("poly ~id", encoding="utf-8")
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(REPO / 'src')!r}, {str(REPO / 'bench')!r}]\n"
+        "import freezeml\n"
+        "from freezeml.cli import main\n"
+        "from spans import Recorder\n"
+        "Recorder().install()\n"
+        f"sys.exit(main(['infer', {str(path)!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "poly ~id : (Int, Bool)\n"

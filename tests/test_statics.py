@@ -11,7 +11,6 @@ from freezeml.statics import (
     kind_of,
     wellscoped,
 )
-from freezeml.subst import Subst, subst_wf
 from freezeml.syntax import (
     Kind,
     KindEnv,
@@ -24,6 +23,7 @@ from freezeml.syntax import (
 )
 
 from generators import kinding_env, random_subst_problem, random_type
+from subst_oracles import subst_wf
 
 
 def ty(src: str):
