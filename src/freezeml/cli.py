@@ -67,7 +67,7 @@ def _diag(path: str, span: Optional[Span], message: str) -> str:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        return handle.read().removeprefix("\ufeff")
 
 
 def _message(failure: Exception) -> str:

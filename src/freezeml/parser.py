@@ -1,5 +1,17 @@
 """Concrete syntax: lexing, parsing, and pretty-printing.
 
+Lexical grammar (``_LEXEME``; alpha, alnum and decimal are the
+characters that ``str.isalpha``, ``str.isalnum`` and ``str.isdecimal``
+accept, so ``x²`` is an identifier and ``²`` an unexpected character)::
+
+    ident := (alpha | '_' | '%') (alnum | '_' | "'")*
+    int   := decimal+
+    punct := one of PUNCT, longest first
+
+White space (``str.isspace``) and ``#`` comments to the end of the line
+separate tokens.  Only ``\\n`` ends a line, so ``\\r``, ``\\x85`` and
+``\\u2028`` count as white space.  Any other character is an error.
+
 Grammar sketch (application binds tighter than the infix list/arith
 operators; ``@`` and ``$`` bind tighter than application)::
 
@@ -30,7 +42,7 @@ final term; declarations nest into let/let-annotated bindings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Iterator, Optional
 
 from .syntax import (
@@ -86,11 +98,22 @@ class MissingFinalTerm(SyntaxError_):
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'ident', 'int', 'punct', 'eof'
-    text: str
-    span: Span
+    """A lexeme and its position; the `Span` is built on first use."""
+
+    __slots__ = ("kind", "text", "start", "end", "line", "col", "_span")
+
+    def __init__(self, kind: str, text: str, start: int, end: int, line: int, col: int):
+        self.kind, self.text = kind, text  # kind: 'ident', 'int', 'punct', 'eof'
+        self.start, self.end, self.line, self.col = start, end, line, col
+
+    @property
+    def span(self) -> Span:
+        try:
+            return self._span
+        except AttributeError:
+            self._span = Span(self.start, self.end, self.line, self.col)
+            return self._span
 
 
 PUNCT = (
@@ -112,62 +135,37 @@ def constant_name(name: str) -> str:
     return f"({name})" if name in OPERATOR_CONSTANTS else name
 
 
-def _ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ch == INTERNAL_PREFIX
-
-
-def _ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_'"
+# A group's name is the kind of token it makes.  `[^\W\d]` also admits
+# numerics such as '²', so `tokenize` checks an identifier's first character.
+_LEXEME = re.compile(
+    r"(?P<newline>\n)|(?P<skip>[^\S\n]+|#[^\n]*)"
+    rf"|(?P<ident>(?:[^\W\d]|{re.escape(INTERNAL_PREFIX)})[\w']*)|(?P<int>\d+)"
+    rf"|(?P<punct>{'|'.join(map(re.escape, PUNCT))})"
+)
+_IDENT_START = "_" + INTERNAL_PREFIX
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
+    match = _LEXEME.match
+    i, n = 0, len(text)
+    line, line_start = 1, 0
     while i < n:
-        ch = text[i]
-        if ch == "\n":
+        lexeme = match(text, i)
+        kind = lexeme.lastgroup if lexeme else None
+        if kind == "ident" and not (text[i].isalpha() or text[i] in _IDENT_START):
+            kind = None
+        if kind is None:
+            span = Span(i, i + 1, line, i - line_start + 1)
+            raise SyntaxError_(f"unexpected character {text[i]!r}", span)
+        j = lexeme.end()
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        col = i - line_start + 1
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _ident_start(ch):
-            j = i + 1
-            while j < n and _ident_char(text[j]):
-                j += 1
-            tokens.append(Token("ident", text[i:j], Span(i, j, line, col)))
-            i = j
-            continue
-        # isdecimal, not isdigit: superscripts such as '²' are digits
-        # that int() refuses.
-        if ch.isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], Span(i, j, line, col)))
-            i = j
-            continue
-        for punct in PUNCT:
-            if text.startswith(punct, i):
-                j = i + len(punct)
-                tokens.append(Token("punct", punct, Span(i, j, line, col)))
-                i = j
-                break
-        else:
-            raise SyntaxError_(
-                f"unexpected character {ch!r}", Span(i, i + 1, line, col)
-            )
-    tokens.append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
+            line_start = j
+        elif kind != "skip":
+            tokens.append(Token(kind, lexeme.group(), i, j, line, i - line_start + 1))
+        i = j
+    tokens.append(Token("eof", "", n, n, line, n - line_start + 1))
     return tokens
 
 

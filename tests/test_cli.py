@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import subprocess
@@ -397,11 +398,14 @@ class TestFrontDoor:
 
 
 # Tokens of the surface and the core grammar, some glued into phrases so
-# that some of the drawn texts parse and check.
+# that some of the drawn texts parse and check, and the lexer's edge
+# cases: numerics that are not decimal, a non-ASCII digit and letter, an
+# internal name, a comment, and characters that are not tokens.
 TOKENS = (
     "\\x.", "\\x:Int.", "\\x:a.", "\\(x : forall a. a -> a).", "/\\a.", "x", "~x",
     "id", "~id", "auto", "poly", "choose", "1", "True", "(", ")", "[Int]", "[a]",
     "[", "]", "@", "$", ",", "::", "+", "let x =", "let (x : forall a. a -> a) =", "in",
+    "x²", "Ⅻ", "١", "é", "%x", "'", "# c\n", "\ufeff", "\u2028",
 )
 
 
@@ -414,8 +418,45 @@ class TestEveryInputGetsAVerdict:
         for command in (
             ["infer"], ["infer", "--show-elab"], ["check", "--type", "Int"], ["import"]
         ):
-            code, _, _ = run_cli([command[0], str(path), *command[1:]])
+            code, _, err = run_cli([command[0], str(path), *command[1:]])
             assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_USAGE)
+            assert err.count("\n") == (0 if code == EXIT_OK else 1), err
+            assert "Traceback" not in err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is dropped; one
+    anywhere else is an unexpected character."""
+
+    SOURCES = {"infer": "id 1", "check": "id 1", "elaborate": "id 1", "import": "id [Int] 1"}
+
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_leading_mark_is_dropped(self, tmp_path, command):
+        source = self.SOURCES[command[0]]
+        plain = write(tmp_path, "plain.fml", source)
+        marked = tmp_path / "marked.fml"
+        marked.write_bytes(codecs.BOM_UTF8 + source.encode("utf-8"))
+        expected = run_cli([command[0], plain, *command[1:]])
+        assert expected[0] == EXIT_OK
+        assert run_cli([command[0], str(marked), *command[1:]]) == expected
+
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    @pytest.mark.parametrize(
+        "source, position",
+        [("id\ufeff 1", "1:3"), ("\ufeff\ufeffid 1", "1:1"), ("\ufeffid\n\ufeff1", "2:1")],
+    )
+    def test_mark_elsewhere_is_unexpected(self, tmp_path, command, source, position):
+        path = write(tmp_path, "marked.fml", source)
+        code, out, err = run_cli([command[0], path, *command[1:]])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"{path}:{position}: error: unexpected character '\\ufeff'\n"
+
+    def test_decoding_error_counts_bytes_from_the_mark(self, tmp_path):
+        path = tmp_path / "marked.fml"
+        path.write_bytes(codecs.BOM_UTF8 + b"id \xff")
+        code, _, err = run_cli(["infer", str(path)])
+        assert code == EXIT_USAGE
+        assert err == f"{path}: error: not valid UTF-8: invalid start byte at byte 6\n"
 
 
 class TestSharedPrelude:

@@ -4,7 +4,9 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freezeml.cli import load_corpus
 from freezeml.parser import (
+    PUNCT,
     ArityError,
     MissingFinalTerm,
     SyntaxError_,
@@ -16,6 +18,7 @@ from freezeml.parser import (
     parse_type,
     render_term,
     render_type,
+    tokenize,
 )
 from freezeml.syntax import (
     App,
@@ -27,6 +30,7 @@ from freezeml.syntax import (
     Let,
     LetAnn,
     Lit,
+    Span,
     TVar,
     Var,
     alpha_eq,
@@ -41,6 +45,7 @@ from freezeml.prelude import build_prelude
 from freezeml.syntax import KindEnv
 from freezeml.systemf import parse_fterm, render_fterm
 
+import lexer_oracle
 from generators import GiveUp, random_f_term, random_surface_term, random_type
 
 
@@ -236,26 +241,38 @@ class TestRenderTerm:
             assert parse_term(render_term(term)) == term
 
 
+def rendered_surface_terms():
+    """2000 seeded random surface terms, each with its printed form."""
+    rng = random.Random(41)
+    for _ in range(2000):
+        term = random_surface_term(rng, (), rng.randint(1, 6))
+        yield term, render_term(term)
+
+
+def rendered_f_terms():
+    """Seeded random F terms (of 2000 draws), each with its printed form."""
+    rng = random.Random(43)
+    prelude = build_prelude()
+    for _ in range(2000):
+        try:
+            term = random_f_term(rng, KindEnv(), prelude, depth=rng.randint(1, 4))
+        except GiveUp:
+            continue
+        yield term, render_fterm(term)
+
+
 class TestPrintedFormsParseBack:
     """Seeded round trips through each printer and its parser; types are
     covered by `TestRenderType.test_round_trip_exact_without_normalize`."""
 
     def test_surface_terms(self):
-        rng = random.Random(41)
-        for _ in range(2000):
-            term = random_surface_term(rng, (), rng.randint(1, 6))
-            assert parse_term(render_term(term)) == term
+        for term, text in rendered_surface_terms():
+            assert parse_term(text) == term
 
     def test_f_terms(self):
-        rng = random.Random(43)
-        prelude = build_prelude()
         checked = 0
-        for _ in range(2000):
-            try:
-                term = random_f_term(rng, KindEnv(), prelude, depth=rng.randint(1, 4))
-            except GiveUp:
-                continue
-            assert parse_fterm(render_fterm(term)) == term
+        for term, text in rendered_f_terms():
+            assert parse_fterm(text) == term
             checked += 1
         assert checked >= 1500
 
@@ -272,6 +289,80 @@ class TestLexer:
 
     def test_superscript_digit_continues_an_identifier(self):
         assert parse_term("x²") == Var("x²")
+
+
+def lexed(lex, text):
+    """Each token's kind, text and span, or the error's message and span."""
+    try:
+        return [(tok.kind, tok.text, tok.span) for tok in lex(text)]
+    except SyntaxError_ as err:
+        return err.message, err.span
+
+
+# What the lexer decides on, and characters that `str` predicates and
+# `re` classes could tell apart: letters outside ASCII, a non-ASCII
+# decimal digit, numerics that are not decimal, white space other than
+# the space, and the byte-order mark.
+LEXER_PIECES = (
+    *string.ascii_letters, *string.digits, "_", "%", "'", "#", " ", "\n", "\r", "\t",
+    *PUNCT, "é", "ǅ", "漢", "١", "²", "½", "Ⅻ", "\x1c", "\x85", "\u2028", "\u3000",
+    "\ufeff",
+)
+
+
+class TestLexerOracle:
+    """`tokenize` lexes as the character loop in `lexer_oracle` did."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(LEXER_PIECES), st.characters()), max_size=40)
+        .map("".join)
+    )
+    def test_any_text(self, text):
+        assert lexed(tokenize, text) == lexed(lexer_oracle.tokenize, text)
+
+    def test_seeded_texts(self):
+        texts = [
+            text
+            for row in load_corpus()
+            for text in (row.source, row.expected or "", *(ty for _, ty in row.extras))
+        ]
+        texts += [text for _, text in rendered_surface_terms()]
+        texts += [text for _, text in rendered_f_terms()]
+        for text in texts:
+            assert lexed(tokenize, text) == lexed(lexer_oracle.tokenize, text), text
+
+
+class TestSpans:
+    # Tabs, CRLF line ends and comments; only "\n" starts a new line.
+    SOURCE = (
+        "# identity, annotated\r\n"
+        "f : forall a. a -> a =\r\n"
+        "\t\\x. x;  # a comment\r\n"
+        "\tf ~poly\r\n"
+    )
+
+    def test_a_token_builds_its_span_once(self):
+        for tok in tokenize(self.SOURCE):
+            assert tok.span is tok.span
+
+    def test_nodes_carry_their_tokens_spans(self):
+        program = parse_program(self.SOURCE)
+        assert program.span == Span(23, 24, 2, 1)
+        lam, app = program.bound, program.body
+        assert lam.span == Span(49, 50, 3, 3)
+        assert lam.body.span == Span(52, 53, 3, 6)
+        assert app.span == app.fn.span == Span(70, 71, 4, 2)
+        assert app.arg.span == Span(72, 73, 4, 4)
+
+    def test_errors_carry_their_spans(self):
+        with pytest.raises(SyntaxError_) as caught:
+            parse_program(self.SOURCE.replace("~poly", "~poly!"))
+        assert caught.value.message == "unexpected character '!'"
+        assert caught.value.span == Span(77, 78, 4, 9)
+        with pytest.raises(MissingFinalTerm) as caught:
+            parse_program(self.SOURCE.replace("\tf ~poly\r\n", ""))
+        assert caught.value.span == Span(69, 69, 4, 1)
 
 
 class TestParserTotality:
