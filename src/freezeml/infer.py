@@ -4,11 +4,14 @@ One :class:`freezeml.unify.Store` lives for each :func:`infer` call.
 The cases read and extend it: fresh flexible variables enter at the
 current let level, unification solves them in place, binders push and
 pop the term environment, and a variable's type is read through the
-solution when it is used.  Each case returns its inferred type, resolved,
-and a derivation whose types may still mention variables solved later.
-:func:`infer` resolves the tree once, at the end, and returns the
-solution restricted to the input flexible environment, the paper's form.
-The translation to the explicit core replays the resolved tree.
+solution when it is used.  Each case returns its inferred type and a
+derivation as written: their types may mention variables solved later,
+which the store's images link to.  A let reads its bound type through
+the solution once, before it generalises.  :func:`infer` reads the
+result type through the solution and returns the solution restricted to
+the input flexible environment, the paper's form; the derivation is
+read through the solution when first asked for.  The translation to the
+explicit core replays the resolved tree.
 
 A derivation node is the term node it derives, with derivations as
 children, plus what its rule chose: its type, an instantiation, a
@@ -31,7 +34,8 @@ solution and normalised together for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .parser import normalize_type_names, render_type
@@ -65,7 +69,7 @@ from .syntax import (
     names,
     Var,
 )
-from .unify import Store, UnifyError
+from .unify import Store, UnifyError, reader
 
 
 class InferError(Exception):
@@ -219,10 +223,20 @@ def gen(delta_names, a: Type, m: Term) -> tuple[tuple[str, ...], tuple[str, ...]
 
 @dataclass(frozen=True)
 class InferResult:
+    """What :func:`infer` found.  `raw` is the derivation as written and
+    `store` the finished store whose images it links to;
+    :attr:`derivation` reads it through the solution on first read."""
+
     env: RefinedKindEnv
     subst: Subst
     ty: Type
-    derivation: Derivation
+    raw: Derivation = field(repr=False, compare=False)
+    store: Store = field(repr=False, compare=False)
+
+    @cached_property
+    def derivation(self) -> Derivation:
+        """The derivation with every type resolved."""
+        return self.raw.map_types(reader(self.store.images))
 
 
 def infer(
@@ -235,15 +249,12 @@ def infer(
     """Infer a type for the desugared, well-scoped term `m`.
 
     The returned substitution's domain is exactly `theta`, and every type
-    in the derivation is resolved.
+    in the derivation is resolved when it is first read.
     """
     store = Store(delta, theta, supply, gamma)
     ty, deriv = _infer(store, m)
     return InferResult(
-        store.theta(),
-        store.solution(theta.names()),
-        ty,
-        deriv.map_types(store.apply),
+        store.theta(), store.solution(theta.names()), store.apply(ty), deriv, store
     )
 
 
@@ -275,11 +286,10 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         return m.type, DLit(m.value, m.span, ty=m.type)
 
     if isinstance(m, Lam):
-        a = store.fresh(Kind.MONO)
-        store.bind(m.var, TVar(a))
+        arg_ty = TVar(store.fresh(Kind.MONO))
+        store.bind(m.var, arg_ty)
         body_ty, body_deriv = _infer(store, m.body)
         store.unbind(m.var)
-        arg_ty = store.resolved(a)
         ty = arrow(arg_ty, body_ty)
         return ty, DLam(m.var, body_deriv, m.span, arg_ty=arg_ty, ty=ty)
 
@@ -293,15 +303,15 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
     if isinstance(m, App):
         fn_ty, fn_deriv = _infer(store, m.fn)
         arg_ty, arg_deriv = _infer(store, m.arg)
-        b = store.fresh(Kind.POLY)
-        _unify(store, store.apply(fn_ty), arrow(arg_ty, TVar(b)), m.span)
-        result_ty = store.resolved(b)
+        result_ty = TVar(store.fresh(Kind.POLY))
+        _unify(store, fn_ty, arrow(arg_ty, result_ty), m.span)
         return result_ty, DApp(fn_deriv, arg_deriv, m.span, ty=result_ty)
 
     if isinstance(m, Let):
         store.level += 1
         bound_ty, bound_deriv = _infer(store, m.bound)
         store.level -= 1
+        bound_ty = store.apply(bound_ty)
         # Variables still deeper than this let are reachable from no
         # binding in scope, so only they may generalise.
         deeper = [

@@ -34,6 +34,7 @@ from .infer import (
 )
 from .parser import display_term_names, display_type_names, rename_type
 from .subst import Subst
+from .unify import reader
 from .syntax import (
     App,
     Forall,
@@ -83,11 +84,14 @@ def ground_derivation(
     """Materialise the typing derivation of a checked program.
 
     Residual flexible variables are grounded to Int (closed elaboration:
-    the core has no flexible variables).  The finished tree is replayed
-    through the declarative rules as a self-check.
+    the core has no flexible variables).  Grounding and resolution are
+    one reading of the derivation as written: the residuals join a copy
+    of the store's images, solved to Int, every image is resolved once,
+    and one memo serves every type of the tree.  The finished tree is
+    replayed through the declarative rules as a self-check.
     """
-    grounding = Subst({name: t_int for name, _ in result.env})
-    derivation = result.derivation.map_types(grounding.apply)
+    images = {**result.store.images, **dict.fromkeys(result.env.names(), t_int)}
+    derivation = result.raw.map_types(reader(images))
     replay(delta, gamma, derivation)
     return derivation
 

@@ -6,19 +6,22 @@ scope: the rigid ones, and the flexible ones with their kind and their
 let level.  It records the image of each solved flexible variable, in
 the order solved, and holds the term environment as a scoped map.
 
-Solving a flexible variable removes it from the flexible ones and kinds
-the candidate type against what remains: a variable occurring in its own
-solution is then unbound, so the kinding assertion doubles as the occurs
-check.  Solving a monomorphic variable demotes the polymorphic flexibles
-of its solution, so that later unifications cannot smuggle polymorphism
-back in.  Every solve lowers the levels of its solution's variables to
-the solved variable's level, so a variable's level says how far out the
-environment reaches it.  Quantifiers unify by skolemisation: both bodies
-are opened with one fresh rigid variable, which must not appear in any
-image solved since.
+The images are union-find links: an image is stored as written, and a
+solved variable met anywhere is read as its image.  Unification follows
+the links at the head of each side only, so its inputs need not be read
+through the solution first.  Solving a flexible variable walks its
+solution once, through every link it reaches: a variable occurring in
+its own solution, or one no longer in scope, is an error; solving a
+monomorphic variable demotes the polymorphic flexibles reached, so that
+later unifications cannot smuggle polymorphism back in, and rejects a
+reachable quantifier.  Every solve lowers the levels of the variables
+reached to the solved variable's level, so a variable's level says how
+far out the environment reaches it.  Quantifiers unify by
+skolemisation: both bodies are opened with one fresh rigid variable,
+which must not appear in any image solved since.
 
-An image may mention variables solved after it; application and lookup
-resolve images on demand and write the resolved image back.  The public
+Reading a type through the solution (:meth:`Store.apply`) resolves the
+images it reaches and writes each resolved image back.  The public
 :func:`unify` returns the paper's form, an idempotent substitution with
 domain exactly the input environment.
 """
@@ -26,9 +29,8 @@ domain exactly the input environment.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
-from .statics import StaticsError, kind_of
 from .subst import Subst, _apply
 from .syntax import (
     Con,
@@ -101,9 +103,8 @@ class Store:
     flexible ones in order of creation, and `levels` the let level of
     each flexible variable and of each annotation prefix variable in
     scope.  `images` maps each solved variable to its solution, in the
-    order solved; an image is resolved once no variable free in it is
-    solved.  `gamma` maps each term variable to its bindings, innermost
-    last.
+    order solved, as written: it may mention variables solved later.
+    `gamma` maps each term variable to its bindings, innermost last.
     """
 
     __slots__ = (
@@ -130,13 +131,6 @@ class Store:
 
     # -- variables ------------------------------------------------------------
 
-    def lookup(self, name: str) -> Optional[Kind]:
-        """The kind of a variable in scope, for the kinding judgement."""
-        kind = self.kinds.get(name)
-        if kind is None and name in self.rigid:
-            return Kind.MONO
-        return kind
-
     def fresh(self, kind: Kind) -> str:
         """A new flexible variable at the current level."""
         name = self.supply.fresh()
@@ -162,57 +156,30 @@ class Store:
 
     # -- solutions ------------------------------------------------------------
 
-    def _current(self, name: str) -> bool:
-        return self.images.keys().isdisjoint(ftv_ordered(self.images[name]).keys())
-
-    def _resolve(self, names) -> dict[str, Type]:
-        """The images, resolved for every solved one of `names`.
-
-        An image is resolved after the solved variables it mentions, on
-        an explicit stack so that long chains do not recurse.
-        """
-        images = self.images
-        stack = [n for n in names if n in images and not self._current(n)]
-        while stack:
-            name = stack[-1]
-            if self._current(name):
-                stack.pop()
-                continue
-            image = images[name]
-            pending = [
-                v for v in ftv_ordered(image) if v in images and not self._current(v)
-            ]
-            if pending:
-                stack.extend(pending)
-            else:
-                stack.pop()
-                images[name] = _apply(images, image, self._memo)
-        return images
-
     def apply(self, a: Type) -> Type:
+        """`a` read through the solution."""
         if not self.images:
             return a
-        fv = ftv_ordered(a)
-        if self.images.keys().isdisjoint(fv.keys()):
-            return a
-        return _apply(self._resolve(fv), a, self._memo)
-
-    def resolved(self, name: str) -> Type:
-        """The resolved image of a variable; unsolved ones are unchanged."""
-        if name not in self.images:
-            return TVar(name)
-        return self._resolve((name,))[name]
+        _resolve(self.images, ftv_ordered(a), self._memo)
+        return _apply(self.images, a, self._memo)
 
     def solution(self, names) -> Subst:
-        return Subst((n, self.resolved(n)) for n in names)
+        return Subst((n, self.apply(TVar(n))) for n in names)
 
     # -- unification ----------------------------------------------------------
 
     def unify(self, a: Type, b: Type) -> None:
         """Solve flexible variables so that `a` and `b` become equal.
 
-        Both types must already be read through the solution.
+        Either side may mention solved variables: a solved variable at
+        the head of a side is followed to its image, and constructor
+        arguments are unified as written.
         """
+        images = self.images
+        while type(a) is TVar and a.name in images:
+            a = images[a.name]
+        while type(b) is TVar and b.name in images:
+            b = images[b.name]
         if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
             return
         if isinstance(a, TVar) and a.name in self.kinds:
@@ -226,7 +193,7 @@ class Store:
                     f"cannot unify {a.con.name} with {b.con.name}", a, b
                 )
             for arg_a, arg_b in zip(a.args, b.args):
-                self.unify(self.apply(arg_a), self.apply(arg_b))
+                self.unify(arg_a, arg_b)
             return
 
         if isinstance(a, Forall) and isinstance(b, Forall):
@@ -238,7 +205,7 @@ class Store:
             self.unify(open_a, open_b)
             self.rigid.remove(skolem)
             # Only images solved since the mark can mention the skolem,
-            # resolved by now or not: resolution never removes the rigid
+            # as written or resolved: resolution never removes the rigid
             # skolem, and brings it in only from another of them.
             since = islice(self.images.values(), mark, None)
             if any(skolem in ftv_ordered(image) for image in since):
@@ -252,24 +219,97 @@ class Store:
         raise RigidMismatch("cannot unify a rigid variable with another type", a, b)
 
     def _solve(self, var: str, solution: Type) -> None:
-        kind = self.kinds.pop(var)
-        fv = ftv_ordered(solution)
-        if kind is Kind.MONO:
-            for v in fv:
-                if v in self.kinds:
-                    self.kinds[v] = Kind.MONO
-        try:
-            solution_kind = kind_of(self, solution)
-        except StaticsError:
-            reason = "occurs in its own" if var in fv else "has an ill-kinded"
-            err = OccursOrKind(f"a variable {reason} solution", TVar(var), solution)
-            raise err from None
-        if not solution_kind.le(kind):
-            message = f"a variable of kind {kind} has a solution of kind {solution_kind}"
+        """Record `solution`, as written, as the image of flexible `var`.
+
+        One walk on an explicit stack visits the solution as written and
+        every image it links to, once per link; a quantified type hands
+        over its free variables.  The variables it reaches must be in
+        scope, and `var` must not be among them: `var` has left the
+        flexible ones, so the scope check doubles as the occurs check.
+        A monomorphic `var` demotes the flexible variables reached, and
+        rejects a reachable quantifier.  Every variable reached is
+        lowered to `var`'s level.
+        """
+        images, kinds, levels = self.images, self.kinds, self.levels
+        mono = kinds.pop(var) is Kind.MONO
+        level = levels[var]
+        occurs = unbound = quantified = False
+        followed: set[str] = set()
+        stack = [solution]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Con):
+                stack += t.args
+                continue
+            if isinstance(t, Forall):
+                quantified = True
+                reached = ftv_ordered(t)
+            else:
+                reached = (t.name,)
+            for v in reached:
+                image = images.get(v)
+                if image is not None:
+                    if v not in followed:
+                        followed.add(v)
+                        stack.append(image)
+                    continue
+                if v in kinds:
+                    if mono:
+                        kinds[v] = Kind.MONO
+                elif v not in self.rigid:
+                    occurs = occurs or v == var
+                    unbound = True
+                if levels.get(v, level) > level:
+                    levels[v] = level
+        if unbound:
+            reason = "occurs in its own" if occurs else "has an ill-kinded"
+            raise OccursOrKind(f"a variable {reason} solution", TVar(var), solution)
+        if mono and quantified:
+            message = "a variable of kind mono has a solution of kind poly"
             raise OccursOrKind(message, TVar(var), solution)
-        level = self.levels[var]
-        for v in fv:
-            if self.levels.get(v, level) > level:
-                self.levels[v] = level
-        self.images[var] = solution
+        images[var] = solution
         self._memo = {}
+
+
+def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:
+    """Resolve in place the image of every solved one of `names`.
+
+    An image is resolved once no variable free in it is solved; it is
+    resolved after the solved variables it mentions, on an explicit
+    stack so that long chains do not recurse.
+    """
+    settled: set[str] = set()  # resolved images, by this call or before it
+
+    def resolved(name: str) -> bool:
+        if name in settled:
+            return True
+        if images.keys().isdisjoint(ftv_ordered(images[name]).keys()):
+            settled.add(name)
+            return True
+        return False
+
+    stack = [n for n in names if n in images and not resolved(n)]
+    while stack:
+        name = stack[-1]
+        if name in settled:
+            stack.pop()
+            continue
+        image = images[name]
+        pending = [v for v in ftv_ordered(image) if v in images and not resolved(v)]
+        if pending:
+            stack += pending
+        else:
+            stack.pop()
+            images[name] = _apply(images, image, memo)
+            settled.add(name)
+
+
+def reader(images: dict[str, Type]) -> Callable[[Type], Type]:
+    """Read types through a finished solution.
+
+    Every image is resolved once, in place, and one memo then serves
+    every type read, so types sharing subtrees share their reading.
+    """
+    memo: dict = {}
+    _resolve(images, images, memo)
+    return lambda a: _apply(images, a, memo)

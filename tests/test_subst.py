@@ -122,9 +122,9 @@ class TestStoreSolutions:
         store.unify(TVar("c"), TVar("b"))
         reference = Subst({"c": TVar("b")}).compose(Subst({"a": image}))
         expected = ty("forall x. b -> x")
-        assert alpha_eq(store.resolved("a"), expected)
+        assert alpha_eq(store.apply(TVar("a")), expected)
         assert alpha_eq(reference.lookup("a"), expected)
-        assert store.resolved("c") == TVar("b")
+        assert store.apply(TVar("c")) == TVar("b")
         chained = store.solution(("a",))
         # the same capture reached through a chain c -> d -> b
         theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO), ("d", Kind.MONO)))
@@ -132,7 +132,7 @@ class TestStoreSolutions:
         longer.unify(TVar("a"), image)
         longer.unify(TVar("c"), TVar("d"))
         longer.unify(TVar("d"), TVar("b"))
-        assert alpha_eq(longer.resolved("a"), expected)
+        assert alpha_eq(longer.apply(TVar("a")), expected)
         assert longer.solution(("a",)) == chained
 
     def test_capture_through_unification(self):

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from freezeml.declcheck import check_typing
-from freezeml.infer import InferError, infer, make_supply
+from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type, render_term
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
+from freezeml.subst import Subst
 from freezeml.syntax import (
     Freeze,
     Inst,
@@ -20,7 +21,9 @@ from freezeml.syntax import (
     alpha_eq,
     classify,
     desugar,
+    ftv_ordered,
     is_value,
+    t_int,
     TermClass,
 )
 from freezeml.systemf import (
@@ -37,12 +40,13 @@ from freezeml.systemf import (
 )
 from freezeml.translate import (
     from_systemf,
+    ground_derivation,
     readable_fterm,
     rebuild_derivation,
     to_systemf,
 )
 
-from generators import GiveUp, random_f_term
+from generators import GiveUp, random_f_term, random_surface_term
 
 
 PRELUDE = build_prelude()
@@ -80,6 +84,55 @@ class TestRebuildDerivation:
         derivation, elaborated = elaborate("\\x. x")
         assert derivation.ty == ty("Int -> Int")
         assert f_typecheck(EMPTY, PRELUDE, elaborated) == ty("Int -> Int")
+
+
+def node_types(derivation) -> list:
+    """Every type of a derivation, in the order map_types visits them."""
+    types: list = []
+    derivation.map_types(lambda t: types.append(t) or t)
+    return types
+
+
+class TestGroundDerivationReference:
+    """ground_derivation reads the derivation as written through the
+    store's images with the residuals solved to Int, in one walk.  The
+    reference is the two-step reading: the resolved derivation, then
+    the grounding substitution."""
+
+    @staticmethod
+    def programs():
+        from freezeml.cli import load_corpus
+
+        for row in load_corpus():
+            gamma = PRELUDE
+            for name, extra in row.extras:
+                gamma = gamma.extend(name, parse_type(extra))
+            yield parse_program(row.source), gamma
+        rng = random.Random(1414)
+        for _ in range(2000):
+            yield random_surface_term(rng, (), rng.randrange(1, 7)), PRELUDE
+
+    def test_one_walk_equals_two_steps(self):
+        checked = 0
+        for term, gamma in self.programs():
+            try:
+                result = check_program(EMPTY, gamma, term)
+            except (InferError, StaticsError):
+                continue
+            grounded = ground_derivation(EMPTY, gamma, result)  # before any read
+            derivation = result.derivation
+            assert result.derivation is derivation
+            assert alpha_eq(derivation.ty, result.ty)  # grounding left it as it was
+            solved = result.store.images.keys()
+            types = node_types(derivation)
+            assert all(solved.isdisjoint(ftv_ordered(t).keys()) for t in types)
+            grounding = Subst(dict.fromkeys(result.env.names(), t_int))
+            reference = derivation.map_types(grounding.apply)
+            assert render_term(grounded) == render_term(reference)
+            pairs = zip(node_types(grounded), node_types(reference), strict=True)
+            assert all(alpha_eq(a, b) for a, b in pairs)
+            checked += 1
+        assert checked > 900
 
 
 class TestToSystemF:

@@ -9,6 +9,7 @@ from freezeml.subst import Subst
 from freezeml.syntax import (
     Kind,
     KindEnv,
+    NameSupply,
     RefinedKindEnv,
     TVar,
     alpha_eq,
@@ -16,6 +17,7 @@ from freezeml.syntax import (
     foralls,
     ftv_ordered,
     list_of,
+    pair_of,
     t_int,
 )
 from freezeml.unify import (
@@ -23,6 +25,7 @@ from freezeml.unify import (
     OccursOrKind,
     RigidMismatch,
     SkolemEscape,
+    Store,
     StructureMismatch,
     UnifyError,
     unify,
@@ -113,6 +116,88 @@ class TestUnifyCases:
                 ty("forall a b. a -> b -> (a, b)"),
                 ty("forall b a. a -> b -> (a, b)"),
             )
+
+
+def store_of(rigid=(), **kinds):
+    return Store(KindEnv(rigid), RefinedKindEnv(kinds.items()), NameSupply())
+
+
+class TestErrorsThroughLinks:
+    """The store keeps each solution as written, so a solved variable is a
+    link to its image.  An error that only a link leads to is reported
+    with the class and message of the error on the resolved types."""
+
+    A, B, M, R = TVar("a"), TVar("b"), TVar("m"), TVar("r")
+
+    def expect(self, store, pairs, message):
+        *before, (left, right) = pairs
+        for a, b in before:
+            store.unify(a, b)
+        with pytest.raises(OccursOrKind) as caught:
+            store.unify(left, right)
+        assert caught.value.message == message
+
+    def test_occurs_through_an_earlier_solution(self):
+        store = store_of(a=Kind.POLY, b=Kind.POLY)
+        pairs = [(self.A, arrow(self.B, t_int)), (self.B, self.A)]
+        self.expect(store, pairs, "a variable occurs in its own solution")
+
+    def test_occurs_behind_a_link_inside_the_solution(self):
+        store = store_of(a=Kind.POLY, b=Kind.POLY)
+        pairs = [(self.A, arrow(self.B, t_int)), (self.B, list_of(self.A))]
+        self.expect(store, pairs, "a variable occurs in its own solution")
+        # the same through the public unify, in one call
+        with pytest.raises(OccursOrKind, match="occurs in its own solution"):
+            unify(
+                EMPTY,
+                flex(("a", Kind.POLY), ("b", Kind.POLY)),
+                pair_of(self.A, self.B),
+                pair_of(arrow(self.B, t_int), list_of(self.A)),
+            )
+
+    def test_quantifier_through_a_link_into_a_mono_variable(self):
+        store = store_of(a=Kind.POLY, m=Kind.MONO)
+        pairs = [(self.A, ty("forall x. x -> x")), (self.M, list_of(self.A))]
+        message = "a variable of kind mono has a solution of kind poly"
+        self.expect(store, pairs, message)
+        with pytest.raises(OccursOrKind, match=message):
+            unify(
+                EMPTY,
+                flex(("a", Kind.POLY), ("m", Kind.MONO)),
+                pair_of(self.A, self.M),
+                pair_of(ty("forall x. x -> x"), list_of(self.A)),
+            )
+
+    def test_unbound_variable_behind_a_link(self):
+        # r leaves scope after a's solution mentions it, as an annotated
+        # let's prefix does; m's solution reaches r only through a
+        store = store_of(("r",), a=Kind.POLY, m=Kind.MONO)
+        store.unify(self.A, list_of(self.R))
+        store.rigid.discard("r")
+        self.expect(store, [(self.M, list_of(self.A))], "a variable has an ill-kinded solution")
+
+    def test_demotion_and_levels_reach_through_links(self):
+        store = store_of(a=Kind.POLY, b=Kind.POLY, m=Kind.MONO)
+        store.levels.update(a=2, b=2, m=1)
+        store.unify(self.A, list_of(self.B))
+        store.unify(self.M, arrow(self.A, t_int))
+        assert store.kinds == {"b": Kind.MONO}
+        assert store.levels["b"] == 1
+
+    def test_long_chain_unifies_and_resolves(self):
+        # 10 000 variable-to-variable solutions, each a link to the next:
+        # following, solving and resolving must not recurse per link
+        n = 10_000
+        names = [f"v{i}" for i in range(n + 1)]
+        store = store_of(m=Kind.MONO, **dict.fromkeys(names, Kind.POLY))
+        for here, there in zip(names, names[1:]):
+            store.unify(TVar(here), TVar(there))
+        store.unify(self.M, list_of(TVar(names[0])))  # the walk follows the chain
+        assert store.kinds[names[-1]] is Kind.MONO
+        store.unify(TVar(names[0]), t_int)  # solves the chain's last variable
+        assert store.apply(TVar(names[0])) == t_int
+        assert store.apply(self.M) == list_of(t_int)
+        assert all(image == t_int for _, image in store.solution(names).items())
 
 
 def check_sound(delta, theta, a, b):
