@@ -18,7 +18,7 @@ from .parser import (
 )
 from .prelude import build_prelude
 from .statics import env_wf, kind_of, wellscoped
-from .subst import Subst, inst_wf
+from .subst import Subst, substitute
 from .syntax import (
     Kind,
     KindEnv,
@@ -65,7 +65,6 @@ __all__ = [
     "gen",
     "ground_derivation",
     "infer_top",
-    "inst_wf",
     "kind_of",
     "match_instance",
     "normalize_type_names",
@@ -79,6 +78,7 @@ __all__ = [
     "render_type",
     "replay",
     "split",
+    "substitute",
     "to_systemf",
     "wellscoped",
 ]

@@ -30,7 +30,7 @@ from .infer import (
     gen,
 )
 from .statics import StaticsError, kind_of, split
-from .subst import Subst, inst_wf
+from .subst import Subst, substitute
 from .syntax import (
     Con,
     Forall,
@@ -91,8 +91,8 @@ def match_instance(
             if not isinstance(tgt, Forall):
                 return False
             skolem = supply.fresh()
-            open_pat = Subst({pat.var: TVar(skolem)}).apply(pat.body)
-            open_tgt = Subst({tgt.var: TVar(skolem)}).apply(tgt.body)
+            open_pat = substitute({pat.var: TVar(skolem)}, pat.body)
+            open_tgt = substitute({tgt.var: TVar(skolem)}, tgt.body)
             return go(open_pat, open_tgt, skolems | {skolem})
         raise TypeError(f"not a type: {pat!r}")
 
@@ -138,7 +138,9 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
     Returns the root type on success; raises ReplayError when any node
     fails its rule's premises.  The principality premise of the plain
     let rule is deliberately not checked (it is not needed for recursion
-    over derivations).
+    over derivations).  The Var rule's instantiation is well-formed
+    exactly when each image has a kind under `delta`, so it is checked
+    image by image with :func:`freezeml.statics.kind_of`.
     """
     if isinstance(d, DFreeze):
         scheme = gamma.lookup(d.name)
@@ -157,16 +159,16 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
             _fail(d, "recorded prefix differs from environment entry")
         if len(d.inst) != len(prefix):
             _fail(d, "instantiation arity mismatch")
-        inst = Subst(dict(zip(prefix, d.inst)))
-        # The scheme binds its prefix, which may share a name with a rigid
-        # variable in scope (an annotation's `a` against the prelude's);
-        # rename the prefix apart before checking the instantiation.
-        supply = NameSupply(delta.names() + prefix)
-        apart = tuple(supply.fresh() for _ in prefix)
-        renamed = Subst(dict(zip(apart, d.inst)))
-        if prefix and not inst_wf(delta, renamed, KindEnv(apart), Kind.POLY, KindEnv()):
-            _fail(d, "instantiation not well-formed")
-        if not alpha_eq(inst.apply(guarded), d.ty):
+        # Every image must have a kind under delta, and any kind will do:
+        # the prefix is polymorphic.  The scheme binds its own prefix, so a
+        # prefix variable named like a rigid one in scope (an annotation's
+        # `a` against the prelude's) takes no part in the check.
+        for image in d.inst:
+            try:
+                kind_of(delta, image)
+            except StaticsError:
+                _fail(d, "instantiation not well-formed")
+        if not alpha_eq(substitute(dict(zip(prefix, d.inst)), guarded), d.ty):
             _fail(d, "recorded type is not the recorded instantiation's image")
         return d.ty
 

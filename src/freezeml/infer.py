@@ -40,7 +40,7 @@ from typing import Callable, Optional, Union
 
 from .parser import normalize_type_names, render_type
 from .statics import env_wf, split, wellscoped
-from .subst import Subst
+from .subst import Subst, substitute
 from .syntax import (
     App,
     Freeze,
@@ -279,7 +279,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
             raise UnboundVar(m.name, m.span)
         prefix, guarded = decompose(scheme)
         fresh = [TVar(store.fresh(Kind.POLY)) for _ in prefix]
-        ty = Subst(dict(zip(prefix, fresh))).apply(guarded)
+        ty = substitute(dict(zip(prefix, fresh)), guarded)
         return ty, DVar(m.name, m.span, prefix=prefix, inst=tuple(fresh), ty=ty)
 
     if isinstance(m, Lit):

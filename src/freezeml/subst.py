@@ -1,13 +1,15 @@
-"""Finite maps on type variables: application, composition, well-formedness.
+"""Finite maps on type variables: application and composition.
 
 The same application algorithm serves rigid instantiations and flexible
-substitutions.  :func:`inst_wf` validates an instantiation; the
-judgement for flexible substitutions is a test oracle, kept with the
-tests that use it.  A :class:`Subst` is an immutable,
+substitutions.  :func:`substitute` applies a map once, for the many
+callers that open a quantifier or instantiate a prefix and keep only
+the result.  A :class:`Subst` is an immutable,
 simultaneous map: an image is final as written, so ``{a: b, b: a}``
 swaps and never chases.  Composition is explicit (:meth:`Subst.compose`),
 so the soundness and completeness properties of unification and
-inference can be tested as written.
+inference can be tested as written.  The well-formedness judgements for
+instantiations and flexible substitutions are test oracles, kept with
+the tests that use them.
 
 Inference and unification do not compose substitutions as they go.
 They record solutions in one mutable store per call (see
@@ -23,8 +25,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .syntax import (
     Con,
     Forall,
-    Kind,
-    KindEnv,
     NameSupply,
     TVar,
     Type,
@@ -32,7 +32,6 @@ from .syntax import (
     ftv_ordered,
     names,
 )
-from .statics import StaticsError, kind_of
 
 
 class Subst:
@@ -95,23 +94,37 @@ class Subst:
         return f"Subst[{inner}]"
 
 
+def substitute(mapping: dict[str, Type], a: Type) -> Type:
+    """`a` with each variable free in it replaced by its image in
+    `mapping`, avoiding capture.
+
+    A one-shot application: nothing is remembered once it returns.  It
+    is for a map built only to be applied once, such as the renaming
+    that opens a quantifier or the instantiation of a scheme's prefix;
+    a :class:`Subst` is for a map that is handed back or applied again.
+    """
+    return _apply(mapping, a, {})
+
+
 def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     """Capture-avoiding application of `mapping` to `a`.
 
-    Subtrees with no free variable in the mapping come back unchanged.
-    `memo` maps a node's id to the node and its image under `mapping`;
-    holding the node keeps its id from being reused.  `mapping` may
-    change between calls sharing one memo (the inference store resolving
-    images on demand), but it must already hold every mapped variable
-    free in `a`, and no image a memo entry used may change.
+    A variable is looked up directly.  Any other node whose cached free
+    variables miss the mapping comes back unchanged, so only the spine
+    down to a mapped variable is rebuilt.  `memo` maps a rebuilt node's
+    id to the node and its image under `mapping`; holding the node keeps
+    its id from being reused.  `mapping` may change between calls
+    sharing one memo (the inference store resolving images on demand),
+    but it must already hold every mapped variable free in `a`, and no
+    image a memo entry used may change.
     """
-    if not mapping:
+    if type(a) is TVar:
+        return mapping.get(a.name, a)
+    fv = a.__dict__.get("_ftv")
+    if fv is None:
+        fv = ftv_ordered(a)  # fills the cache; raises TypeError on a non-type
+    if mapping.keys().isdisjoint(fv):
         return a
-    fv = ftv_ordered(a)
-    if mapping.keys().isdisjoint(fv.keys()):
-        return a
-    if isinstance(a, TVar):
-        return mapping[a.name]
     done = memo.get(id(a))
     if done is not None:
         return done[1]
@@ -132,33 +145,3 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
         raise TypeError(f"not a type: {a!r}")
     memo[id(a)] = (a, result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Well-formedness judgements
-# ---------------------------------------------------------------------------
-
-def inst_wf(
-    delta: KindEnv,
-    inst: Subst,
-    delta_in: KindEnv,
-    kind: Kind,
-    delta_out: KindEnv,
-) -> bool:
-    """Does inst map each rigid variable of delta_in to a type of kind at
-    most `kind` over delta, delta_out?"""
-    rigid = set(delta.names())
-    if rigid & set(delta_in.names()) or rigid & set(delta_out.names()):
-        return False
-    if set(inst.domain()) != set(delta_in.names()):
-        return False
-    env = KindEnv(delta.names() + delta_out.names())
-    for name in delta_in:
-        image = inst.lookup(name)
-        try:
-            if not kind_of(env, image).le(kind):
-                return False
-        except StaticsError:
-            return False
-    return True
-

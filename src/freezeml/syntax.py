@@ -210,30 +210,40 @@ def alpha_eq(a: Type, b: Type) -> bool:
 
     Free variables are rigid: they must agree by name.  The order of
     quantifiers matters, so ``forall a b. a -> b`` differs from
-    ``forall b a. a -> b``.
+    ``forall b a. a -> b``.  The walk keeps the pairs still to compare,
+    each with the binders in scope on either side, on an explicit
+    stack, so deep types compare without recursion.
     """
-
-    def walk(x: Type, y: Type, bx: tuple[str, ...], by: tuple[str, ...]) -> bool:
+    stack: list[tuple[Type, Type, tuple[str, ...], tuple[str, ...]]] = [(a, b, (), ())]
+    while stack:
+        x, y, bx, by = stack.pop()
         if x is y and bx == by:
             # One node under the same binders; shared subtrees are common.
-            return True
-        if isinstance(x, TVar) and isinstance(y, TVar):
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is TVar:
             # Innermost binder position must coincide, or both free.
-            for i, (na, nb) in enumerate(zip(reversed(bx), reversed(by))):
+            for na, nb in zip(reversed(bx), reversed(by)):
                 hit_a = na == x.name
                 hit_b = nb == y.name
                 if hit_a or hit_b:
-                    return hit_a and hit_b
-            return x.name == y.name
-        if isinstance(x, Con) and isinstance(y, Con):
-            if x.con != y.con:
+                    if not (hit_a and hit_b):
+                        return False
+                    break
+            else:
+                if x.name != y.name:
+                    return False
+        elif cls is Con:
+            if x.con is not y.con and x.con != y.con:
                 return False
-            return all(walk(p, q, bx, by) for p, q in zip(x.args, y.args))
-        if isinstance(x, Forall) and isinstance(y, Forall):
-            return walk(x.body, y.body, bx + (x.var,), by + (y.var,))
-        return False
-
-    return walk(a, b, (), ())
+            stack += [(p, q, bx, by) for p, q in zip(x.args, y.args)]
+        elif cls is Forall:
+            stack.append((x.body, y.body, bx + (x.var,), by + (y.var,)))
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Union
 
 from .parser import SyntaxError_, _Parser, constant_name, render_type
 from .statics import StaticsError, kind_of
-from .subst import Subst
+from .subst import substitute
 from .syntax import (
     Con,
     Forall,
@@ -179,7 +179,7 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
             kind_of(delta, t.arg)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
-        return Subst({fn_ty.var: t.arg}).apply(fn_ty.body)
+        return substitute({fn_ty.var: t.arg}, fn_ty.body)
     raise TypeError(f"not an F term: {t!r}")
 
 

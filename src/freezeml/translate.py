@@ -33,7 +33,7 @@ from .infer import (
     check_program,
 )
 from .parser import display_term_names, display_type_names, rename_type
-from .subst import Subst
+from .subst import substitute
 from .unify import reader
 from .syntax import (
     App,
@@ -180,7 +180,7 @@ def from_systemf(
         if isinstance(x, FTyApp):
             var = next(binders)
             translated, fn_ty = go(env, x.fn)
-            result_ty = Subst({fn_ty.var: x.arg}).apply(fn_ty.body)
+            result_ty = substitute({fn_ty.var: x.arg}, fn_ty.body)
             ann = _freshen_prefix(result_ty, letters)
             bound = translated if naive_tyapp else Inst(translated)
             return LetAnn(var, ann, bound, Freeze(var)), result_ty
@@ -235,7 +235,7 @@ def _freshen_prefix(ann: Type, letters: Iterator[str]) -> Type:
         return ann
     new_names = [next(letters) for _ in prefix]
     renaming = {name: TVar(fresh) for name, fresh in zip(prefix, new_names)}
-    return foralls(new_names, Subst(renaming).apply(body))
+    return foralls(new_names, substitute(renaming, body))
 
 
 def _fterm_names(t: FTerm) -> tuple[dict[str, None], dict[str, None]]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, Optional
 
-from .subst import Subst, _apply
+from .subst import Subst, _apply, substitute
 from .syntax import (
     Con,
     Forall,
@@ -188,7 +188,7 @@ class Store:
             return self._solve(b.name, a)
 
         if isinstance(a, Con) and isinstance(b, Con):
-            if a.con != b.con:
+            if a.con is not b.con and a.con != b.con:
                 raise ConMismatch(
                     f"cannot unify {a.con.name} with {b.con.name}", a, b
                 )
@@ -198,8 +198,8 @@ class Store:
 
         if isinstance(a, Forall) and isinstance(b, Forall):
             skolem = self.supply.fresh()
-            open_a = Subst({a.var: TVar(skolem)}).apply(a.body)
-            open_b = Subst({b.var: TVar(skolem)}).apply(b.body)
+            open_a = substitute({a.var: TVar(skolem)}, a.body)
+            open_b = substitute({b.var: TVar(skolem)}, b.body)
             mark = len(self.images)
             self.rigid.add(skolem)
             self.unify(open_a, open_b)

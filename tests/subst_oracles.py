@@ -2,9 +2,11 @@
 
 ``subst_wf`` is the paper's well-formedness judgement for flexible
 substitutions, the oracle for the soundness properties of unification
-and inference; ``demote`` is the paper's demotion of a refined kind
-environment.  The checker itself never builds either: it records
-solutions in a store and checks kinds as it solves.
+and inference; ``inst_wf`` is its judgement for instantiations, the
+oracle for replay's Var rule, which checks each image's kind instead;
+``demote`` is the paper's demotion of a refined kind environment.  The
+checker itself never builds any of them: it records solutions in a
+store and checks kinds as it solves.
 """
 
 from __future__ import annotations
@@ -23,6 +25,31 @@ def identity(names: Iterable[str]) -> Subst:
 
 def is_identity(theta: Subst) -> bool:
     return theta == identity(theta.domain())
+
+
+def inst_wf(
+    delta: KindEnv,
+    inst: Subst,
+    delta_in: KindEnv,
+    kind: Kind,
+    delta_out: KindEnv,
+) -> bool:
+    """Does inst map each rigid variable of delta_in to a type of kind at
+    most `kind` over delta, delta_out?"""
+    rigid = set(delta.names())
+    if rigid & set(delta_in.names()) or rigid & set(delta_out.names()):
+        return False
+    if set(inst.domain()) != set(delta_in.names()):
+        return False
+    env = KindEnv(delta.names() + delta_out.names())
+    for name in delta_in:
+        image = inst.lookup(name)
+        try:
+            if not kind_of(env, image).le(kind):
+                return False
+        except StaticsError:
+            return False
+    return True
 
 
 def subst_wf(

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from freezeml import declcheck
 from freezeml.declcheck import ReplayError, check_typing, match_instance, replay
-from freezeml.infer import InferError, infer, make_supply
+from freezeml.infer import DVar, InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
@@ -11,16 +14,21 @@ from freezeml.subst import Subst
 from freezeml.syntax import (
     Kind,
     KindEnv,
+    NameSupply,
     RefinedKindEnv,
     TVar,
     TypeEnv,
     alpha_eq,
+    arrow,
+    decompose,
     desugar,
     ftv_ordered,
+    t_int,
 )
-from freezeml.translate import rebuild_derivation
+from freezeml.translate import ground_derivation, rebuild_derivation
 
 from generators import random_ground_type, random_surface_term
+from subst_oracles import inst_wf
 
 
 PRELUDE = build_prelude()
@@ -181,3 +189,89 @@ class TestReplay:
         )
         with pytest.raises(ReplayError):
             replay(EMPTY, PRELUDE, tampered)
+
+
+def inst_wf_apart(delta: KindEnv, prefix: tuple[str, ...], images: tuple) -> bool:
+    """Replay's former Var-rule check: rename the scheme's prefix apart
+    from delta, then judge the instantiation with `inst_wf`."""
+    supply = NameSupply(delta.names() + prefix)
+    apart = tuple(supply.fresh() for _ in prefix)
+    renamed = Subst(dict(zip(apart, images)))
+    return not prefix or inst_wf(delta, renamed, KindEnv(apart), Kind.POLY, KindEnv())
+
+
+class TestReplayVar:
+    def test_image_with_a_rigid_variable_out_of_scope(self):
+        derivation = rebuild_derivation(EMPTY, PRELUDE, desugar(parse_term("id 1")))
+        var = derivation.fn
+        assert isinstance(var, DVar) and var.inst == (t_int,)
+        stray = replace(var, inst=(TVar("r"),), ty=arrow(TVar("r"), TVar("r")))
+        with pytest.raises(ReplayError, match="^DVar: instantiation not well-formed$"):
+            replay(EMPTY, PRELUDE, stray)
+        assert replay(KindEnv(("r",)), PRELUDE, stray) == stray.ty
+
+    def test_prefix_named_like_a_rigid_variable_in_scope(self):
+        # the annotation puts a rigid `a` in scope over the bound term,
+        # where prelude `id : forall a. a -> a` is instantiated at it
+        source = "let (f : forall a. a -> a) = \\x. id x in f 1"
+        term = desugar(parse_term(source))
+        derivation = rebuild_derivation(EMPTY, PRELUDE, term)
+        var = derivation.bound.body.fn
+        assert (var.name, var.prefix, var.inst) == ("id", ("a",), (TVar("a"),))
+        assert replay(EMPTY, PRELUDE, derivation) == t_int
+        # the image `a` is the rigid one, not the prefix's: out of its
+        # scope the node fails even though the prefix binds an `a`
+        assert replay(KindEnv(("a",)), PRELUDE, var) == var.ty
+        with pytest.raises(ReplayError, match="^DVar: instantiation not well-formed$"):
+            replay(EMPTY, PRELUDE, var)
+
+    def test_elaborate_prints_the_annotated_instantiation(self, tmp_path, capsys):
+        from freezeml.cli import main
+
+        path = tmp_path / "shadow.fml"
+        path.write_text("let (f : forall a. a -> a) = \\x. id x in f 1\n", encoding="utf-8")
+        assert main(["elaborate", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "(\\f:forall a. a -> a. f [Int] 1) (/\\a. \\x:a. id [a] x)\n: Int\n"
+        assert err == ""
+
+    def test_kind_check_agrees_with_renamed_apart_inst_wf(self, monkeypatch):
+        # At every Var node replay meets, under the delta it meets it
+        # with and under that delta less each of its names in turn (so
+        # that both verdicts occur), replaying the node alone succeeds
+        # exactly when the old check accepts its instantiation.
+        seen: list = []
+        recorded = declcheck.replay
+
+        def recording(delta, gamma, d):
+            if isinstance(d, DVar):
+                seen.append((delta, gamma, d))
+            return recorded(delta, gamma, d)
+
+        rng = random.Random(2024)
+        accepted = 0
+        verdicts = Counter()
+        while accepted < 2000:
+            term = random_surface_term(rng, (), rng.randrange(1, 7))
+            try:
+                result = check_program(EMPTY, PRELUDE, term)
+            except (InferError, StaticsError):
+                continue
+            accepted += 1
+            grounded = ground_derivation(EMPTY, PRELUDE, result)
+            with monkeypatch.context() as patch:
+                patch.setattr(declcheck, "replay", recording)
+                declcheck.replay(EMPTY, PRELUDE, grounded)
+        for delta, gamma, d in seen:
+            names = delta.names()
+            prefix = decompose(gamma.lookup(d.name))[0]
+            for smaller in (names, *(names[:i] + names[i + 1:] for i in range(len(names)))):
+                narrowed = KindEnv(smaller)
+                try:
+                    verdict = replay(narrowed, gamma, d) is d.ty
+                except ReplayError as err:
+                    assert str(err) == "DVar: instantiation not well-formed"
+                    verdict = False
+                assert verdict == inst_wf_apart(narrowed, prefix, d.inst), (narrowed, d)
+                verdicts[verdict] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 100, verdicts

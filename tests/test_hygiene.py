@@ -2,8 +2,8 @@
 every top-level function and class of the package, and every
 non-dunder method of those classes, has a user other than a re-export
 from the package's ``__init__``, no module raises the recursion limit
-or the thread stack size, and every function the traced benchmark wraps
-still exists."""
+or the thread stack size, no module applies a ``Subst`` it has just
+built, and every function the traced benchmark wraps still exists."""
 
 import ast
 import subprocess
@@ -90,6 +90,44 @@ def test_scan_finds_a_stack_limit_use():
 def test_no_stack_limit_changes():
     found = {
         path.name: stack_limit_uses(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def throwaway_substs(source: str) -> list[str]:
+    """Applications of a `Subst` built in the same expression, such as
+    ``Subst({a: t}).apply(b)``: a map applied once is a `substitute`
+    call, with no `Subst` and no memo to build."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and node.attr in ("apply", "apply_env")):
+            continue
+        built = node.value
+        if isinstance(built, ast.Call):
+            func = built.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Subst":
+                found.append(f"{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_scan_finds_a_throwaway_subst():
+    source = (
+        "from freezeml import subst\n"
+        "a = Subst({'a': t}).apply(b)\n"
+        "g = subst.Subst(pairs).apply_env(gamma)\n"
+        "s = Subst({'a': t})\n"
+        "c = s.apply(b)\n"
+        "d = substitute({'a': t}, b)\n"
+        "e = make(x).apply(b)\n"
+    )
+    assert throwaway_substs(source) == ["apply (line 2)", "apply_env (line 3)"]
+
+
+def test_no_throwaway_substs():
+    found = {
+        path.name: throwaway_substs(path.read_text(encoding="utf-8"))
         for path in PACKAGE.glob("*.py")
     }
     assert {name: uses for name, uses in found.items() if uses} == {}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from freezeml.parser import parse_type
-from freezeml.subst import Subst, inst_wf
+from freezeml.subst import Subst
 from freezeml.syntax import (
     Forall,
     Kind,
@@ -21,7 +21,7 @@ from freezeml.syntax import (
 from freezeml.unify import Store, UnifyError, unify
 
 from generators import abstract_randomly, random_refined_env, random_subst_problem, random_type
-from subst_oracles import demote, identity, subst_wf
+from subst_oracles import demote, identity, inst_wf, subst_wf
 
 
 def ty(src: str):

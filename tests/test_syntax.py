@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,10 @@ from freezeml.infer import make_supply
 from freezeml.parser import parse_term, parse_type, render_term
 from freezeml.subst import Subst
 from freezeml.syntax import (
+    ARROW,
+    BOOL,
+    INT,
+    PAIR,
     Con,
     Forall,
     Freeze,
@@ -37,10 +42,13 @@ from freezeml.syntax import (
     is_gval,
     is_monotype,
     is_value,
+    list_of,
     names,
+    pair_of,
     t_int,
 )
 
+from alpha_eq_oracle import alpha_eq as alpha_eq_oracle
 from generators import random_surface_term, random_type
 
 
@@ -320,6 +328,140 @@ class TestAlphaEq:
         for _ in range(200):
             t = random_type(rng, ("m",), ("p",), depth=4)
             assert alpha_eq(t, t)
+
+    def test_same_node_under_different_binders(self):
+        shared = arrow(TVar("a"), TVar("b"))
+        assert not alpha_eq(Forall("a", shared), Forall("b", shared))
+        assert not alpha_eq(Forall("a", Forall("b", shared)), Forall("b", Forall("a", shared)))
+        assert alpha_eq(arrow(shared, shared), arrow(shared, arrow(TVar("a"), TVar("b"))))
+
+    def test_free_name_equal_to_a_bound_one(self):
+        assert not alpha_eq(Forall("a", TVar("a")), Forall("b", TVar("a")))
+        assert not alpha_eq(Forall("b", TVar("a")), Forall("a", TVar("a")))
+        assert alpha_eq(Forall("b", TVar("a")), Forall("c", TVar("a")))
+
+
+# Bound variables are drawn from the same small pool as free ones, so
+# shadowing binders and free names equal to bound ones are common.
+POOL = ("a", "b", "c")
+
+
+def _skeleton(rng: random.Random, depth: int, binders: int):
+    """A random type shape: bound variables by binder index, free ones by
+    name, binder names left open."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        if binders and rng.random() < 0.6:
+            return ("bound", rng.randrange(binders))
+        return ("free", rng.choice(POOL)) if rng.random() < 0.85 else ("int",)
+    if roll < 0.45:
+        return ("forall", _skeleton(rng, depth - 1, binders + 1))
+    if roll < 0.55:
+        return ("list", _skeleton(rng, depth - 1, binders))
+    con = "arrow" if rng.random() < 0.75 else "pair"
+    return (con, _skeleton(rng, depth - 1, binders), _skeleton(rng, depth - 1, binders))
+
+
+def _realise(rng: random.Random, skel, scope: tuple[str, ...] = ()):
+    """A type of the shape `skel`, each binder named at random from the
+    pool; a bound variable names its binder, even if an inner binder of
+    the same name captures it."""
+    tag = skel[0]
+    if tag == "bound":
+        return TVar(scope[-1 - skel[1]])
+    if tag == "free":
+        return TVar(skel[1])
+    if tag == "int":
+        return t_int
+    if tag == "forall":
+        var = rng.choice(POOL)
+        return Forall(var, _realise(rng, skel[1], scope + (var,)))
+    if tag == "list":
+        return list_of(_realise(rng, skel[1], scope))
+    make = arrow if tag == "arrow" else pair_of
+    return make(_realise(rng, skel[1], scope), _realise(rng, skel[2], scope))
+
+
+def _swap_first_quantifiers(t):
+    """`t` with its first two adjacent quantifiers in pre-order swapped."""
+    if isinstance(t, Forall):
+        if isinstance(t.body, Forall):
+            return Forall(t.body.var, Forall(t.var, t.body.body))
+        return Forall(t.var, _swap_first_quantifiers(t.body))
+    if isinstance(t, Con):
+        return Con(t.con, tuple(_swap_first_quantifiers(arg) for arg in t.args))
+    return t
+
+
+def _flip_first_constructor(t):
+    """`t` with its first constructor in pre-order replaced by another of
+    the same arity (`->` and `Pair`, `Int` and `Bool`), if it has one."""
+    if isinstance(t, Forall):
+        return Forall(t.var, _flip_first_constructor(t.body))
+    if isinstance(t, Con):
+        other = {ARROW: PAIR, PAIR: ARROW, INT: BOOL}.get(t.con)
+        if other is not None:
+            return Con(other, t.args)
+        return Con(t.con, tuple(_flip_first_constructor(arg) for arg in t.args))
+    return t
+
+
+def _type_pair(rng: random.Random):
+    skel = _skeleton(rng, rng.randrange(1, 6), 0)
+    left = _realise(rng, skel)
+    how = rng.randrange(6)
+    if how == 0:  # the same shape, binders named afresh
+        return left, _realise(rng, skel)
+    if how == 1:  # one node under different binder lists
+        return Forall(rng.choice(POOL), left), Forall(rng.choice(POOL), left)
+    if how == 2:  # quantifiers in a different order
+        return left, _swap_first_quantifiers(_realise(rng, skel))
+    if how == 3:  # one node shared by both sides, beside different types
+        other = _realise(rng, _skeleton(rng, 2, 0))
+        return arrow(left, other), arrow(left, _realise(rng, skel))
+    if how == 4:  # one constructor differs
+        return left, _flip_first_constructor(_realise(rng, skel))
+    return left, _realise(rng, _skeleton(rng, rng.randrange(1, 6), 0))
+
+
+class TestAlphaEqOracle:
+    """The explicit-stack walk against the recursive one it replaced."""
+
+    def test_agrees_with_the_recursive_walk(self):
+        rng = random.Random(4711)
+        verdicts = Counter()
+        for _ in range(5000):
+            left, right = _type_pair(rng)
+            expected = alpha_eq_oracle(left, right)
+            assert alpha_eq(left, right) is expected, (left, right)
+            assert alpha_eq(right, left) is expected, (left, right)
+            verdicts[expected] += 1
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
+    @staticmethod
+    def deep_arrow(n: int, leaf: str):
+        t = TVar("a")
+        for i in range(n):
+            t = arrow(TVar(f"b{i % 7}"), t) if i % 2 else arrow(t, t_int)
+        return arrow(t, TVar(leaf))
+
+    @staticmethod
+    def deep_foralls(n: int, names: str, inner: int):
+        # the body names the binder `inner` levels in from the outermost
+        return foralls([f"{names}{i}" for i in range(n)], TVar(f"{names}{inner}"))
+
+    def test_deep_arrow(self):
+        left = self.deep_arrow(10_000, "z")
+        assert alpha_eq(left, self.deep_arrow(10_000, "z"))
+        assert not alpha_eq(left, self.deep_arrow(10_000, "y"))
+        with pytest.raises(RecursionError):
+            alpha_eq_oracle(left, self.deep_arrow(10_000, "z"))
+
+    def test_deep_foralls(self):
+        left = self.deep_foralls(10_000, "p", 17)
+        assert alpha_eq(left, self.deep_foralls(10_000, "q", 17))
+        assert not alpha_eq(left, self.deep_foralls(10_000, "q", 18))
+        assert not alpha_eq(left, self.deep_foralls(9_999, "q", 17))
 
 
 class TestDesugar:
