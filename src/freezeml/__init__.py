@@ -34,6 +34,7 @@ from .syntax import (
 )
 from .systemf import FTerm, f_let, f_typecheck, parse_fterm, render_fterm
 from .translate import (
+    elaborate,
     from_systemf,
     ground_derivation,
     rebuild_derivation,
@@ -57,6 +58,7 @@ __all__ = [
     "check_typing",
     "classify",
     "desugar",
+    "elaborate",
     "env_wf",
     "f_let",
     "f_typecheck",

@@ -3,7 +3,10 @@
 Commands: ``infer`` (print the principal type), ``check`` (test a term
 against a candidate type), ``elaborate`` (print the explicitly typed
 core term), ``import`` (read a core term, print its surface encoding),
-``golden`` (run the bundled example corpus).
+``golden`` (run the bundled example corpus).  ``elaborate`` and
+``infer --show-elab`` print the same core term, from the one
+elaboration path :func:`freezeml.translate.elaborate`, which checks it
+in System F; a failed check is an internal error.
 
 Every command goes through one front door.  Files are read by
 :func:`_read`, and each handler is wrapped by :func:`_front_door`,
@@ -42,14 +45,8 @@ from .parser import (
 from .prelude import build_prelude
 from .statics import StaticsError, kind_of
 from .syntax import KindEnv, Span, TypeEnv, alpha_eq
-from .systemf import FTerm, FTypeError, f_typecheck, parse_fterm, render_fterm
-from .translate import (
-    from_systemf,
-    ground_derivation,
-    readable_fterm,
-    rebuild_derivation,
-    to_systemf,
-)
+from .systemf import FTerm, FTypeError, parse_fterm, render_fterm
+from .translate import elaborate, from_systemf, readable_fterm
 
 EXIT_OK = 0
 EXIT_TYPE_ERROR = 1
@@ -124,10 +121,12 @@ def cmd_infer(args, out, err) -> int:
     gamma = _environment(args)
     delta = KindEnv()
     result = check_program(delta, gamma, surface)
+    # Elaborate before printing, so that a failed self-check prints nothing.
+    core = elaborate(delta, gamma, result)[0] if args.show_elab else None
     rendered = render_type(normalize_type_names(result.ty), unicode=args.unicode)
     print(f"{render_term(surface, unicode=args.unicode)} : {rendered}", file=out)
-    if args.show_elab:
-        _print_core(to_systemf(ground_derivation(delta, gamma, result)), args, out)
+    if core is not None:
+        _print_core(core, args, out)
     return EXIT_OK
 
 
@@ -151,10 +150,7 @@ def cmd_elaborate(args, out, err) -> int:
     term = parse_program(_read(args.path))
     gamma = _environment(args)
     delta = KindEnv()
-    elaborated = to_systemf(rebuild_derivation(delta, gamma, term))
-    # A self-check: elaboration preserves types, so an FTypeError here is
-    # a fault of the checker, not the program's type error, and propagates.
-    checked = f_typecheck(delta, gamma, elaborated)
+    elaborated, checked = elaborate(delta, gamma, check_program(delta, gamma, term))
     _print_core(elaborated, args, out)
     print(
         f": {render_type(normalize_type_names(checked), unicode=args.unicode)}",

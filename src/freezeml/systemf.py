@@ -2,8 +2,13 @@
 
 Types are shared with the surface language.  Type abstractions are
 value-restricted: their bodies must be syntactic values, where values
-are lambdas, type abstractions, literals, and instantiations (a
-variable under zero or more type applications).
+are lambdas, type abstractions, literals, instantiations (a variable
+under zero or more type applications), and value redexes
+``(\\x:A. V) W`` whose body `V` and argument `W` are values.  The
+redex is the image of the surface value ``let x = W in V``: a pure,
+terminating step, so admitting it is the nonexpansive reading of the
+value restriction (Wright 1995; Garrigue, "Relaxing the value
+restriction", 2004) and this implementation's choice.
 
 ``let x^A = M in N`` is sugar for ``(\\x:A. N) M``; the derived let
 typing rule holds by construction.
@@ -91,7 +96,16 @@ def is_instantiation(t: FTerm) -> bool:
 
 
 def is_f_value(t: FTerm) -> bool:
-    return isinstance(t, (FLam, FTyAbs)) or is_instantiation(t)
+    """Is `t` a value?  One walk over the value redexes of `t`, on an
+    explicit stack; it stops at lambdas and type abstractions."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, FApp) and isinstance(t.fn, FLam):
+            stack += (t.fn.body, t.arg)
+        elif not (isinstance(t, (FLam, FTyAbs)) or is_instantiation(t)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,19 @@
 Outbound, a recorded inference derivation drives elaboration: variable
 occurrences become type applications of their recorded instantiations,
 and let-bindings wrap their bound term in the recorded abstraction
-prefix.  Inbound, type abstraction and application are encoded as
-annotated lets whose bound term is instantiated with the ``M@`` sugar,
-as the paper states the translation; :func:`desugar` expands it like
-any other ``@``.  The naive encoding without the ``@`` is kept behind a
-flag as a negative example, since a frozen variable cannot be
-implicitly instantiated to the annotated type.
+prefix.  :func:`elaborate` is the one elaboration path: it grounds and
+replays the derivation, translates it, and typechecks the result in
+System F at the derivation's type, so every core term it returns has
+been checked.
+
+Inbound, type abstraction and application are encoded as annotated lets
+whose bound term is instantiated with the ``M@`` sugar, as the paper
+states the translation; :func:`desugar` expands it like any other
+``@``.  A value redex ``(\\x:A. V) W`` comes back as
+``let (x : A) = W in V``, so the encoding of a core value is a surface
+value.  The naive encoding without the ``@`` is kept behind a flag as a
+negative example, since a frozen variable cannot be implicitly
+instantiated to the annotated type.
 
 The readable names of both directions avoid every name of the core
 term; the walk collecting them leaves types to :func:`names`.
@@ -48,6 +55,7 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
+    alpha_eq,
     arrow,
     decompose,
     foralls,
@@ -63,6 +71,7 @@ from .systemf import (
     FTyAbs,
     FTyApp,
     FVar,
+    TypeMismatch,
     f_let,
     f_tyabs_many,
     f_typecheck,
@@ -70,6 +79,7 @@ from .systemf import (
 
 __all__ = [
     "Derivation",
+    "elaborate",
     "ground_derivation",
     "rebuild_derivation",
     "to_systemf",
@@ -99,6 +109,24 @@ def ground_derivation(
 def rebuild_derivation(delta: KindEnv, gamma: TypeEnv, m: Term) -> Derivation:
     """Check `m` and materialise its grounded, replayed derivation."""
     return ground_derivation(delta, gamma, check_program(delta, gamma, m))
+
+
+def elaborate(
+    delta: KindEnv, gamma: TypeEnv, result: InferResult
+) -> tuple[FTerm, Type]:
+    """The core term of a checked program and its System F type.
+
+    Grounds and replays the derivation, translates it, and typechecks
+    the translation at the derivation's type.  Elaboration preserves
+    types, so an :class:`FTypeError` here is a fault of the checker, not
+    a type error of the program, and propagates.
+    """
+    derivation = ground_derivation(delta, gamma, result)
+    elaborated = to_systemf(derivation)
+    checked = f_typecheck(delta, gamma, elaborated)
+    if not alpha_eq(checked, derivation.ty):
+        raise TypeMismatch(derivation.ty, checked)
+    return elaborated, checked
 
 
 def to_systemf(d: Derivation) -> FTerm:
@@ -135,12 +163,14 @@ def from_systemf(
 ) -> Term:
     """Encode a well-typed core term in the surface language.
 
-    Type abstraction ``/\\a. V`` becomes ``let (x : forall a. A) = V@ in ~x``
-    and type application ``M [B]`` becomes ``let (x : A[B/a]) = M@ in ~x``;
-    the ``@`` sugar is left for :func:`desugar` to expand.  With
-    `naive_tyapp` the ``@`` of the type-application case is left out,
-    which breaks typeability whenever the operand is a frozen variable
-    or application (kept as a negative example on purpose).
+    Type abstraction ``/\\a. V`` becomes ``let (x : forall a. A) = V@ in ~x``,
+    type application ``M [B]`` becomes ``let (x : A[B/a]) = M@ in ~x``,
+    and a value redex ``(\\x:A. V) W`` becomes ``let (x : A) = W in V``,
+    so that the encoding of a value is a value; the ``@`` sugar is left
+    for :func:`desugar` to expand.  With `naive_tyapp` the ``@`` of the
+    type-application case is left out, which breaks typeability whenever
+    the operand is a frozen variable or application (kept as a negative
+    example on purpose).
 
     The let binders get readable names in pre-order, and the annotation
     prefixes readable type names, none of them a name of `t`.  Raises
@@ -154,36 +184,45 @@ def from_systemf(
         {*type_names, *delta.names(), *names(*(ty for _, ty in gamma))[1]}
     )
 
-    def go(env: TypeEnv, x: FTerm) -> tuple[Term, Type]:
-        """The translation of `x` and its F type, by f_typecheck's rules."""
+    def go(env: TypeEnv, x: FTerm) -> tuple[Term, Type, bool]:
+        """The translation of `x`, its F type by f_typecheck's rules, and
+        whether `x` is an F value, read off the flags of its children."""
         if isinstance(x, FVar):
-            return Freeze(x.name), env.lookup(x.name)
+            return Freeze(x.name), env.lookup(x.name), True
         if isinstance(x, FLit):
-            return Lit(x.value), x.type
+            return Lit(x.value), x.type, True
         if isinstance(x, FLam):
-            body, body_ty = go(env.extend(x.var, x.ann), x.body)
-            return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty)
+            body, body_ty, _ = go(env.extend(x.var, x.ann), x.body)
+            return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty), True
+        if isinstance(x, FApp) and isinstance(x.fn, FLam):
+            lam = x.fn
+            body, body_ty, body_value = go(env.extend(lam.var, lam.ann), lam.body)
+            arg, _, arg_value = go(env, x.arg)
+            if body_value and arg_value:
+                return LetAnn(lam.var, lam.ann, arg, body), body_ty, True
+            return App(LamAnn(lam.var, lam.ann, body), arg), body_ty, False
         if isinstance(x, FApp):
-            fn, fn_ty = go(env, x.fn)
-            arg, _ = go(env, x.arg)
-            return App(fn, arg), fn_ty.args[1]
+            fn, fn_ty, _ = go(env, x.fn)
+            arg, _, _ = go(env, x.arg)
+            return App(fn, arg), fn_ty.args[1], False
         if isinstance(x, FTyAbs):
             var = next(binders)
-            translated, body_ty = go(env, x.body)
+            translated, body_ty, _ = go(env, x.body)
             # The body type's own quantifier prefix is about to be peeled
             # into scope over the bound term, where translated inner
             # abstractions restate the same binders; give the annotation
             # copy fresh names so the scopes stay disjoint.
             ann = Forall(x.var, _freshen_prefix(body_ty, letters))
             encoded = LetAnn(var, ann, Inst(translated), Freeze(var))
-            return encoded, Forall(x.var, body_ty)
+            return encoded, Forall(x.var, body_ty), True
         if isinstance(x, FTyApp):
             var = next(binders)
-            translated, fn_ty = go(env, x.fn)
+            translated, fn_ty, fn_value = go(env, x.fn)
             result_ty = substitute({fn_ty.var: x.arg}, fn_ty.body)
             ann = _freshen_prefix(result_ty, letters)
             bound = translated if naive_tyapp else Inst(translated)
-            return LetAnn(var, ann, bound, Freeze(var)), result_ty
+            is_inst = fn_value and isinstance(x.fn, (FVar, FLit, FTyApp))
+            return LetAnn(var, ann, bound, Freeze(var)), result_ty, is_inst
         raise TypeError(f"not an F term: {x!r}")
 
     f_typecheck(delta, gamma, t)  # precondition: every type below exists

@@ -403,10 +403,9 @@ def random_f_term(
             choices.append("lam")
         if isinstance(ty, Forall):
             choices.append("tyabs")
-        if budget > 0 and not value_only:
-            choices.append("app")
         if budget > 0:
-            choices.append("tyapp")
+            # under a type abstraction, only a value redex is an application
+            choices += ("let" if value_only else "app", "tyapp")
         if not choices:
             raise GiveUp
         rng.shuffle(choices)
@@ -448,6 +447,13 @@ def random_f_term(
                         env, dlt, Forall(fresh, pattern), budget - 1, value_only
                     )
                     return FTyApp(operand, sub)
+                if choice == "let":
+                    # a value redex, the image of a surface `let`
+                    arg_ty = random_f_type(rng, tuple(dlt.names()), depth=1)
+                    var = f"x{rng.randrange(10**6)}"
+                    body = inhabit(env.extend(var, arg_ty), dlt, ty, budget - 1, True)
+                    arg = inhabit(env, dlt, arg_ty, budget - 1, True)
+                    return FApp(FLam(var, arg_ty, body), arg)
                 if choice == "app":
                     arg_ty = random_f_type(rng, tuple(dlt.names()), depth=1)
                     fn = inhabit(env, dlt, arrow(arg_ty, ty), budget - 1, False)

@@ -10,11 +10,11 @@ import pytest
 
 from freezeml.cli import load_corpus, run_corpus_row
 from freezeml.declcheck import check_typing, match_instance
-from freezeml.infer import InferError, infer, make_supply
+from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
-from freezeml.subst import Subst
+from freezeml.subst import Subst, substitute
 from freezeml.syntax import (
     Forall,
     Kind,
@@ -26,9 +26,10 @@ from freezeml.syntax import (
     desugar,
     foralls,
     ftv_ordered,
+    t_int,
 )
-from freezeml.systemf import f_typecheck
-from freezeml.translate import from_systemf, rebuild_derivation, to_systemf
+from freezeml.systemf import FApp, FTerm, FTyAbs, f_typecheck
+from freezeml.translate import elaborate, from_systemf, rebuild_derivation, to_systemf
 from freezeml.unify import UnifyError, unify
 
 from dm_oracle import DMError, dm_principal
@@ -282,6 +283,48 @@ def test_criterion_6_elaboration_preservation():
         f"{len(rows)} corpus terms preserved; naive import broke on "
         f"{naive_failures}",
     )
+
+
+def test_elaboration_is_total():
+    """Every program check_program accepts elaborates to an F term typed
+    at its grounded inferred type, and the term's encoding infers it again."""
+    programs = [parse_program(source) for source in ("id@@", "~id@@", "let x = id@ in x")]
+    for seed in range(1000, 3000):
+        rng = random.Random(seed)
+        programs.append(random_surface_term(rng, (), rng.randint(1, 6)))
+    start = time.perf_counter()
+    typed = 0
+    redexes_under_tyabs = 0
+    for term in programs:
+        try:
+            result = check_program(EMPTY, PRELUDE, term)
+        except (InferError, StaticsError):
+            continue
+        grounded = substitute(dict.fromkeys(result.env.names(), t_int), result.ty)
+        fterm, checked = elaborate(EMPTY, PRELUDE, result)
+        assert alpha_eq(checked, grounded), term
+        encoded = from_systemf(EMPTY, PRELUDE, fterm)
+        assert alpha_eq(check_program(EMPTY, PRELUDE, encoded).ty, checked), term
+        typed += 1
+        redexes_under_tyabs += _tyabs_over_redex(fterm)
+    elapsed = time.perf_counter() - start
+    assert typed >= 900, typed
+    assert redexes_under_tyabs >= 3, redexes_under_tyabs
+    report(
+        "elaboration is total",
+        f"{len(programs)} programs, {typed} well-typed ({redexes_under_tyabs} with "
+        f"a redex under a type abstraction), all F-checked and re-imported "
+        f"in {elapsed:.2f}s",
+    )
+
+
+def _tyabs_over_redex(t) -> bool:
+    """Does `t` have a type abstraction whose body is an application, a
+    term that a value grammar without value redexes rejects?"""
+    if isinstance(t, FTyAbs) and isinstance(t.body, FApp):
+        return True
+    children = (child for child in vars(t).values() if isinstance(child, FTerm))
+    return any(_tyabs_over_redex(child) for child in children)
 
 
 def test_criterion_7_import_round_trip():

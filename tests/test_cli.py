@@ -5,9 +5,9 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from freezeml import cli
+from freezeml import cli, translate
 from freezeml.cli import (
     EXIT_OK,
     EXIT_TYPE_ERROR,
@@ -381,20 +381,60 @@ class TestFrontDoor:
     def test_elaboration_self_check_is_not_a_type_error(self, tmp_path, monkeypatch):
         # an ill-typed elaboration is a fault of the checker: it must not
         # be reported as the program's type error (exit 1)
-        monkeypatch.setattr(cli, "to_systemf", lambda derivation: FApp(FLit(1), FLit(2)))
+        monkeypatch.setattr(translate, "to_systemf", lambda derivation: FApp(FLit(1), FLit(2)))
         with pytest.raises(FTypeError):
             run_cli(["elaborate", write(tmp_path, "ex.fml", "1")])
 
-    def test_internal_error_is_one_line_through_main(self, tmp_path):
-        # The elaboration of a let whose bound term is a let is not an F
-        # value, so elaborate's self-check fails: a fault of the checker
-        # (listed in ROADMAP), which main reports without a traceback.
+    def test_internal_error_is_one_line_through_main(self, tmp_path, monkeypatch):
+        # A forced self-check failure is a fault of the checker, which
+        # main reports without a traceback.
+        monkeypatch.setattr(translate, "to_systemf", lambda derivation: FApp(FLit(1), FLit(2)))
         path = write(tmp_path, "ex.fml", "let x = id@ in x")
         code, out, err = run_main(["elaborate", path])
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith(f"{path}: error: internal error: ValueRestriction: ")
+        assert err.startswith(f"{path}: error: internal error: NotAFunction: ")
         assert len(err.splitlines()) == 1
+
+    def test_show_elab_self_check_prints_no_type_line(self, tmp_path, monkeypatch):
+        # `infer --show-elab` elaborates before it prints, so a failed
+        # self-check leaves standard output empty
+        monkeypatch.setattr(translate, "to_systemf", lambda derivation: FApp(FLit(1), FLit(2)))
+        path = write(tmp_path, "ex.fml", "1")
+        code, out, err = run_main(["infer", "--show-elab", path])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"{path}: error: internal error: NotAFunction: ")
+        assert len(err.splitlines()) == 1
+
+
+class TestGeneralisedLetOfLet:
+    """`id@@` binds a let whose bound term is a let: its elaboration puts
+    a value redex under a type abstraction, which the core accepts."""
+
+    @pytest.mark.parametrize("source", ["id@@", "let x = id@ in x"])
+    def test_show_elab_and_elaborate_agree(self, tmp_path, source):
+        path = write(tmp_path, "ex.fml", source)
+        code, shown, err = run_cli(["infer", "--show-elab", path])
+        assert code == EXIT_OK, err
+        code, elaborated, err = run_cli(["elaborate", path])
+        assert code == EXIT_OK, err
+        assert shown.splitlines()[1] == elaborated.splitlines()[0]
+        assert elaborated.splitlines()[1] == ": Int -> Int"
+
+    def test_imports_back(self, tmp_path):
+        code, elaborated, err = run_cli(["elaborate", write(tmp_path, "ex.fml", "id@@")])
+        assert code == EXIT_OK, err
+        assert elaborated.splitlines()[0] == (
+            "(\\x:forall a. a -> a. x [Int]) "
+            "(/\\a. (\\y:forall b. b -> b. y [a]) (/\\b. id [b]))"
+        )
+        fterm = write(tmp_path, "ex.f", elaborated.splitlines()[0])
+        code, encoding, err = run_cli(["import", fterm])
+        assert code == EXIT_OK, err
+        code, inferred, err = run_cli(["infer", write(tmp_path, "enc.fml", encoding)])
+        assert code == EXIT_OK, err
+        assert inferred.endswith(": Int -> Int\n")
 
 
 # Tokens of the surface and the core grammar, some glued into phrases so
@@ -412,11 +452,13 @@ TOKENS = (
 class TestEveryInputGetsAVerdict:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(TOKENS), max_size=14).map(" ".join))
+    @example("~id @ @")  # a let of a let under generalisation
     def test_commands_return_an_exit_code(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("verdict") / "input.txt"
         path.write_text(text, encoding="utf-8")
         for command in (
-            ["infer"], ["infer", "--show-elab"], ["check", "--type", "Int"], ["import"]
+            ["infer"], ["infer", "--show-elab"], ["elaborate"],
+            ["check", "--type", "Int"], ["import"],
         ):
             code, _, err = run_cli([command[0], str(path), *command[1:]])
             assert code in (EXIT_OK, EXIT_TYPE_ERROR, EXIT_USAGE)

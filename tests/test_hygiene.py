@@ -3,7 +3,8 @@ every top-level function and class of the package, and every
 non-dunder method of those classes, has a user other than a re-export
 from the package's ``__init__``, no module raises the recursion limit
 or the thread stack size, no module applies a ``Subst`` it has just
-built, and every function the traced benchmark wraps still exists."""
+built, the CLI elaborates only through ``translate.elaborate``, and
+every function the traced benchmark wraps still exists."""
 
 import ast
 import subprocess
@@ -131,6 +132,51 @@ def test_no_throwaway_substs():
         for path in PACKAGE.glob("*.py")
     }
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+ELABORATION_STEPS = {"to_systemf", "ground_derivation", "rebuild_derivation", "f_typecheck"}
+
+
+def elaboration_steps(source: str) -> list[str]:
+    """References to a step of elaboration by name, attribute, import or
+    string: a caller that takes the steps one by one forks the path that
+    ``translate.elaborate`` checks."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in ELABORATION_STEPS:
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_finds_an_elaboration_step():
+    source = (
+        "from freezeml.translate import elaborate, to_systemf\n"
+        "from freezeml import systemf\n"
+        "checked = systemf.f_typecheck(delta, gamma, t)\n"
+        "d = ground_derivation(delta, gamma, result)\n"
+        "core, ty = elaborate(delta, gamma, result)\n"
+        "step = getattr(translate, 'rebuild_derivation')\n"
+    )
+    assert elaboration_steps(source) == [
+        "to_systemf (line 1)",
+        "f_typecheck (line 3)",
+        "ground_derivation (line 4)",
+        "rebuild_derivation (line 6)",
+    ]
+
+
+def test_cli_elaborates_only_through_translate():
+    assert elaboration_steps((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
 
 
 def references(node: ast.AST) -> Counter:

@@ -76,11 +76,29 @@ class TestTypecheck:
             f_typecheck(EMPTY, NO_VARS, FTyApp(FLit(1), t_int))
 
     def test_value_restriction(self):
-        # an application under a type abstraction is rejected
-        redex = FApp(FLam("x", t_int, FVar("x")), FLit(1))
-        term = FTyAbs("a", redex)
+        # an application that is not a value redex under a type
+        # abstraction is rejected
+        gamma = TypeEnv((("f", ty("Int -> Int")),))
+        term = FTyAbs("a", FApp(FVar("f"), FLit(1)))
         with pytest.raises(ValueRestriction):
-            f_typecheck(EMPTY, NO_VARS, term)
+            f_typecheck(EMPTY, gamma, term)
+
+    def test_value_redexes_are_values(self):
+        # (\x:A. V) W is a value when V and W are, and only then
+        identity = FLam("x", t_int, FVar("x"))
+        gamma = TypeEnv((("f", ty("Int -> Int")),))
+        value = FApp(FLam("y", t_int, identity), FLit(1))
+        assert is_f_value(value)
+        checked = f_typecheck(EMPTY, gamma, FTyAbs("a", value))
+        assert alpha_eq(checked, ty("forall a. Int -> Int"))
+        for redex in (
+            FApp(FLam("y", t_int, FApp(FVar("f"), FVar("y"))), FLit(1)),
+            FApp(FLam("y", t_int, identity), FApp(FVar("f"), FLit(1))),
+            FApp(FVar("f"), FLit(1)),
+        ):
+            assert not is_f_value(redex)
+            with pytest.raises(ValueRestriction):
+                f_typecheck(EMPTY, gamma, FTyAbs("a", redex))
 
     def test_instantiations_are_values(self):
         gamma = TypeEnv((("x", ty("forall a. forall b. a -> b -> a")),))

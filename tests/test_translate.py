@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freezeml import translate
 from freezeml.declcheck import check_typing
 from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type, render_term
@@ -29,11 +30,13 @@ from freezeml.syntax import (
 from freezeml.systemf import (
     FApp,
     FLam,
+    FLit,
     FTyAbs,
     FTyApp,
     FTypeError,
     FVar,
-    ValueRestriction,
+    NotAFunction,
+    TypeMismatch,
     f_typecheck,
     parse_fterm,
     render_fterm,
@@ -188,12 +191,38 @@ class TestToSystemF:
             assert alpha_eq(checked, derivation.ty), row.label
 
     def test_known_limit_generalised_let_of_let(self):
-        # A guarded value that is itself a let elaborates to a redex under
-        # the type abstraction, which the strict value grammar of the core
-        # rejects.  Kept as documentation of the faithful behaviour.
+        # A guarded value that is itself a let elaborates to a value redex
+        # under the type abstraction, which the core counts as a value.
         derivation, elaborated = elaborate("let f = (let y = 5 in \\z. z) in ~f")
-        with pytest.raises(ValueRestriction):
-            f_typecheck(EMPTY, PRELUDE, elaborated)
+        assert isinstance(elaborated.arg, FTyAbs)
+        assert isinstance(elaborated.arg.body, FApp)
+        checked = f_typecheck(EMPTY, PRELUDE, elaborated)
+        assert alpha_eq(checked, derivation.ty)
+
+
+class TestElaborate:
+    """translate.elaborate, the one elaboration path, checks its output."""
+
+    def test_returns_the_term_and_its_type(self):
+        result = check_program(EMPTY, PRELUDE, parse_program("id@@"))
+        fterm, checked = translate.elaborate(EMPTY, PRELUDE, result)
+        assert render_fterm(fterm) == render_fterm(
+            to_systemf(ground_derivation(EMPTY, PRELUDE, result))
+        )
+        assert checked == ty("Int -> Int")
+
+    def test_ill_typed_translation_is_a_fault(self, monkeypatch):
+        monkeypatch.setattr(translate, "to_systemf", lambda d: FApp(FLit(1), FLit(2)))
+        result = check_program(EMPTY, PRELUDE, parse_program("1"))
+        with pytest.raises(NotAFunction):
+            translate.elaborate(EMPTY, PRELUDE, result)
+
+    def test_translation_at_another_type_is_a_fault(self, monkeypatch):
+        # well-typed in F, but not at the derivation's type
+        monkeypatch.setattr(translate, "to_systemf", lambda d: FLit(1))
+        result = check_program(EMPTY, PRELUDE, parse_program("True"))
+        with pytest.raises(TypeMismatch):
+            translate.elaborate(EMPTY, PRELUDE, result)
 
 
 class TestFromSystemF:
