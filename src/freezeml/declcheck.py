@@ -38,6 +38,7 @@ from .syntax import (
     KindEnv,
     NameSupply,
     RefinedKindEnv,
+    Scope,
     TVar,
     Term,
     Type,
@@ -141,7 +142,15 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
     over derivations).  The Var rule's instantiation is well-formed
     exactly when each image has a kind under `delta`, so it is checked
     image by image with :func:`freezeml.statics.kind_of`.
+
+    Γ is held in one :class:`freezeml.syntax.Scope` for the walk, built
+    from `gamma`: each binder pushes its variable for its body and pops
+    it after.
     """
+    return _replay(delta, Scope(gamma), d)
+
+
+def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
     if isinstance(d, DFreeze):
         scheme = gamma.lookup(d.name)
         if scheme is None:
@@ -183,7 +192,8 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
                 _fail(d, "unannotated parameter must be monomorphic")
         except StaticsError as err:
             _fail(d, str(err))
-        body_ty = replay(delta, gamma.extend(d.var, d.arg_ty), d.body)
+        body_ty = _replay(delta, gamma.push(d.var, d.arg_ty), d.body)
+        gamma.pop(d.var)
         if not alpha_eq(d.ty, arrow(d.arg_ty, body_ty)):
             _fail(d, "result type mismatch")
         return d.ty
@@ -193,14 +203,15 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
             kind_of(delta, d.ann)
         except StaticsError as err:
             _fail(d, str(err))
-        body_ty = replay(delta, gamma.extend(d.var, d.ann), d.body)
+        body_ty = _replay(delta, gamma.push(d.var, d.ann), d.body)
+        gamma.pop(d.var)
         if not alpha_eq(d.ty, arrow(d.ann, body_ty)):
             _fail(d, "result type mismatch")
         return d.ty
 
     if isinstance(d, DApp):
-        fn_ty = replay(delta, gamma, d.fn)
-        arg_ty = replay(delta, gamma, d.arg)
+        fn_ty = _replay(delta, gamma, d.fn)
+        arg_ty = _replay(delta, gamma, d.arg)
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             _fail(d, "function position does not have an arrow type")
         if not alpha_eq(fn_ty.args[0], arg_ty):
@@ -213,7 +224,7 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
         prefix, generalisable = gen(delta.names(), d.bound.ty, d.bound)
         if d.gen_prefix != prefix:
             _fail(d, "recorded abstraction prefix disagrees with gen")
-        replay(delta.extend(*generalisable), gamma, d.bound)
+        _replay(delta.extend(*generalisable), gamma, d.bound)
         if prefix:
             if not alpha_eq(d.var_ty, foralls(prefix, d.bound.ty)):
                 _fail(d, "binder type is not the generalised bound type")
@@ -223,7 +234,8 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
             theta_like = RefinedKindEnv((v, Kind.MONO) for v in generalisable)
             if match_instance(delta, theta_like, d.bound.ty, d.var_ty) is None:
                 _fail(d, "binder type is not a monomorphic instance")
-        body_ty = replay(delta, gamma.extend(d.var, d.var_ty), d.body)
+        body_ty = _replay(delta, gamma.push(d.var, d.var_ty), d.body)
+        gamma.pop(d.var)
         if not alpha_eq(body_ty, d.ty):
             _fail(d, "result type mismatch")
         return d.ty
@@ -238,10 +250,11 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
             _fail(d, "recorded split prefix disagrees with split")
         if set(prefix) & set(delta.names()):
             _fail(d, "annotation rebinds a type variable already in scope")
-        bound_ty = replay(delta.extend(*prefix), gamma, d.bound)
+        bound_ty = _replay(delta.extend(*prefix), gamma, d.bound)
         if not alpha_eq(bound_ty, split_ty):
             _fail(d, "bound type differs from the annotation's body")
-        body_ty = replay(delta, gamma.extend(d.var, d.ann), d.body)
+        body_ty = _replay(delta, gamma.push(d.var, d.ann), d.body)
+        gamma.pop(d.var)
         if not alpha_eq(body_ty, d.ty):
             _fail(d, "result type mismatch")
         return d.ty

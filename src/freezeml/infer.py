@@ -287,16 +287,16 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
 
     if isinstance(m, Lam):
         arg_ty = TVar(store.fresh(Kind.MONO))
-        store.bind(m.var, arg_ty)
+        store.gamma.push(m.var, arg_ty)
         body_ty, body_deriv = _infer(store, m.body)
-        store.unbind(m.var)
+        store.gamma.pop(m.var)
         ty = arrow(arg_ty, body_ty)
         return ty, DLam(m.var, body_deriv, m.span, arg_ty=arg_ty, ty=ty)
 
     if isinstance(m, LamAnn):
-        store.bind(m.var, m.ann)
+        store.gamma.push(m.var, m.ann)
         body_ty, body_deriv = _infer(store, m.body)
-        store.unbind(m.var)
+        store.gamma.pop(m.var)
         ty = arrow(m.ann, body_ty)
         return ty, DLamAnn(m.var, m.ann, body_deriv, m.span, ty=ty)
 
@@ -327,9 +327,9 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
                 store.kinds[v] = Kind.MONO
                 store.levels[v] = store.level
         var_ty = foralls(prefix, bound_ty)
-        store.bind(m.var, var_ty)
+        store.gamma.push(m.var, var_ty)
         body_ty, body_deriv = _infer(store, m.body)
-        store.unbind(m.var)
+        store.gamma.pop(m.var)
         return body_ty, DLet(
             m.var, bound_deriv, body_deriv, m.span,
             gen_prefix=prefix, var_ty=var_ty, ty=body_ty,
@@ -358,9 +358,9 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
                 f"annotation variables {sorted(escaped)} escape their binding",
                 m.span,
             )
-        store.bind(m.var, m.ann)
+        store.gamma.push(m.var, m.ann)
         body_ty, body_deriv = _infer(store, m.body)
-        store.unbind(m.var)
+        store.gamma.pop(m.var)
         return body_ty, DLetAnn(
             m.var, m.ann, bound_deriv, body_deriv, m.span,
             split_prefix=prefix, ty=body_ty,

@@ -114,9 +114,9 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     down to a mapped variable is rebuilt.  `memo` maps a rebuilt node's
     id to the node and its image under `mapping`; holding the node keeps
     its id from being reused.  `mapping` may change between calls
-    sharing one memo (the inference store resolving images on demand),
-    but it must already hold every mapped variable free in `a`, and no
-    image a memo entry used may change.
+    sharing one memo only as :func:`freezeml.unify._resolve` changes it,
+    writing resolved images back: it must already hold every mapped
+    variable free in `a`, and no image a memo entry used may change.
     """
     if type(a) is TVar:
         return mapping.get(a.name, a)

@@ -628,3 +628,34 @@ class TypeEnv:
 
     def __repr__(self) -> str:
         return f"TypeEnv({list(self._bindings)!r})"
+
+
+class Scope:
+    """The term environment of one typing walk, as a scoped map.
+
+    Each name maps to its bindings, innermost last: a binder pushes its
+    name on entry and pops it on exit, so entering a scope copies
+    nothing and a lookup reads one list.  :meth:`push` returns the
+    scope, so a walker can hand it straight to the binder's body.
+    Built from the immutable :class:`TypeEnv` a walk is given; it never
+    outlives the walk.
+    """
+
+    __slots__ = ("_bindings",)
+
+    def __init__(self, gamma: Iterable[tuple[str, Type]] = ()) -> None:
+        self._bindings: dict[str, list[Type]] = {}
+        for name, ty in gamma:
+            self.push(name, ty)
+
+    def push(self, name: str, ty: Type) -> "Scope":
+        self._bindings.setdefault(name, []).append(ty)
+        return self
+
+    def pop(self, name: str) -> None:
+        self._bindings[name].pop()
+
+    def lookup(self, name: str) -> Optional[Type]:
+        """The innermost binding of `name`, or None."""
+        bindings = self._bindings.get(name)
+        return bindings[-1] if bindings else None

@@ -26,6 +26,7 @@ from .syntax import (
     Con,
     Forall,
     KindEnv,
+    Scope,
     Type,
     TypeEnv,
     alpha_eq,
@@ -146,8 +147,14 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
 
     System F kinding is the single-kind fixed judgement: every type
     variable in scope classifies, and the poly/mono refinement plays no
-    role here.
+    role here.  Γ is held in one :class:`freezeml.syntax.Scope` for the
+    walk, built from `gamma`: each lambda pushes its variable for its
+    body and pops it after.
     """
+    return _f_typecheck(delta, Scope(gamma), t)
+
+
+def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Type:
     if isinstance(t, FVar):
         ty = gamma.lookup(t.name)
         if ty is None:
@@ -160,11 +167,12 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
             kind_of(delta, t.ann)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
-        body_ty = f_typecheck(delta, gamma.extend(t.var, t.ann), t.body)
+        body_ty = _f_typecheck(delta, gamma.push(t.var, t.ann), t.body)
+        gamma.pop(t.var)
         return arrow(t.ann, body_ty)
     if isinstance(t, FApp):
-        fn_ty = f_typecheck(delta, gamma, t.fn)
-        arg_ty = f_typecheck(delta, gamma, t.arg)
+        fn_ty = _f_typecheck(delta, gamma, t.fn)
+        arg_ty = _f_typecheck(delta, gamma, t.arg)
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             raise NotAFunction(
                 f"cannot apply a term of type {render_type(fn_ty)}"
@@ -181,10 +189,10 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
             raise FTypeError(
                 f"type abstraction rebinds {t.var!r}, already in scope"
             )
-        body_ty = f_typecheck(delta.extend(t.var), gamma, t.body)
+        body_ty = _f_typecheck(delta.extend(t.var), gamma, t.body)
         return Forall(t.var, body_ty)
     if isinstance(t, FTyApp):
-        fn_ty = f_typecheck(delta, gamma, t.fn)
+        fn_ty = _f_typecheck(delta, gamma, t.fn)
         if not isinstance(fn_ty, Forall):
             raise NotAForall(
                 f"cannot instantiate a term of type {render_type(fn_ty)}"

@@ -51,6 +51,7 @@ from .syntax import (
     LamAnn,
     LetAnn,
     Lit,
+    Scope,
     Term,
     TVar,
     Type,
@@ -176,7 +177,8 @@ def from_systemf(
     prefixes readable type names, none of them a name of `t`.  Raises
     :class:`FTypeError` when `t` does not typecheck; otherwise `t` is
     typechecked once, and each annotation is built from the types of
-    the subterms below it.
+    the subterms below it, read off one :class:`freezeml.syntax.Scope`
+    built from `gamma` that each lambda pushes and pops.
     """
     term_names, type_names = _fterm_names(t)
     binders = display_term_names(set(term_names))
@@ -184,7 +186,7 @@ def from_systemf(
         {*type_names, *delta.names(), *names(*(ty for _, ty in gamma))[1]}
     )
 
-    def go(env: TypeEnv, x: FTerm) -> tuple[Term, Type, bool]:
+    def go(env: Scope, x: FTerm) -> tuple[Term, Type, bool]:
         """The translation of `x`, its F type by f_typecheck's rules, and
         whether `x` is an F value, read off the flags of its children."""
         if isinstance(x, FVar):
@@ -192,11 +194,13 @@ def from_systemf(
         if isinstance(x, FLit):
             return Lit(x.value), x.type, True
         if isinstance(x, FLam):
-            body, body_ty, _ = go(env.extend(x.var, x.ann), x.body)
+            body, body_ty, _ = go(env.push(x.var, x.ann), x.body)
+            env.pop(x.var)
             return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty), True
         if isinstance(x, FApp) and isinstance(x.fn, FLam):
             lam = x.fn
-            body, body_ty, body_value = go(env.extend(lam.var, lam.ann), lam.body)
+            body, body_ty, body_value = go(env.push(lam.var, lam.ann), lam.body)
+            env.pop(lam.var)
             arg, _, arg_value = go(env, x.arg)
             if body_value and arg_value:
                 return LetAnn(lam.var, lam.ann, arg, body), body_ty, True
@@ -226,7 +230,7 @@ def from_systemf(
         raise TypeError(f"not an F term: {x!r}")
 
     f_typecheck(delta, gamma, t)  # precondition: every type below exists
-    return go(gamma, t)[0]
+    return go(Scope(gamma), t)[0]
 
 
 def readable_fterm(t: FTerm) -> FTerm:

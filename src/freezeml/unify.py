@@ -4,7 +4,8 @@ One :class:`Store` lives for exactly one :func:`unify` or
 :func:`freezeml.infer.infer` call.  It holds every type variable in
 scope: the rigid ones, and the flexible ones with their kind and their
 let level.  It records the image of each solved flexible variable, in
-the order solved, and holds the term environment as a scoped map.
+the order solved, and holds the term environment as a scoped map, a
+:class:`freezeml.syntax.Scope` that binders push and pop.
 
 The images are union-find links: an image is stored as written, and a
 solved variable met anywhere is read as its image.  Unification follows
@@ -39,6 +40,7 @@ from .syntax import (
     KindEnv,
     NameSupply,
     RefinedKindEnv,
+    Scope,
     TVar,
     Type,
     TypeEnv,
@@ -104,12 +106,11 @@ class Store:
     each flexible variable and of each annotation prefix variable in
     scope.  `images` maps each solved variable to its solution, in the
     order solved, as written: it may mention variables solved later.
-    `gamma` maps each term variable to its bindings, innermost last.
+    `gamma` is the term environment, a :class:`freezeml.syntax.Scope`
+    that binders push and pop.
     """
 
-    __slots__ = (
-        "supply", "rigid", "kinds", "levels", "level", "images", "gamma", "_memo",
-    )
+    __slots__ = ("supply", "rigid", "kinds", "levels", "level", "images", "gamma")
 
     def __init__(
         self,
@@ -124,10 +125,7 @@ class Store:
         self.levels = dict.fromkeys(self.kinds, 0)
         self.level = 0
         self.images: dict[str, Type] = {}
-        self.gamma: dict[str, list[Type]] = {}
-        for name, ty in gamma:
-            self.bind(name, ty)
-        self._memo: dict = {}
+        self.gamma = Scope(gamma)
 
     # -- variables ------------------------------------------------------------
 
@@ -143,16 +141,10 @@ class Store:
 
     # -- the term environment -------------------------------------------------
 
-    def bind(self, name: str, ty: Type) -> None:
-        self.gamma.setdefault(name, []).append(ty)
-
-    def unbind(self, name: str) -> None:
-        self.gamma[name].pop()
-
     def scheme(self, name: str) -> Optional[Type]:
         """The innermost binding of `name`, read through the solution."""
-        bindings = self.gamma.get(name)
-        return self.apply(bindings[-1]) if bindings else None
+        ty = self.gamma.lookup(name)
+        return None if ty is None else self.apply(ty)
 
     # -- solutions ------------------------------------------------------------
 
@@ -160,8 +152,9 @@ class Store:
         """`a` read through the solution."""
         if not self.images:
             return a
-        _resolve(self.images, ftv_ordered(a), self._memo)
-        return _apply(self.images, a, self._memo)
+        memo: dict = {}
+        _resolve(self.images, ftv_ordered(a), memo)
+        return _apply(self.images, a, memo)
 
     def solution(self, names) -> Subst:
         return Subst((n, self.apply(TVar(n))) for n in names)
@@ -268,7 +261,6 @@ class Store:
             message = "a variable of kind mono has a solution of kind poly"
             raise OccursOrKind(message, TVar(var), solution)
         images[var] = solution
-        self._memo = {}
 
 
 def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:

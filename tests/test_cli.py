@@ -544,3 +544,37 @@ class TestSharedPrelude:
         assert (code, out) == (EXIT_TYPE_ERROR, "")
         assert "unbound variable 'id'" in err
         assert bare_first[1] == (EXIT_OK, "id : a -> a\n", "")
+
+
+def test_commands_never_copy_or_search_the_environment(tmp_path, monkeypatch):
+    """Inference, replay, the F checker and the importer each keep Γ in
+    one scoped map per call: on every corpus row the CLI can run, the
+    commands call neither `TypeEnv.extend` nor `TypeEnv.lookup`.  The
+    golden command is left out, since a row's `where` extras extend the
+    prelude by design."""
+    calls = {"extend": 0, "lookup": 0}
+    for name in calls:
+        original = getattr(TypeEnv, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(TypeEnv, name, counting)
+    runs = 0
+    for index, row in enumerate(load_corpus()):
+        if row.extras:
+            continue
+        path = write(tmp_path, f"row{index}.fml", row.source)
+        run_cli(["infer", "--show-elab", path])
+        run_cli(["check", path, "--type", row.expected or "Int"])
+        runs += 2
+        if row.expected is None:
+            continue
+        code, out, _ = run_cli(["elaborate", path])
+        assert code == EXIT_OK, row.label
+        code, _, _ = run_cli(["import", write(tmp_path, f"row{index}.f", out.splitlines()[0])])
+        assert code == EXIT_OK, row.label
+        runs += 2
+    assert runs > 100, runs
+    assert calls == {"extend": 0, "lookup": 0}

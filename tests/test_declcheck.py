@@ -239,13 +239,15 @@ class TestReplayVar:
         # At every Var node replay meets, under the delta it meets it
         # with and under that delta less each of its names in turn (so
         # that both verdicts occur), replaying the node alone succeeds
-        # exactly when the old check accepts its instantiation.
+        # exactly when the old check accepts its instantiation.  The
+        # walker's scope is popped by the time it is read, so each Var
+        # node's binding is recorded as it is met.
         seen: list = []
-        recorded = declcheck.replay
+        recorded = declcheck._replay
 
         def recording(delta, gamma, d):
             if isinstance(d, DVar):
-                seen.append((delta, gamma, d))
+                seen.append((delta, TypeEnv([(d.name, gamma.lookup(d.name))]), d))
             return recorded(delta, gamma, d)
 
         rng = random.Random(2024)
@@ -260,7 +262,7 @@ class TestReplayVar:
             accepted += 1
             grounded = ground_derivation(EMPTY, PRELUDE, result)
             with monkeypatch.context() as patch:
-                patch.setattr(declcheck, "replay", recording)
+                patch.setattr(declcheck, "_replay", recording)
                 declcheck.replay(EMPTY, PRELUDE, grounded)
         for delta, gamma, d in seen:
             names = delta.names()
