@@ -7,7 +7,7 @@ between the two.  The submodules ``freezeml.infer`` and
 """
 
 from .declcheck import check_typing, match_instance, replay
-from .infer import InferResult, check_program, gen, infer_top, split
+from .infer import InferResult, check_program, gen, split
 from .parser import (
     normalize_type_names,
     parse_program,
@@ -18,12 +18,11 @@ from .parser import (
 )
 from .prelude import build_prelude
 from .statics import env_wf, kind_of, wellscoped
-from .subst import Subst, substitute
+from .subst import substitute
 from .syntax import (
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     Term,
     Type,
     TypeEnv,
@@ -45,8 +44,6 @@ __all__ = [
     "Kind",
     "KindEnv",
     "NameSupply",
-    "RefinedKindEnv",
-    "Subst",
     "Term",
     "Type",
     "TypeEnv",
@@ -66,7 +63,6 @@ __all__ = [
     "ftv_ordered",
     "gen",
     "ground_derivation",
-    "infer_top",
     "kind_of",
     "match_instance",
     "normalize_type_names",

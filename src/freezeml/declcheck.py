@@ -30,14 +30,13 @@ from .infer import (
     gen,
 )
 from .statics import StaticsError, kind_of, split
-from .subst import Subst, substitute
+from .subst import substitute
 from .syntax import (
     Con,
     Forall,
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     Scope,
     TVar,
     Term,
@@ -56,10 +55,10 @@ from .syntax import (
 
 def match_instance(
     delta: KindEnv,
-    theta_res: RefinedKindEnv,
+    theta_res: dict[str, Kind],
     pattern: Type,
     target: Type,
-) -> Optional[Subst]:
+) -> Optional[dict[str, Type]]:
     """One-way matching: a substitution over `theta_res` sending `pattern`
     to `target`, respecting kinds, or None.
 
@@ -68,7 +67,7 @@ def match_instance(
     which must not leak into any image.
     """
     supply = NameSupply(
-        (*theta_res.names(), *delta.names(), *names(pattern, target)[1])
+        (*theta_res, *delta.names(), *names(pattern, target)[1])
     )
     bindings: dict[str, Type] = {}
 
@@ -78,7 +77,7 @@ def match_instance(
                 return alpha_eq(bindings[pat.name], tgt)
             if not skolems.isdisjoint(ftv_ordered(tgt)):
                 return False
-            if theta_res.lookup(pat.name) is Kind.MONO and not is_monotype(tgt):
+            if theta_res[pat.name] is Kind.MONO and not is_monotype(tgt):
                 return False
             bindings[pat.name] = tgt
             return True
@@ -100,8 +99,7 @@ def match_instance(
     if not go(pattern, target, frozenset()):
         return None
     # Total over theta_res: unconstrained variables are grounded.
-    full = {name: bindings.get(name, t_int) for name, _ in theta_res}
-    return Subst(full)
+    return {name: bindings.get(name, t_int) for name in theta_res}
 
 
 def check_typing(
@@ -231,7 +229,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         else:
             # Non-generalising branch: binder type must be a monomorphic
             # instantiation of the bound type's generalisable variables.
-            theta_like = RefinedKindEnv((v, Kind.MONO) for v in generalisable)
+            theta_like = dict.fromkeys(generalisable, Kind.MONO)
             if match_instance(delta, theta_like, d.bound.ty, d.var_ty) is None:
                 _fail(d, "binder type is not a monomorphic instance")
         body_ty = _replay(delta, gamma.push(d.var, d.var_ty), d.body)

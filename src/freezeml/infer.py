@@ -9,9 +9,9 @@ derivation as written: their types may mention variables solved later,
 which the store's images link to.  A let reads its bound type through
 the solution once, before it generalises.  :func:`infer` reads the
 result type through the solution and returns the solution restricted to
-the input flexible environment, the paper's form; the derivation is
-read through the solution when first asked for.  The translation to the
-explicit core replays the resolved tree.
+the input flexible environment, the paper's form, as a plain dict; the
+derivation is read through the solution when first asked for.  The
+translation to the explicit core replays the resolved tree.
 
 A derivation node is the term node it derives, with derivations as
 children, plus what its rule chose: its type, an instantiation, a
@@ -40,7 +40,7 @@ from typing import Callable, Optional, Union
 
 from .parser import normalize_type_names, render_type
 from .statics import env_wf, split, wellscoped
-from .subst import Subst, substitute
+from .subst import substitute
 from .syntax import (
     App,
     Freeze,
@@ -54,7 +54,6 @@ from .syntax import (
     LetAnn,
     Lit,
     NameSupply,
-    RefinedKindEnv,
     Span,
     TVar,
     Term,
@@ -223,12 +222,15 @@ def gen(delta_names, a: Type, m: Term) -> tuple[tuple[str, ...], tuple[str, ...]
 
 @dataclass(frozen=True)
 class InferResult:
-    """What :func:`infer` found.  `raw` is the derivation as written and
-    `store` the finished store whose images it links to;
-    :attr:`derivation` reads it through the solution on first read."""
+    """What :func:`infer` found.  `env` is the refined kind environment Θ'
+    of the residual flexible variables, in order of creation; `subst` is
+    the substitution θ, with keys exactly the input Θ's, in its order.
+    `raw` is the derivation as written and `store` the finished store
+    whose images it links to; :attr:`derivation` reads it through the
+    solution on first read."""
 
-    env: RefinedKindEnv
-    subst: Subst
+    env: dict[str, Kind]
+    subst: dict[str, Type]
     ty: Type
     raw: Derivation = field(repr=False, compare=False)
     store: Store = field(repr=False, compare=False)
@@ -241,20 +243,20 @@ class InferResult:
 
 def infer(
     delta: KindEnv,
-    theta: RefinedKindEnv,
+    theta: dict[str, Kind],
     gamma: TypeEnv,
     m: Term,
     supply: NameSupply,
 ) -> InferResult:
     """Infer a type for the desugared, well-scoped term `m`.
 
-    The returned substitution's domain is exactly `theta`, and every type
-    in the derivation is resolved when it is first read.
+    The returned substitution's keys are exactly `theta`'s, and every
+    type in the derivation is resolved when it is first read.
     """
     store = Store(delta, theta, supply, gamma)
     ty, deriv = _infer(store, m)
     return InferResult(
-        store.theta(), store.solution(theta.names()), store.apply(ty), deriv, store
+        store.theta(), store.solution(theta), store.apply(ty), deriv, store
     )
 
 
@@ -372,7 +374,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
 
 
 def make_supply(
-    delta: KindEnv, theta: RefinedKindEnv, gamma: TypeEnv, m: Term
+    delta: KindEnv, theta: dict[str, Kind], gamma: TypeEnv, m: Term
 ) -> NameSupply:
     """The name supply for inferring `m` under `delta`, `theta`; `gamma`.
 
@@ -382,7 +384,7 @@ def make_supply(
     annotations and of Γ, free or bound.
     """
     term_vars, type_vars = names(m, *(ty for _, ty in gamma))
-    return NameSupply((*delta.names(), *theta.names(), *type_vars, *term_vars))
+    return NameSupply((*delta.names(), *theta, *type_vars, *term_vars))
 
 
 def check_program(delta: KindEnv, gamma: TypeEnv, m: Term) -> InferResult:
@@ -394,11 +396,6 @@ def check_program(delta: KindEnv, gamma: TypeEnv, m: Term) -> InferResult:
     """
     m = desugar(m)
     wellscoped(delta, m)
-    env_wf(RefinedKindEnv.of_kind_env(delta), gamma)
-    theta = RefinedKindEnv()
+    env_wf(delta, gamma)
+    theta: dict[str, Kind] = {}
     return infer(delta, theta, gamma, m, make_supply(delta, theta, gamma, m))
-
-
-def infer_top(gamma: TypeEnv, m: Term) -> Type:
-    """The display-normalised type of `m` under empty type environments."""
-    return normalize_type_names(check_program(KindEnv(), gamma, m).ty)

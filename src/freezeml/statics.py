@@ -37,9 +37,11 @@ from .syntax import (
 
 
 class KindingEnv(Protocol):
-    """Anything that maps a type-variable name to its kind, or to None."""
+    """Anything that maps a type-variable name to its kind, or to None:
+    Δ as a :class:`freezeml.syntax.KindEnv`, or a ``dict[str, Kind]``
+    such as a refined kind environment Θ."""
 
-    def lookup(self, name: str) -> Kind | None: ...
+    def get(self, name: str) -> Kind | None: ...
 
 
 class StaticsError(Exception):
@@ -75,7 +77,7 @@ def kind_of(env: KindingEnv, a: Type, bound: frozenset[str] = frozenset()) -> Ki
     monomorphic and shadows `env`.
     """
     if isinstance(a, TVar):
-        kind = Kind.MONO if a.name in bound else env.lookup(a.name)
+        kind = Kind.MONO if a.name in bound else env.get(a.name)
         if kind is None:
             raise UnboundTyVar(a.name)
         return kind
@@ -103,7 +105,7 @@ def env_wf(theta: KindingEnv, gamma: TypeEnv) -> None:
     for var, ty in gamma:
         kind_of(theta, ty)  # raises unless well-formed
         for tv in ftv_ordered(ty):
-            if theta.lookup(tv) is not Kind.MONO:
+            if theta.get(tv) is not Kind.MONO:
                 raise PolyVarInEnv(var, tv)
 
 

@@ -1,21 +1,23 @@
 """Finite maps on type variables: application and composition.
 
 The same application algorithm serves rigid instantiations and flexible
-substitutions.  :func:`substitute` applies a map once, for the many
+substitutions.  A map is a plain ``dict`` from names to types, applied
+simultaneously: an image is final as written, so ``{a: b, b: a}`` swaps
+and never chases.  :func:`substitute` applies a map once, for the many
 callers that open a quantifier or instantiate a prefix and keep only
-the result.  A :class:`Subst` is an immutable,
-simultaneous map: an image is final as written, so ``{a: b, b: a}``
-swaps and never chases.  Composition is explicit (:meth:`Subst.compose`),
-so the soundness and completeness properties of unification and
-inference can be tested as written.  The well-formedness judgements for
-instantiations and flexible substitutions are test oracles, kept with
-the tests that use them.
+the result.
 
 Inference and unification do not compose substitutions as they go.
 They record solutions in one mutable store per call (see
-:class:`freezeml.unify.Store`) and hand back a :class:`Subst` in the
-paper's form, idempotent and with domain exactly the input flexible
-environment, once at the end.
+:class:`freezeml.unify.Store`) and hand back a ``dict`` in the paper's
+form, idempotent and with keys exactly the input flexible environment,
+once at the end.
+
+No module of the checker uses :class:`Subst`, the wrapper with explicit
+composition that the tests take as the reference for the soundness and
+completeness properties.  It stays here only because the traced
+benchmark (``bench/spans.py``) counts calls of :meth:`Subst.compose` and
+:meth:`Subst.apply_env`; both counters read 0.
 """
 
 from __future__ import annotations
@@ -100,8 +102,7 @@ def substitute(mapping: dict[str, Type], a: Type) -> Type:
 
     A one-shot application: nothing is remembered once it returns.  It
     is for a map built only to be applied once, such as the renaming
-    that opens a quantifier or the instantiation of a scheme's prefix;
-    a :class:`Subst` is for a map that is handed back or applied again.
+    that opens a quantifier or the instantiation of a scheme's prefix.
     """
     return _apply(mapping, a, {})
 

@@ -48,9 +48,6 @@ class Kind(enum.Enum):
             return Kind.MONO
         return Kind.POLY
 
-    def le(self, other: "Kind") -> bool:
-        return self is other or (self is Kind.MONO and other is Kind.POLY)
-
     def __str__(self) -> str:
         return self.value
 
@@ -154,10 +151,6 @@ def is_monotype(a: Type) -> bool:
     return False
 
 
-def is_guarded(a: Type) -> bool:
-    return not isinstance(a, Forall)
-
-
 _NO_VARS: dict[str, None] = {}
 
 
@@ -205,42 +198,54 @@ def ftv_ordered(a: Type) -> dict[str, None]:
     return fv
 
 
+_LEAVE = object()  # the exit marker of a quantifier pair on alpha_eq's stack
+
+
 def alpha_eq(a: Type, b: Type) -> bool:
     """Equality up to consistent renaming of quantifier-bound variables.
 
     Free variables are rigid: they must agree by name.  The order of
     quantifiers matters, so ``forall a b. a -> b`` differs from
-    ``forall b a. a -> b``.  The walk keeps the pairs still to compare,
-    each with the binders in scope on either side, on an explicit
-    stack, so deep types compare without recursion.
+    ``forall b a. a -> b``.  The walk keeps the pairs still to compare on
+    an explicit stack, so deep types compare without recursion.  Each
+    quantifier pair gets a number, and each side maps a bound name to
+    the numbers of its binders in scope, innermost last: the pair pushes
+    its binders and leaves an exit marker below its bodies, which pops
+    them, so the walk is linear in quantifier depth.
     """
-    stack: list[tuple[Type, Type, tuple[str, ...], tuple[str, ...]]] = [(a, b, (), ())]
+    left: dict[str, list[int]] = {}
+    right: dict[str, list[int]] = {}
+    pairs = renamed = 0  # quantifier pairs entered, and those in scope named apart
+    leave = _LEAVE
+    stack: list = [(a, b)]
     while stack:
-        x, y, bx, by = stack.pop()
-        if x is y and bx == by:
+        x, y = stack.pop()
+        if x is leave:  # leaving a quantifier pair: y holds its binders
+            left[y[0]].pop()
+            right[y[1]].pop()
+            renamed -= y[0] != y[1]
+            continue
+        if x is y and not renamed:
             # One node under the same binders; shared subtrees are common.
             continue
         cls = type(x)
         if cls is not type(y):
             return False
         if cls is TVar:
-            # Innermost binder position must coincide, or both free.
-            for na, nb in zip(reversed(bx), reversed(by)):
-                hit_a = na == x.name
-                hit_b = nb == y.name
-                if hit_a or hit_b:
-                    if not (hit_a and hit_b):
-                        return False
-                    break
-            else:
-                if x.name != y.name:
-                    return False
+            # Both innermost binders must be of one pair, or both names free and equal.
+            bx, by = left.get(x.name), right.get(y.name)
+            if (bx[-1] if bx else x.name) != (by[-1] if by else y.name):
+                return False
         elif cls is Con:
             if x.con is not y.con and x.con != y.con:
                 return False
-            stack += [(p, q, bx, by) for p, q in zip(x.args, y.args)]
+            stack += zip(x.args, y.args)
         elif cls is Forall:
-            stack.append((x.body, y.body, bx + (x.var,), by + (y.var,)))
+            pairs += 1
+            left.setdefault(x.var, []).append(pairs)
+            right.setdefault(y.var, []).append(pairs)
+            renamed += x.var != y.var
+            stack += ((leave, (x.var, y.var)), (x.body, y.body))
         else:
             return False
     return True
@@ -410,10 +415,6 @@ def classify(m: Term) -> TermClass:
     raise TypeError(f"not a term: {m!r}")
 
 
-def is_value(m: Term) -> bool:
-    return classify(m) >= TermClass.VAL
-
-
 def is_gval(m: Term) -> bool:
     return classify(m) is TermClass.GVAL
 
@@ -530,7 +531,7 @@ class KindEnv:
     def extend(self, *names: str) -> "KindEnv":
         return KindEnv(self._names + names)
 
-    def lookup(self, name: str) -> Optional[Kind]:
+    def get(self, name: str) -> Optional[Kind]:
         return Kind.MONO if name in self._names else None
 
     def __contains__(self, name: str) -> bool:
@@ -550,51 +551,6 @@ class KindEnv:
 
     def __repr__(self) -> str:
         return f"KindEnv({list(self._names)!r})"
-
-
-class RefinedKindEnv:
-    """Ordered flexible type variables, each at kind mono or poly."""
-
-    __slots__ = ("_kinds",)
-
-    def __init__(self, entries: Iterable[tuple[str, Kind]] = ()) -> None:
-        kinds: dict[str, Kind] = {}
-        for name, kind in entries:
-            assert name not in kinds, f"duplicate flexible variable {name}"
-            kinds[name] = kind
-        self._kinds = kinds
-
-    @staticmethod
-    def of_kind_env(delta: KindEnv) -> "RefinedKindEnv":
-        return RefinedKindEnv((name, Kind.MONO) for name in delta)
-
-    def entries(self) -> tuple[tuple[str, Kind], ...]:
-        return tuple(self._kinds.items())
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._kinds)
-
-    def lookup(self, name: str) -> Optional[Kind]:
-        return self._kinds.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._kinds
-
-    def __iter__(self) -> Iterator[tuple[str, Kind]]:
-        return iter(self._kinds.items())
-
-    def __len__(self) -> int:
-        return len(self._kinds)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RefinedKindEnv) and self.entries() == other.entries()
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
-
-    def __repr__(self) -> str:
-        pretty = ", ".join(f"{n}:{k}" for n, k in self._kinds.items())
-        return f"RefinedKindEnv({pretty})"
 
 
 class TypeEnv:

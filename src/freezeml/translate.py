@@ -101,7 +101,7 @@ def ground_derivation(
     and one memo serves every type of the tree.  The finished tree is
     replayed through the declarative rules as a self-check.
     """
-    images = {**result.store.images, **dict.fromkeys(result.env.names(), t_int)}
+    images = {**result.store.images, **dict.fromkeys(result.env, t_int)}
     derivation = result.raw.map_types(reader(images))
     replay(delta, gamma, derivation)
     return derivation

@@ -23,8 +23,9 @@ which must not appear in any image solved since.
 
 Reading a type through the solution (:meth:`Store.apply`) resolves the
 images it reaches and writes each resolved image back.  The public
-:func:`unify` returns the paper's form, an idempotent substitution with
-domain exactly the input environment.
+:func:`unify` returns the paper's Θ' and θ' as plain dicts: the refined
+kind environment in order of creation, and an idempotent substitution
+with keys exactly the input environment's, in its order.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from __future__ import annotations
 from itertools import islice
 from typing import Callable, Iterable, Optional
 
-from .subst import Subst, _apply, substitute
+from .subst import _apply, substitute
 from .syntax import (
     Con,
     Forall,
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     Scope,
     TVar,
     Type,
@@ -83,19 +83,19 @@ class StructureMismatch(UnifyError):
 
 def unify(
     delta: KindEnv,
-    theta: RefinedKindEnv,
+    theta: dict[str, Kind],
     a: Type,
     b: Type,
-) -> tuple[RefinedKindEnv, Subst]:
+) -> tuple[dict[str, Kind], dict[str, Type]]:
     """Most general unifier of `a` and `b`.
 
     Returns the updated refined environment and a substitution theta'
-    with domain exactly the input environment's variables.
+    with keys exactly the input environment's variables.
     """
-    supply = NameSupply((*delta.names(), *theta.names(), *names(a, b)[1]))
+    supply = NameSupply((*delta.names(), *theta, *names(a, b)[1]))
     store = Store(delta, theta, supply)
     store.unify(a, b)
-    return store.theta(), store.solution(theta.names())
+    return store.theta(), store.solution(theta)
 
 
 class Store:
@@ -115,7 +115,7 @@ class Store:
     def __init__(
         self,
         delta: KindEnv,
-        theta: RefinedKindEnv,
+        theta: dict[str, Kind],
         supply: NameSupply,
         gamma: TypeEnv = TypeEnv(),
     ) -> None:
@@ -136,8 +136,9 @@ class Store:
         self.levels[name] = self.level
         return name
 
-    def theta(self) -> RefinedKindEnv:
-        return RefinedKindEnv(self.kinds.items())
+    def theta(self) -> dict[str, Kind]:
+        """The unsolved flexible variables and their kinds, as a new dict."""
+        return dict(self.kinds)
 
     # -- the term environment -------------------------------------------------
 
@@ -156,8 +157,9 @@ class Store:
         _resolve(self.images, ftv_ordered(a), memo)
         return _apply(self.images, a, memo)
 
-    def solution(self, names) -> Subst:
-        return Subst((n, self.apply(TVar(n))) for n in names)
+    def solution(self, names: Iterable[str]) -> dict[str, Type]:
+        """Each of `names` read through the solution, as a new dict."""
+        return {n: self.apply(TVar(n)) for n in names}
 
     # -- unification ----------------------------------------------------------
 

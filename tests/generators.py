@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from freezeml.subst import Subst
+from freezeml.subst import substitute
 from freezeml.syntax import (
     App,
     Con,
@@ -24,7 +24,6 @@ from freezeml.syntax import (
     Let,
     LetAnn,
     Lit,
-    RefinedKindEnv,
     TVar,
     Term,
     Type,
@@ -97,22 +96,25 @@ def random_type(
     )
 
 
-def kinding_env(delta: KindEnv, theta: RefinedKindEnv) -> RefinedKindEnv:
-    """Rigid and flexible variables in one environment, for kinding."""
-    return RefinedKindEnv((*RefinedKindEnv.of_kind_env(delta), *theta))
+def kinding_env(delta: KindEnv, theta: dict[str, Kind]) -> dict[str, Kind]:
+    """Rigid and flexible variables in one environment, for kinding.
+
+    The two must be disjoint, or joining them would conflate two
+    variables.
+    """
+    assert set(delta).isdisjoint(theta), f"rigid and flexible overlap: {delta} {theta}"
+    return {**dict.fromkeys(delta, Kind.MONO), **theta}
 
 
 def random_refined_env(
     rng: random.Random, size: int, prefix: str = "t"
-) -> RefinedKindEnv:
-    return RefinedKindEnv(
-        (f"{prefix}{i}", rng.choice((Kind.MONO, Kind.POLY))) for i in range(size)
-    )
+) -> dict[str, Kind]:
+    return {f"{prefix}{i}": rng.choice((Kind.MONO, Kind.POLY)) for i in range(size)}
 
 
 def random_env_and_types(
     rng: random.Random,
-) -> tuple[KindEnv, RefinedKindEnv, Type, Type]:
+) -> tuple[KindEnv, dict[str, Kind], Type, Type]:
     """A well-kinded unification problem with a decent success rate.
 
     Both types are built by abstracting random binder-free subterms of a
@@ -122,9 +124,9 @@ def random_env_and_types(
     delta = KindEnv(f"r{i}" for i in range(rng.randrange(0, 3)))
     theta = random_refined_env(rng, rng.randrange(1, 5))
     mono = tuple(delta.names()) + tuple(
-        n for n, k in theta if k is Kind.MONO
+        n for n, k in theta.items() if k is Kind.MONO
     )
-    poly = tuple(n for n, k in theta if k is Kind.POLY)
+    poly = tuple(n for n, k in theta.items() if k is Kind.POLY)
     if rng.random() < 0.3:
         # Independent pair: mostly exercises failure paths.
         a = random_type(rng, mono, poly, depth=3)
@@ -160,7 +162,7 @@ def replace_at(t: Type, path: tuple[int, ...], replacement: Type) -> Type:
 def abstract_randomly(
     rng: random.Random,
     target: Type,
-    theta: RefinedKindEnv,
+    theta: dict[str, Kind],
     delta_names: tuple[str, ...],
 ) -> Type:
     """Replace a few binder-free subterms of `target` with flexible vars.
@@ -175,7 +177,7 @@ def abstract_randomly(
         path, sub = rng.choice(positions)
         candidates = [
             n
-            for n, k in theta
+            for n, k in theta.items()
             if (k is Kind.POLY or is_monotype(sub))
             and (n not in used or used[n] == sub)
         ]
@@ -193,7 +195,7 @@ def random_ground_type(rng: random.Random, depth: int = 2, kind: Kind = Kind.POL
 
 def random_subst_problem(
     rng: random.Random,
-) -> tuple[KindEnv, RefinedKindEnv, RefinedKindEnv, Subst, Type, Type]:
+) -> tuple[KindEnv, dict[str, Kind], dict[str, Kind], dict[str, Type], Type, Type]:
     """(delta, theta, theta_out, theta_subst, A, B) with theta(A) == theta(B).
 
     theta maps the base part of theta into the image part (on which it
@@ -204,20 +206,20 @@ def random_subst_problem(
     image_env = random_refined_env(rng, rng.randrange(1, 4), prefix="i")
     base_env = random_refined_env(rng, rng.randrange(1, 4), prefix="b")
     image_mono = tuple(delta.names()) + tuple(
-        n for n, k in image_env if k is Kind.MONO
+        n for n, k in image_env.items() if k is Kind.MONO
     )
-    image_poly = tuple(n for n, k in image_env if k is Kind.POLY)
-    mapping: dict[str, Type] = {}
-    for name, kind in base_env:
-        mapping[name] = random_type(rng, image_mono, image_poly, depth=2, kind=kind)
-    for name, _ in image_env:
-        mapping[name] = TVar(name)
-    theta_subst = Subst(mapping)
-    theta = RefinedKindEnv(tuple(base_env) + tuple(image_env))
+    image_poly = tuple(n for n, k in image_env.items() if k is Kind.POLY)
+    theta_subst: dict[str, Type] = {}
+    for name, kind in base_env.items():
+        theta_subst[name] = random_type(rng, image_mono, image_poly, depth=2, kind=kind)
+    for name in image_env:
+        theta_subst[name] = TVar(name)
+    # base and image names carry different prefixes, so they never clash
+    theta = {**base_env, **image_env}
 
-    base_mono = tuple(delta.names()) + tuple(n for n, k in base_env if k is Kind.MONO)
-    base_poly = tuple(n for n, k in base_env if k is Kind.POLY)
-    base_names = {n for n, _ in base_env}
+    base_mono = tuple(delta.names()) + tuple(n for n, k in base_env.items() if k is Kind.MONO)
+    base_poly = tuple(n for n, k in base_env.items() if k is Kind.POLY)
+    base_names = set(base_env)
     a = random_type(
         rng, base_mono + image_mono[len(delta.names()):], base_poly + image_poly, depth=3
     )
@@ -230,10 +232,10 @@ def random_subst_problem(
             base_poly + image_poly,
             depth=3,
         )
-    instance = theta_subst.apply(a)
+    instance = substitute(theta_subst, a)
     b = instance
-    for name, _ in base_env:
-        image = theta_subst.lookup(name)
+    for name in base_env:
+        image = theta_subst[name]
         positions = [
             (path, sub)
             for path, sub in top_level_positions(b)

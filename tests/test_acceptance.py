@@ -14,12 +14,11 @@ from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
-from freezeml.subst import Subst, substitute
+from freezeml.subst import substitute
 from freezeml.syntax import (
     Forall,
     Kind,
     KindEnv,
-    RefinedKindEnv,
     TypeEnv,
     alpha_eq,
     decompose,
@@ -83,7 +82,7 @@ def test_criterion_2_unification_soundness():
             theta_out, subst = unify(delta, theta, a, b)
         except UnifyError:
             continue
-        assert alpha_eq(subst.apply(a), subst.apply(b)), (a, b)
+        assert alpha_eq(substitute(subst, a), substitute(subst, b)), (a, b)
         assert subst_wf(delta, subst, theta, theta_out), (a, b)
         successes += 1
     elapsed = time.perf_counter() - start
@@ -105,12 +104,12 @@ def test_criterion_3_unification_completeness():
     checked = 0
     for _ in range(total):
         delta, theta, theta_out, subst, a, b = random_subst_problem(rng)
-        assert alpha_eq(subst.apply(a), subst.apply(b))
+        assert alpha_eq(substitute(subst, a), substitute(subst, b))
         theta_mid, mgu = unify(delta, theta, a, b)  # must not fail
         factor = factor_through(delta, theta_mid, mgu, subst)
         assert factor is not None, (a, b)
-        for name in subst.domain():
-            assert alpha_eq(factor.apply(mgu.lookup(name)), subst.lookup(name))
+        for name in subst:
+            assert alpha_eq(substitute(factor, mgu[name]), subst[name])
         checked += 1
     assert checked >= 1000
     report(
@@ -138,11 +137,11 @@ def test_criterion_4_inference_soundness():
     total = 1100
     for term in _generate_wellscoped_terms(20240503, total):
         try:
-            supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-            result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+            supply = make_supply(EMPTY, {}, PRELUDE, term)
+            result = infer(EMPTY, {}, PRELUDE, term, supply)
         except InferError:
             continue
-        rigidified = KindEnv(result.env.names())
+        rigidified = KindEnv(result.env)
         assert check_typing(rigidified, PRELUDE, term, result.ty), term
         successes += 1
     assert total >= 1000
@@ -155,12 +154,12 @@ def test_criterion_4_inference_soundness():
 
 def _random_instance(rng, theta_res, result_ty):
     mapping = {}
-    for name, kind in theta_res:
+    for name, kind in theta_res.items():
         if kind is Kind.MONO:
             mapping[name] = random_ground_type(rng, depth=1, kind=Kind.MONO)
         else:
             mapping[name] = random_ground_type(rng, depth=1, kind=Kind.POLY)
-    return Subst(mapping), Subst(mapping).apply(result_ty)
+    return mapping, substitute(mapping, result_ty)
 
 
 CRAFTED_TYPEABLE = (
@@ -185,12 +184,12 @@ def test_criterion_5_principality():
     typeable = []
     for source in CRAFTED_TYPEABLE:
         term = desugar(parse_program(source))
-        supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-        typeable.append((term, infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)))
+        supply = make_supply(EMPTY, {}, PRELUDE, term)
+        typeable.append((term, infer(EMPTY, {}, PRELUDE, term, supply)))
     for term in _generate_wellscoped_terms(20240505, 4000):
         try:
-            supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-            result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+            supply = make_supply(EMPTY, {}, PRELUDE, term)
+            result = infer(EMPTY, {}, PRELUDE, term, supply)
         except InferError:
             continue
         typeable.append((term, result))
@@ -209,18 +208,18 @@ def test_criterion_5_principality():
         # poly image at a monomorphic slot must be rejected
         mono_slots = [
             name
-            for name, kind in result.env
+            for name, kind in result.env.items()
             if kind is Kind.MONO and name in ftv_ordered(result.ty)
         ]
         if mono_slots:
             bad_slot = rng.choice(mono_slots)
             mapping = {}
-            for name, kind in result.env:
+            for name, kind in result.env.items():
                 if name == bad_slot:
                     mapping[name] = parse_type("forall a. a -> a")
                 else:
                     mapping[name] = random_ground_type(rng, depth=1, kind=Kind.MONO)
-            candidate = Subst(mapping).apply(result.ty)
+            candidate = substitute(mapping, result.ty)
             assert not check_typing(EMPTY, PRELUDE, term, candidate), (
                 term,
                 candidate,
@@ -228,7 +227,7 @@ def test_criterion_5_principality():
             negative_checks += 1
         # quantifier-prefix reorder where the order matters
         prefix, body = decompose(result.ty)
-        if len(prefix) >= 2 and not set(prefix) & set(result.env.names()):
+        if len(prefix) >= 2 and not set(prefix) & set(result.env):
             swapped = (prefix[1], prefix[0]) + prefix[2:]
             candidate = foralls(swapped, body)
             if not alpha_eq(candidate, result.ty) and not ftv_ordered(candidate):
@@ -263,8 +262,8 @@ def test_criterion_6_elaboration_preservation():
         naive_core = desugar(naive)
         try:
             wellscoped(EMPTY, naive_core)
-            supply = make_supply(EMPTY, RefinedKindEnv(), gamma, naive_core)
-            naive_ty = infer(EMPTY, RefinedKindEnv(), gamma, naive_core, supply).ty
+            supply = make_supply(EMPTY, {}, gamma, naive_core)
+            naive_ty = infer(EMPTY, {}, gamma, naive_core, supply).ty
             if not alpha_eq(naive_ty, checked):
                 naive_failures += 1
         except (InferError, StaticsError):
@@ -300,7 +299,7 @@ def test_elaboration_is_total():
             result = check_program(EMPTY, PRELUDE, term)
         except (InferError, StaticsError):
             continue
-        grounded = substitute(dict.fromkeys(result.env.names(), t_int), result.ty)
+        grounded = substitute(dict.fromkeys(result.env, t_int), result.ty)
         fterm, checked = elaborate(EMPTY, PRELUDE, result)
         assert alpha_eq(checked, grounded), term
         encoded = from_systemf(EMPTY, PRELUDE, fterm)
@@ -342,8 +341,8 @@ def test_criterion_7_import_round_trip():
         expected = f_typecheck(EMPTY, PRELUDE, fterm)
         encoded = desugar(from_systemf(EMPTY, PRELUDE, fterm))
         wellscoped(EMPTY, encoded)
-        supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, encoded)
-        inferred = infer(EMPTY, RefinedKindEnv(), PRELUDE, encoded, supply).ty
+        supply = make_supply(EMPTY, {}, PRELUDE, encoded)
+        inferred = infer(EMPTY, {}, PRELUDE, encoded, supply).ty
         assert alpha_eq(inferred, expected), fterm
         checked += 1
     elapsed = time.perf_counter() - start
@@ -370,8 +369,8 @@ def test_criterion_8_conservativity():
         except DMError:
             oracle_ok = False
         try:
-            supply = make_supply(EMPTY, RefinedKindEnv(), gamma, term)
-            ours = infer(EMPTY, RefinedKindEnv(), gamma, term, supply).ty
+            supply = make_supply(EMPTY, {}, gamma, term)
+            ours = infer(EMPTY, {}, gamma, term, supply).ty
             ours_ok = True
         except (InferError, StaticsError):
             ours_ok = False

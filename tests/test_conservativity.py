@@ -15,7 +15,6 @@ from freezeml.syntax import (
     Con,
     Forall,
     KindEnv,
-    RefinedKindEnv,
     TVar,
     Type,
     TypeEnv,
@@ -67,8 +66,8 @@ def canonical(ty: Type) -> Type:
 
 
 def freezeml_ml_infer(gamma: TypeEnv, term) -> Type:
-    supply = make_supply(KindEnv(), RefinedKindEnv(), gamma, term)
-    return infer(KindEnv(), RefinedKindEnv(), gamma, term, supply).ty
+    supply = make_supply(KindEnv(), {}, gamma, term)
+    return infer(KindEnv(), {}, gamma, term, supply).ty
 
 
 class TestOracleSelfChecks:

@@ -10,12 +10,10 @@ from freezeml.infer import DVar, InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
-from freezeml.subst import Subst
 from freezeml.syntax import (
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     TVar,
     TypeEnv,
     alpha_eq,
@@ -40,14 +38,14 @@ def ty(src: str):
 
 
 def flex(*entries):
-    return RefinedKindEnv(entries)
+    return dict(entries)
 
 
 class TestMatchInstance:
     def test_mono_slot_accepts_monotype(self):
         res = match_instance(EMPTY, flex(("a", Kind.MONO)), ty("a -> a"), ty("Int -> Int"))
         assert res is not None
-        assert res.lookup("a") == ty("Int")
+        assert res["a"] == ty("Int")
 
     def test_shape_mismatch(self):
         res = match_instance(
@@ -87,7 +85,14 @@ class TestMatchInstance:
             ty("forall d. d -> Int"),
         )
         assert res is not None
-        assert res.lookup("a") == ty("Int")
+        assert res["a"] == ty("Int")
+
+    def test_empty_match_is_an_empty_dict(self):
+        # a match over no flexible variables succeeds with {}, which is
+        # falsy: success is told from failure by `is None` only
+        res = match_instance(EMPTY, flex(), ty("Int -> Int"), ty("Int -> Int"))
+        assert res is not None and res == {}
+        assert match_instance(EMPTY, flex(), ty("Int"), ty("Bool")) is None
 
     def test_skolem_cannot_leak_into_image(self):
         res = match_instance(
@@ -126,11 +131,11 @@ class TestCheckTyping:
             term = desugar(random_surface_term(rng, (), rng.randrange(0, 5)))
             try:
                 wellscoped(EMPTY, term)
-                supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-                result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+                supply = make_supply(EMPTY, {}, PRELUDE, term)
+                result = infer(EMPTY, {}, PRELUDE, term, supply)
             except (InferError, StaticsError):
                 continue
-            rigidified = KindEnv(result.env.names())
+            rigidified = KindEnv(result.env)
             assert check_typing(rigidified, PRELUDE, term, result.ty)
             checked += 1
         assert checked >= 60
@@ -196,7 +201,7 @@ def inst_wf_apart(delta: KindEnv, prefix: tuple[str, ...], images: tuple) -> boo
     from delta, then judge the instantiation with `inst_wf`."""
     supply = NameSupply(delta.names() + prefix)
     apart = tuple(supply.fresh() for _ in prefix)
-    renamed = Subst(dict(zip(apart, images)))
+    renamed = dict(zip(apart, images))
     return not prefix or inst_wf(delta, renamed, KindEnv(apart), Kind.POLY, KindEnv())
 
 

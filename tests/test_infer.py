@@ -12,7 +12,6 @@ from freezeml.infer import (
     check_program,
     gen,
     infer,
-    infer_top,
     make_supply,
     split,
 )
@@ -24,9 +23,10 @@ from freezeml.syntax import (
     KindEnv,
     Lam,
     NameSupply,
-    RefinedKindEnv,
     Span,
     TVar,
+    Term,
+    Type,
     TypeEnv,
     Var,
     alpha_eq,
@@ -34,6 +34,7 @@ from freezeml.syntax import (
     classify,
     desugar,
     ftv_ordered,
+    internal_index,
 )
 
 from generators import random_surface_term
@@ -44,6 +45,11 @@ PRELUDE = build_prelude()
 
 def ty(src: str):
     return parse_type(src)
+
+
+def infer_top(gamma: TypeEnv, m: Term) -> Type:
+    """The display-normalised type of `m` under empty type environments."""
+    return normalize_type_names(check_program(KindEnv(), gamma, m).ty)
 
 
 def infer_str(source: str):
@@ -178,7 +184,7 @@ class TestDeterminism:
         source = "let f = \\x. choose x in (f 1, poly ~id)"
         term = desugar(parse_term(source))
         delta = KindEnv()
-        theta = RefinedKindEnv()
+        theta: dict[str, Kind] = {}
 
         def run():
             supply = make_supply(delta, theta, PRELUDE, term)
@@ -187,13 +193,13 @@ class TestDeterminism:
         first = run()
         second = run()
         assert first.ty == second.ty
-        assert first.env == second.env
-        assert first.subst == second.subst
+        assert list(first.env.items()) == list(second.env.items())
+        assert list(first.subst.items()) == list(second.subst.items())
 
     def test_generated_terms_deterministic(self):
         rng = random.Random(13)
         delta = KindEnv()
-        theta = RefinedKindEnv()
+        theta: dict[str, Kind] = {}
         checked = 0
         for _ in range(200):
             term = desugar(random_surface_term(rng, (), rng.randrange(0, 5)))
@@ -211,9 +217,45 @@ class TestDeterminism:
             except InferError:
                 continue
             second = run()
-            assert first.ty == second.ty and first.env == second.env
+            assert first.ty == second.ty
+            assert list(first.env.items()) == list(second.env.items())
             checked += 1
         assert checked >= 30
+
+
+class TestDictOutputs:
+    """Inference hands back Θ' and θ as plain dicts, in a fixed order."""
+
+    def test_subst_keys_are_the_input_flexibles_in_order(self):
+        delta = KindEnv()
+        theta = {"w": Kind.POLY, "u": Kind.MONO, "v": Kind.MONO}
+        gamma = PRELUDE.extend("x", arrow(TVar("u"), TVar("v")))
+        term = desugar(parse_term("x 1"))
+        result = infer(delta, theta, gamma, term, make_supply(delta, theta, gamma, term))
+        assert type(result.subst) is dict and type(result.env) is dict
+        assert list(result.subst) == ["w", "u", "v"]
+        assert result.subst["u"] == ty("Int") and result.subst["w"] == TVar("w")
+        # the result variable is created after the input ones
+        assert list(result.env.items()) == [("w", Kind.POLY), (result.ty.name, Kind.MONO)]
+        assert list(theta) == ["w", "u", "v"]  # the input is not touched
+
+    def test_env_lists_residuals_in_creation_order(self):
+        result = check_program(KindEnv(), PRELUDE, desugar(parse_term("\\f x. f x")))
+        assert list(result.env) == list(ftv_ordered(result.ty))
+        assert set(result.env.values()) == {Kind.MONO}
+        # the supply numbers variables in creation order
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(1500):
+            term = random_surface_term(rng, (), rng.randint(2, 6))
+            try:
+                result = check_program(KindEnv(), PRELUDE, term)
+            except (InferError, StaticsError):
+                continue
+            indices = [internal_index(name) for name in result.env]
+            assert None not in indices and indices == sorted(indices)
+            checked += len(indices) >= 2
+        assert checked >= 100, checked
 
 
 class TestSchemeEdgeCases:
@@ -306,7 +348,7 @@ class TestFreshnessHygiene:
         delta = KindEnv()
         checked = 0
         for _ in range(300):
-            theta = RefinedKindEnv((("u", Kind.MONO), ("w", Kind.POLY)))
+            theta = {"u": Kind.MONO, "w": Kind.POLY}
             gamma = PRELUDE.extend("x", arrow(TVar("u"), ty("Int")))
             term = desugar(random_surface_term(rng, ("x",), rng.randrange(0, 4)))
             try:
@@ -315,7 +357,7 @@ class TestFreshnessHygiene:
                 result = infer(delta, theta, gamma, term, supply)
             except (InferError, StaticsError):
                 continue
-            assert result.subst.lookup("w") == TVar("w")
+            assert result.subst["w"] == TVar("w")
             assert "w" not in ftv_ordered(result.ty)
             checked += 1
         assert checked >= 50

@@ -14,11 +14,9 @@ from freezeml.infer import CannotUnify, InferError, infer, make_supply
 from freezeml.parser import parse_term, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, env_wf, kind_of, wellscoped
-from freezeml.subst import Subst
 from freezeml.syntax import (
     Kind,
     KindEnv,
-    RefinedKindEnv,
     TVar,
     TypeEnv,
     arrow,
@@ -30,7 +28,7 @@ from freezeml.syntax import (
 from freezeml.unify import StructureMismatch, UnifyError, unify
 
 from generators import kinding_env, random_surface_term
-from subst_oracles import is_identity, subst_wf
+from subst_oracles import Subst, is_identity, subst_wf
 
 PRELUDE = build_prelude()
 EMPTY = KindEnv()
@@ -46,9 +44,7 @@ class TestInferResultContract:
         delta = KindEnv(("r0",))
         checked = 0
         for _ in range(600):
-            theta = RefinedKindEnv(
-                (("u0", Kind.MONO), ("u1", Kind.MONO), ("w0", Kind.POLY))
-            )
+            theta = {"u0": Kind.MONO, "u1": Kind.MONO, "w0": Kind.POLY}
             gamma = PRELUDE.extend("g", arrow(TVar("u0"), TVar("u1"))).extend(
                 "h", arrow(TVar("r0"), TVar("u0"))
             )
@@ -64,17 +60,18 @@ class TestInferResultContract:
                 continue
             checked += 1
             # domain discipline: exactly the input environment
-            assert set(result.subst.domain()) == set(theta.names())
+            assert set(result.subst) == set(theta)
             # the substitution is well-formed into the output environment
             assert subst_wf(delta, result.subst, theta, result.env)
             # the result type is well-kinded in the output environment
             kind_of(kinding_env(delta, result.env), result.ty)
             # the substituted environment stays well-formed
-            env_wf(kinding_env(delta, result.env), result.subst.apply_env(gamma))
+            solved_gamma = Subst(result.subst).apply_env(gamma)
+            env_wf(kinding_env(delta, result.env), solved_gamma)
             # the derivation replays once the residual variables are
             # grounded, in the environment the substitution produced
-            grounding = Subst({name: t_int for name, _ in result.env})
-            grounded_gamma = grounding.apply_env(result.subst.apply_env(gamma))
+            grounding = Subst({name: t_int for name in result.env})
+            grounded_gamma = grounding.apply_env(solved_gamma)
             replay(delta, grounded_gamma, result.derivation.map_types(grounding.apply))
         assert checked >= 100, checked
 
@@ -89,8 +86,8 @@ class TestInferResultContract:
                 continue
             try:
                 wellscoped(EMPTY, term)
-                supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-                result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+                supply = make_supply(EMPTY, {}, PRELUDE, term)
+                result = infer(EMPTY, {}, PRELUDE, term, supply)
             except (InferError, StaticsError):
                 continue
             arg_ty = result.ty.args[0]
@@ -107,10 +104,10 @@ class TestAnnotatedLetEdges:
         with pytest.raises(CannotUnify) as err:
             infer(
                 EMPTY,
-                RefinedKindEnv(),
+                {},
                 PRELUDE,
                 term,
-                make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term),
+                make_supply(EMPTY, {}, PRELUDE, term),
             )
         assert isinstance(err.value.cause, StructureMismatch)
 
@@ -121,14 +118,14 @@ class TestAnnotatedLetEdges:
             )
         )
         wellscoped(EMPTY, term)
-        supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-        result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+        supply = make_supply(EMPTY, {}, PRELUDE, term)
+        result = infer(EMPTY, {}, PRELUDE, term, supply)
         assert result.ty == ty("Int")
 
     def test_annotated_let_on_non_value_requires_exact_type(self):
         ok = desugar(parse_term("let (f : forall a. a -> a) = head ids in ~f"))
-        supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, ok)
-        result = infer(EMPTY, RefinedKindEnv(), PRELUDE, ok, supply)
+        supply = make_supply(EMPTY, {}, PRELUDE, ok)
+        result = infer(EMPTY, {}, PRELUDE, ok, supply)
         assert result.ty == ty("forall a. a -> a")
 
     def test_overly_general_annotation_rejected(self):
@@ -139,10 +136,10 @@ class TestAnnotatedLetEdges:
         with pytest.raises(InferError):
             infer(
                 EMPTY,
-                RefinedKindEnv(),
+                {},
                 PRELUDE,
                 term,
-                make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term),
+                make_supply(EMPTY, {}, PRELUDE, term),
             )
 
 
@@ -159,10 +156,10 @@ class TestShadowingRejected:
         with pytest.raises(InferError):
             infer(
                 delta,
-                RefinedKindEnv(),
+                {},
                 gamma,
                 term,
-                make_supply(delta, RefinedKindEnv(), gamma, term),
+                make_supply(delta, {}, gamma, term),
             )
 
     def test_nested_annotated_lets_must_rename(self):
@@ -184,8 +181,8 @@ class TestShadowingRejected:
             )
         )
         wellscoped(EMPTY, term)
-        supply = make_supply(EMPTY, RefinedKindEnv(), PRELUDE, term)
-        result = infer(EMPTY, RefinedKindEnv(), PRELUDE, term, supply)
+        supply = make_supply(EMPTY, {}, PRELUDE, term)
+        result = infer(EMPTY, {}, PRELUDE, term, supply)
         assert result.ty == ty("(Int, forall a. [a])")
 
     def test_f_tyabs_cannot_rebind(self):
@@ -200,34 +197,34 @@ class TestUnifyEdges:
     def test_shadowed_quantifiers(self):
         a = ty("forall a. forall a. a -> a")
         b = ty("forall b. forall c. c -> c")
-        theta_out, subst = unify(EMPTY, RefinedKindEnv(), a, b)
+        theta_out, subst = unify(EMPTY, {}, a, b)
         assert is_identity(subst)
 
     def test_flexible_flexible_mono_poly(self):
-        theta = RefinedKindEnv((("m", Kind.MONO), ("p", Kind.POLY)))
+        theta = {"m": Kind.MONO, "p": Kind.POLY}
         theta_out, subst = unify(EMPTY, theta, TVar("m"), TVar("p"))
         # solving either orientation demotes the polymorphic side
-        remaining = theta_out.names()
+        remaining = tuple(theta_out)
         assert len(remaining) == 1
-        assert theta_out.lookup(remaining[0]) is Kind.MONO
+        assert theta_out[remaining[0]] is Kind.MONO
 
     def test_rigid_solution_for_flexible(self):
         delta = KindEnv(("r",))
-        theta = RefinedKindEnv((("m", Kind.MONO),))
+        theta = {"m": Kind.MONO}
         theta_out, subst = unify(delta, theta, TVar("m"), TVar("r"))
-        assert subst.lookup("m") == TVar("r")
+        assert subst["m"] == TVar("r")
 
     def test_nested_skolem_scoping(self):
         # forall a. [forall b. a -> b] against itself, alpha-varied
         a = ty("forall a. [forall b. a -> b]")
         b = ty("forall c. [forall d. c -> d]")
-        theta_out, subst = unify(EMPTY, RefinedKindEnv(), a, b)
+        theta_out, subst = unify(EMPTY, {}, a, b)
         assert is_identity(subst)
 
     def test_deep_demotion_chain(self):
         # u:mono against [v], then v against a polytype must fail
-        theta = RefinedKindEnv((("u", Kind.MONO), ("v", Kind.POLY)))
+        theta = {"u": Kind.MONO, "v": Kind.POLY}
         theta1, s1 = unify(EMPTY, theta, TVar("u"), list_of(TVar("v")))
-        assert theta1.lookup("v") is Kind.MONO
+        assert theta1["v"] is Kind.MONO
         with pytest.raises(UnifyError):
             unify(EMPTY, theta1, TVar("v"), ty("forall a. a -> a"))

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from freezeml.parser import parse_type
-from freezeml.subst import Subst
+from freezeml.subst import substitute
 from freezeml.syntax import (
     Forall,
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     TVar,
     alpha_eq,
     arrow,
@@ -21,7 +20,7 @@ from freezeml.syntax import (
 from freezeml.unify import Store, UnifyError, unify
 
 from generators import abstract_randomly, random_refined_env, random_subst_problem, random_type
-from subst_oracles import demote, identity, inst_wf, subst_wf
+from subst_oracles import Subst, demote, identity, inst_wf, kind_le, subst_wf
 
 
 def ty(src: str):
@@ -79,7 +78,7 @@ class TestCompose:
     def test_identity_left(self):
         s = Subst({"a": ty("Int -> Int")})
         names = s.domain()
-        assert identity(("a",)).compose(s) == s
+        assert Subst(identity(("a",))).compose(s) == s
 
     def test_pointwise(self):
         outer = Subst({"b": t_int})
@@ -97,9 +96,10 @@ class TestCompose:
         rng = random.Random(37)
         for _ in range(300):
             delta, theta, theta_out, s1, a, _ = random_subst_problem(rng)
-            out_names = theta_out.names()
+            s1 = Subst(s1)
+            out_names = tuple(theta_out)
             mapping = {}
-            for name, kind in theta_out:
+            for name, kind in theta_out.items():
                 mapping[name] = (
                     t_int if kind is Kind.MONO else ty("forall a. a -> a")
                 )
@@ -115,7 +115,7 @@ class TestStoreSolutions:
     def test_capture_through_a_later_solution(self):
         # a's image binds b; a later solve maps c to the rigid b
         delta = KindEnv(("b",))
-        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO)))
+        theta = {"a": Kind.POLY, "c": Kind.MONO}
         image = Forall("b", arrow(TVar("c"), TVar("b")))
         store = Store(delta, theta, NameSupply())
         store.unify(TVar("a"), image)
@@ -127,7 +127,7 @@ class TestStoreSolutions:
         assert store.apply(TVar("c")) == TVar("b")
         chained = store.solution(("a",))
         # the same capture reached through a chain c -> d -> b
-        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO), ("d", Kind.MONO)))
+        theta = {"a": Kind.POLY, "c": Kind.MONO, "d": Kind.MONO}
         longer = Store(delta, theta, NameSupply())
         longer.unify(TVar("a"), image)
         longer.unify(TVar("c"), TVar("d"))
@@ -137,14 +137,14 @@ class TestStoreSolutions:
 
     def test_capture_through_unification(self):
         delta = KindEnv(("b",))
-        theta = RefinedKindEnv((("a", Kind.POLY), ("c", Kind.MONO)))
+        theta = {"a": Kind.POLY, "c": Kind.MONO}
         env, chained = unify(
             delta,
             theta,
             pair_of(TVar("a"), TVar("c")),
             pair_of(ty("forall b. c -> b"), TVar("b")),
         )
-        assert alpha_eq(chained.lookup("a"), ty("forall x. b -> x"))
+        assert alpha_eq(chained["a"], ty("forall x. b -> x"))
         assert subst_wf(delta, chained, theta, env)
 
     def test_chained_unifiers_match_simultaneous_composition(self):
@@ -153,15 +153,15 @@ class TestStoreSolutions:
         for _ in range(300):
             delta = KindEnv(f"r{i}" for i in range(rng.randrange(0, 3)))
             theta0 = random_refined_env(rng, rng.randrange(2, 7))
-            mono = tuple(delta.names()) + tuple(n for n, k in theta0 if k is Kind.MONO)
-            poly = tuple(n for n, k in theta0 if k is Kind.POLY)
+            mono = tuple(delta.names()) + tuple(n for n, k in theta0.items() if k is Kind.MONO)
+            poly = tuple(n for n, k in theta0.items() if k is Kind.POLY)
             env = theta0
             store = Store(delta, theta0, NameSupply())
-            reference = identity(theta0.names())
+            reference = Subst(identity(theta0))
             for _ in range(rng.randrange(2, 7)):
                 if rng.random() < 0.5:
-                    name = rng.choice(theta0.names())
-                    kind = theta0.lookup(name)
+                    name = rng.choice(tuple(theta0))
+                    kind = theta0[name]
                     a = TVar(name)
                     b = random_type(rng, mono, poly, depth=2, kind=kind)
                 else:
@@ -178,14 +178,14 @@ class TestStoreSolutions:
                         store.unify(store.apply(a), store.apply(b))
                     break
                 store.unify(store.apply(a), store.apply(b))
-                assert store.theta() == env_ref
-                reference = step_ref.compose(reference)
+                assert list(store.theta().items()) == list(env_ref.items())
+                reference = Subst(step_ref).compose(reference)
                 env = env_ref
                 steps += 1
-                resolved = store.solution(theta0.names())
-                assert resolved.domain() == reference.domain()
-                for name in theta0.names():
-                    assert alpha_eq(resolved.lookup(name), reference.lookup(name))
+                resolved = store.solution(theta0)
+                assert tuple(resolved) == reference.domain()
+                for name in theta0:
+                    assert alpha_eq(resolved[name], reference.lookup(name))
                 assert subst_wf(delta, resolved, theta0, env)
                 probe = random_type(rng, mono, poly, depth=3)
                 assert alpha_eq(store.apply(probe), reference.apply(probe))
@@ -194,31 +194,27 @@ class TestStoreSolutions:
 
 class TestSubstWf:
     def test_mono_image_ok(self):
-        theta = Subst({"a": t_int})
-        assert subst_wf(EMPTY, theta, RefinedKindEnv((("a", Kind.MONO),)), RefinedKindEnv())
+        theta = {"a": t_int}
+        assert subst_wf(EMPTY, theta, {"a": Kind.MONO}, {})
 
     def test_poly_image_at_mono_slot_rejected(self):
-        theta = Subst({"a": ty("forall b. b -> b")})
-        assert not subst_wf(
-            EMPTY, theta, RefinedKindEnv((("a", Kind.MONO),)), RefinedKindEnv()
-        )
+        theta = {"a": ty("forall b. b -> b")}
+        assert not subst_wf(EMPTY, theta, {"a": Kind.MONO}, {})
 
     def test_poly_image_at_poly_slot_ok(self):
-        theta = Subst({"a": ty("forall b. b -> b")})
-        assert subst_wf(
-            EMPTY, theta, RefinedKindEnv((("a", Kind.POLY),)), RefinedKindEnv()
-        )
+        theta = {"a": ty("forall b. b -> b")}
+        assert subst_wf(EMPTY, theta, {"a": Kind.POLY}, {})
 
     def test_s_identity(self):
-        theta_env = RefinedKindEnv((("a", Kind.MONO), ("b", Kind.POLY)))
-        ident = identity(theta_env.names())
+        theta_env = {"a": Kind.MONO, "b": Kind.POLY}
+        ident = identity(theta_env)
         assert subst_wf(EMPTY, ident, theta_env, theta_env)
 
     def test_s_weaken(self):
-        theta_env = RefinedKindEnv((("a", Kind.MONO),))
-        theta = Subst({"a": t_int})
-        assert subst_wf(EMPTY, theta, theta_env, RefinedKindEnv())
-        wider = RefinedKindEnv((("c", Kind.POLY),))
+        theta_env = {"a": Kind.MONO}
+        theta = {"a": t_int}
+        assert subst_wf(EMPTY, theta, theta_env, {})
+        wider = {"c": Kind.POLY}
         assert subst_wf(KindEnv(("r",)), theta, theta_env, wider)
 
     def test_s_compose(self):
@@ -227,30 +223,30 @@ class TestSubstWf:
             delta, theta_env, theta_out, s1, _, _ = random_subst_problem(rng)
             mapping = {
                 name: (t_int if kind is Kind.MONO else ty("forall a. a -> a"))
-                for name, kind in theta_out
+                for name, kind in theta_out.items()
             }
-            s2 = Subst(mapping)
             assert subst_wf(delta, s1, theta_env, theta_out)
-            assert subst_wf(delta, s2, theta_out, RefinedKindEnv())
-            assert subst_wf(delta, s2.compose(s1), theta_env, RefinedKindEnv())
+            assert subst_wf(delta, mapping, theta_out, {})
+            composed = Subst(mapping).compose(Subst(s1))
+            assert subst_wf(delta, dict(composed.items()), theta_env, {})
 
     def test_s_strengthen(self):
         delta = KindEnv(("r", "s"))
-        theta_env = RefinedKindEnv((("a", Kind.MONO),))
-        theta = Subst({"a": t_int})
-        out = RefinedKindEnv((("c", Kind.POLY),))
+        theta_env = {"a": Kind.MONO}
+        theta = {"a": t_int}
+        out = {"c": Kind.POLY}
         assert subst_wf(delta, theta, theta_env, out)
         # ftv(theta) mentions neither 's' nor 'c'
-        assert subst_wf(KindEnv(("r",)), theta, theta_env, RefinedKindEnv())
+        assert subst_wf(KindEnv(("r",)), theta, theta_env, {})
 
 
 class TestInstWf:
     def test_mono_image(self):
-        inst = Subst({"a": t_int})
+        inst = {"a": t_int}
         assert inst_wf(EMPTY, inst, KindEnv(("a",)), Kind.MONO, EMPTY)
 
     def test_poly_image_needs_poly_mode(self):
-        inst = Subst({"a": ty("forall b. b -> b")})
+        inst = {"a": ty("forall b. b -> b")}
         assert not inst_wf(EMPTY, inst, KindEnv(("a",)), Kind.MONO, EMPTY)
         assert inst_wf(EMPTY, inst, KindEnv(("a",)), Kind.POLY, EMPTY)
 
@@ -269,29 +265,28 @@ class TestInstWf:
                 )
                 for name in inner
             }
-            inst = Subst(mapping)
-            assert inst_wf(delta, inst, inner, mode, EMPTY)
+            assert inst_wf(delta, mapping, inner, mode, EMPTY)
             source = random_type(
                 rng, tuple(delta.names()) + tuple(inner.names()), (), depth=3
             )
             k = kind_of(KindEnv(delta.names() + inner.names()), source)
-            image_kind = kind_of(delta, inst.apply(source))
-            assert image_kind.le(k.join(mode))
+            image_kind = kind_of(delta, substitute(mapping, source))
+            assert kind_le(image_kind, k.join(mode))
 
 
 class TestDemote:
     def test_poly_is_identity(self):
-        theta = RefinedKindEnv((("a", Kind.POLY),))
+        theta = {"a": Kind.POLY}
         assert demote(Kind.POLY, theta, ("a",)) == theta
 
     def test_mono_demotes_listed_only(self):
-        theta = RefinedKindEnv((("a", Kind.POLY), ("b", Kind.POLY)))
+        theta = {"a": Kind.POLY, "b": Kind.POLY}
         out = demote(Kind.MONO, theta, ("a",))
-        assert out.lookup("a") is Kind.MONO
-        assert out.lookup("b") is Kind.POLY
+        assert out["a"] is Kind.MONO
+        assert out["b"] is Kind.POLY
 
     def test_empty(self):
-        assert demote(Kind.MONO, RefinedKindEnv(), ("a",)) == RefinedKindEnv()
+        assert demote(Kind.MONO, {}, ("a",)) == {}
 
     def test_demote_soundness(self):
         # variables preserved, and the identity is a well-formed
@@ -302,9 +297,9 @@ class TestDemote:
                 (f"t{i}", rng.choice((Kind.MONO, Kind.POLY)))
                 for i in range(rng.randrange(1, 6))
             ]
-            theta = RefinedKindEnv(entries)
+            theta = dict(entries)
             chosen = tuple(name for name, _ in entries if rng.random() < 0.5)
             demoted = demote(Kind.MONO, theta, chosen)
-            assert demoted.names() == theta.names()
-            ident = identity(theta.names())
+            assert list(demoted) == list(theta)
+            ident = identity(theta)
             assert subst_wf(EMPTY, ident, theta, demoted)

@@ -4,7 +4,7 @@ import pytest
 
 from freezeml.parser import parse_type
 from freezeml.prelude import build_prelude
-from freezeml.subst import Subst
+from freezeml.subst import substitute
 from freezeml.syntax import KindEnv, TypeEnv, alpha_eq, arrow, t_int
 from freezeml.systemf import (
     FApp,
@@ -170,7 +170,7 @@ class TestUniqueness:
                 continue
             arg = random_f_type(rng, (), depth=1)
             applied = f_typecheck(EMPTY, PRELUDE, FTyApp(term, arg))
-            expected = Subst({body_ty.var: arg}).apply(body_ty.body)
+            expected = substitute({body_ty.var: arg}, body_ty.body)
             assert alpha_eq(applied, expected)
             checked += 1
         assert checked >= 20

@@ -5,12 +5,11 @@ import pytest
 from freezeml.declcheck import match_instance
 from freezeml.parser import parse_type
 from freezeml.statics import kind_of
-from freezeml.subst import Subst
+from freezeml.subst import substitute
 from freezeml.syntax import (
     Kind,
     KindEnv,
     NameSupply,
-    RefinedKindEnv,
     TVar,
     alpha_eq,
     arrow,
@@ -32,7 +31,7 @@ from freezeml.unify import (
 )
 
 from generators import random_env_and_types, random_subst_problem
-from subst_oracles import is_identity, subst_wf
+from subst_oracles import Subst, is_identity, subst_wf
 
 
 def ty(src: str):
@@ -40,11 +39,11 @@ def ty(src: str):
 
 
 EMPTY = KindEnv()
-NO_FLEX = RefinedKindEnv()
+NO_FLEX: dict[str, Kind] = {}
 
 
 def flex(*entries):
-    return RefinedKindEnv(entries)
+    return dict(entries)
 
 
 class TestUnifyCases:
@@ -57,7 +56,7 @@ class TestUnifyCases:
         theta = flex(("a", Kind.POLY))
         theta_out, subst = unify(EMPTY, theta, TVar("a"), ty("forall b. b -> b"))
         assert theta_out == NO_FLEX
-        assert alpha_eq(subst.lookup("a"), ty("forall b. b -> b"))
+        assert alpha_eq(subst["a"], ty("forall b. b -> b"))
 
     def test_flexible_mono_rejects_polytype(self):
         theta = flex(("a", Kind.MONO))
@@ -97,7 +96,7 @@ class TestUnifyCases:
         # demotes those flexibles
         theta = flex(("a", Kind.MONO), ("b", Kind.POLY))
         theta_out, subst = unify(EMPTY, theta, TVar("a"), arrow(TVar("b"), t_int))
-        assert theta_out.lookup("b") is Kind.MONO
+        assert theta_out["b"] is Kind.MONO
         # a demoted variable can no longer take a polytype
         with pytest.raises(OccursOrKind):
             unify(EMPTY, theta_out, TVar("b"), ty("forall c. c -> c"))
@@ -119,7 +118,37 @@ class TestUnifyCases:
 
 
 def store_of(rigid=(), **kinds):
-    return Store(KindEnv(rigid), RefinedKindEnv(kinds.items()), NameSupply())
+    return Store(KindEnv(rigid), kinds, NameSupply())
+
+
+class TestDictOutputs:
+    """Unification hands back Θ' and θ' as plain dicts, in a fixed order."""
+
+    def test_keys_follow_the_input_order(self):
+        theta = {"c": Kind.POLY, "a": Kind.MONO, "b": Kind.POLY, "d": Kind.MONO}
+        theta_out, subst = unify(
+            EMPTY, theta, arrow(TVar("a"), TVar("c")), arrow(t_int, TVar("b"))
+        )
+        assert type(theta_out) is dict and type(subst) is dict
+        assert list(subst) == ["c", "a", "b", "d"]
+        assert subst == {"c": TVar("b"), "a": t_int, "b": TVar("b"), "d": TVar("d")}
+        assert list(theta_out.items()) == [("b", Kind.POLY), ("d", Kind.MONO)]
+        assert list(theta) == ["c", "a", "b", "d"]  # the input is not touched
+
+    def test_store_hands_back_fresh_dicts(self):
+        store = store_of(a=Kind.POLY, b=Kind.MONO)
+        store.unify(TVar("a"), list_of(TVar("b")))
+        kinds = store.theta()
+        assert kinds == {"b": Kind.MONO} and kinds is not store.kinds
+        kinds["z"] = Kind.POLY
+        del kinds["b"]
+        assert store.theta() == {"b": Kind.MONO}
+        solution = store.solution(["a", "b"])
+        assert solution == {"a": list_of(TVar("b")), "b": TVar("b")}
+        assert solution is not store.images
+        solution["a"] = t_int
+        assert store.apply(TVar("a")) == list_of(TVar("b"))
+        assert store.solution(["a"]) == {"a": list_of(TVar("b"))}
 
 
 class TestErrorsThroughLinks:
@@ -206,7 +235,7 @@ def check_sound(delta, theta, a, b):
         theta_out, subst = unify(delta, theta, a, b)
     except UnifyError:
         return False
-    assert alpha_eq(subst.apply(a), subst.apply(b)), (a, b, subst)
+    assert alpha_eq(substitute(subst, a), substitute(subst, b)), (a, b, subst)
     assert subst_wf(delta, subst, theta, theta_out), (a, b, subst, theta_out)
     return True
 
@@ -245,14 +274,14 @@ def factor_through(delta, theta_mid, subst_general, subst_specific):
     Returns a substitution over theta_mid with
     ``factor . subst_general == subst_specific`` pointwise, or None.
     """
-    domain = subst_general.domain()
+    domain = tuple(subst_general)
     if not domain:
-        return Subst({})
+        return {}
     pattern = None
     target = None
     for name in reversed(domain):
-        p = subst_general.lookup(name)
-        t = subst_specific.lookup(name)
+        p = subst_general[name]
+        t = subst_specific[name]
         pattern = p if pattern is None else arrow(p, pattern)
         target = t if target is None else arrow(t, target)
     return match_instance(delta, theta_mid, pattern, target)
@@ -264,15 +293,13 @@ class TestCompleteness:
         checked = 0
         for _ in range(1200):
             delta, theta, theta_out, subst, a, b = random_subst_problem(rng)
-            assert alpha_eq(subst.apply(a), subst.apply(b))
+            assert alpha_eq(substitute(subst, a), substitute(subst, b))
             theta_mid, mgu = unify(delta, theta, a, b)
             # the most general unifier factors the constructed one
             factor = factor_through(delta, theta_mid, mgu, subst)
             assert factor is not None, (a, b, mgu, subst)
-            for name in subst.domain():
-                assert alpha_eq(
-                    factor.apply(mgu.lookup(name)), subst.lookup(name)
-                )
+            for name in subst:
+                assert alpha_eq(substitute(factor, mgu[name]), subst[name])
             checked += 1
         assert checked >= 1000
 
@@ -284,7 +311,7 @@ class TestCompleteness:
                 theta_out, subst = unify(delta, theta, a, b)
             except UnifyError:
                 continue
-            assert set(theta_out.names()) <= set(theta.names())
-            image_vars = set(subst.ftv())
-            for name in theta_out.names():
+            assert set(theta_out) <= set(theta)
+            image_vars = set(Subst(subst).ftv())
+            for name in theta_out:
                 assert name in image_vars
