@@ -4,7 +4,11 @@ One :class:`freezeml.unify.Store` lives for each :func:`infer` call.
 The cases read and extend it: fresh flexible variables enter at the
 current let level, unification solves them in place, binders push and
 pop the term environment, and a variable's type is read through the
-solution when it is used.  Each case returns its inferred type and a
+solution when it is used.  An application whose function type is an
+arrow, as written or through a solved variable, unifies the arrow's
+domain with the argument's type and has its codomain as its type; any
+other function type is unified with ``argument -> b`` for a fresh ``b``,
+as in the paper.  Each case returns its inferred type and a
 derivation as written: their types may mention variables solved later,
 which the store's images link to.  A let reads its bound type through
 the solution once, before it generalises.  :func:`infer` reads the
@@ -42,7 +46,9 @@ from .parser import normalize_type_names, render_type
 from .statics import env_wf, split, wellscoped
 from .subst import substitute
 from .syntax import (
+    ARROW,
     App,
+    Con,
     Freeze,
     Gen,
     Inst,
@@ -305,8 +311,15 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
     if isinstance(m, App):
         fn_ty, fn_deriv = _infer(store, m.fn)
         arg_ty, arg_deriv = _infer(store, m.arg)
-        result_ty = TVar(store.fresh(Kind.POLY))
-        _unify(store, fn_ty, arrow(arg_ty, result_ty), m.span)
+        head = store.head(fn_ty)
+        if type(head) is Con and head.con == ARROW:
+            # A known arrow is taken apart: its domain meets the argument
+            # and its codomain is the result, with no fresh variable.
+            domain, result_ty = head.args
+            _unify(store, domain, arg_ty, m.span)
+        else:
+            result_ty = TVar(store.fresh(Kind.POLY))
+            _unify(store, fn_ty, arrow(arg_ty, result_ty), m.span)
         return result_ty, DApp(fn_deriv, arg_deriv, m.span, ty=result_ty)
 
     if isinstance(m, Let):

@@ -10,16 +10,17 @@ the order solved, and holds the term environment as a scoped map, a
 The images are union-find links: an image is stored as written, and a
 solved variable met anywhere is read as its image.  Unification follows
 the links at the head of each side only, so its inputs need not be read
-through the solution first.  Solving a flexible variable walks its
-solution once, through every link it reaches: a variable occurring in
-its own solution, or one no longer in scope, is an error; solving a
-monomorphic variable demotes the polymorphic flexibles reached, so that
-later unifications cannot smuggle polymorphism back in, and rejects a
-reachable quantifier.  Every solve lowers the levels of the variables
-reached to the solved variable's level, so a variable's level says how
-far out the environment reaches it.  Quantifiers unify by
-skolemisation: both bodies are opened with one fresh rigid variable,
-which must not appear in any image solved since.
+through the solution first, and two sides that are then one object are
+equal at once.  Solving a flexible variable walks its solution once,
+through every link it reaches: a variable occurring in its own solution,
+or one no longer in scope, is an error; solving a monomorphic variable
+demotes the polymorphic flexibles reached, so that later unifications
+cannot smuggle polymorphism back in, and rejects a reachable quantifier.
+Every solve lowers the levels of the variables reached to the solved
+variable's level, so a variable's level says how far out the environment
+reaches it.  Quantifiers unify by skolemisation: both bodies are opened
+with one fresh rigid variable, which must not appear in any image solved
+since.
 
 Reading a type through the solution (:meth:`Store.apply`) resolves the
 images it reaches and writes each resolved image back.  The public
@@ -163,18 +164,24 @@ class Store:
 
     # -- unification ----------------------------------------------------------
 
+    def head(self, a: Type) -> Type:
+        """`a` with a solved variable at its head followed to its image."""
+        images = self.images
+        while type(a) is TVar and a.name in images:
+            a = images[a.name]
+        return a
+
     def unify(self, a: Type, b: Type) -> None:
         """Solve flexible variables so that `a` and `b` become equal.
 
         Either side may mention solved variables: a solved variable at
         the head of a side is followed to its image, and constructor
-        arguments are unified as written.
+        arguments are unified as written.  Sides that are one object
+        after that are equal, and are not walked or skolemised.
         """
-        images = self.images
-        while type(a) is TVar and a.name in images:
-            a = images[a.name]
-        while type(b) is TVar and b.name in images:
-            b = images[b.name]
+        a, b = self.head(a), self.head(b)
+        if a is b:
+            return
         if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
             return
         if isinstance(a, TVar) and a.name in self.kinds:

@@ -121,6 +121,43 @@ class TestInferCommand:
         assert first == second
 
 
+class TestApplicationDiagnostics:
+    """An application whose function type is a known arrow unifies only
+    its domain with the argument; any other function type is unified
+    with `argument -> fresh`.  Either way the diagnostic names the same
+    two types as unifying the whole arrow did."""
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # the domain of a known arrow against the argument
+            ("(\\x. x + 1) True", "1:3: error: cannot unify Int with Bool: Int vs Bool"),
+            # a head that is not an arrow
+            ("1 2", "1:1: error: cannot unify Int with ->: Int vs Int -> a"),
+            ("poly ~id id", "1:1: error: cannot unify Pair with ->: (Int, Bool) vs (a -> a) -> b"),
+            # a quantified head
+            (
+                "~id 1",
+                "1:1: error: cannot unify a quantified type with an unquantified one: "
+                "forall a. a -> a vs Int -> b",
+            ),
+            # a flexible head that the argument's arrow would contain
+            ("\\f. f f", "1:5: error: a variable occurs in its own solution: a vs a -> b"),
+            # a known arrow whose domain was solved by an earlier argument
+            (
+                "choose id ~id",
+                "1:1: error: cannot unify a quantified type with an unquantified one: "
+                "b -> b vs forall a. a -> a",
+            ),
+            # the value restriction: `id id` is not a value, so `f` stays monomorphic
+            ("let f = id id in (f 1, f True)", "1:24: error: cannot unify Int with Bool: Int vs Bool"),
+        ],
+    )
+    def test_infer_stderr(self, tmp_path, source, expected):
+        path = write(tmp_path, "ex.fml", source)
+        assert run_cli(["infer", path]) == (EXIT_TYPE_ERROR, "", f"{path}:{expected}\n")
+
+
 class TestCheckCommand:
     def test_instance_accepted(self, tmp_path):
         path = write(tmp_path, "ex.fml", "\\x. x")

@@ -1,0 +1,125 @@
+"""Byte-identity guard: the commands print what they printed when the
+record was made.
+
+``tests/cli_outputs.json`` holds the exit code, standard output and
+standard error of ``infer``, ``infer --show-elab`` and ``elaborate`` on
+every corpus row (a row's ``where`` extras join the prelude) and on a
+few application-heavy programs, one record per run, and one SHA-256
+digest of the same for seeded ``random_surface_term`` draws.  The file
+path is replaced by ``<input>`` in standard error.  A change meant to
+keep behaviour keeps these bytes.  A change meant to alter output
+rewrites the record with
+
+    PYTHONPATH=src python tests/test_cli_outputs.py
+
+and says in CHANGES.md which outputs changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from freezeml import cli
+from freezeml.cli import build_arg_parser, load_corpus
+from freezeml.parser import parse_type, render_term
+from freezeml.prelude import build_prelude
+
+from generators import random_surface_term
+
+RECORD = Path(__file__).with_name("cli_outputs.json")
+COMMANDS = (("infer",), ("infer", "--show-elab"), ("elaborate",))
+DRAW_SEEDS = range(7000, 7300)
+PROGRAMS = {
+    "list_id": "[" + ", ".join(["id"] * 6) + "]",
+    "poly_list": "[" + ", ".join(["~id"] * 6) + "]",
+    "id_chain": " ".join(["id"] * 6) + " 1",
+    "app_chain": "let f = \\x y z. x in f 1 True (f id 2 3)",
+    "apply_result": "(\\x. \\y. y) 1 2",
+    "choose": "choose id ~id",
+    "poly_id": "poly ~id id",
+}
+
+
+def _run(parser, command: tuple[str, ...], path: str) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    args = parser.parse_args([*command, path])
+    code = args.handler(args, out=out, err=err)
+    return [code, out.getvalue(), err.getvalue().replace(path, "<input>")]
+
+
+def _runs(directory: str, sources):
+    """Each command's [exit code, stdout, stderr] on each (name, source,
+    environment) of `sources`, in order."""
+    parser = build_arg_parser()
+    path = os.path.join(directory, "program.fml")
+    for name, source, gamma in sources:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(source)
+        with mock.patch.object(cli, "_environment", lambda args: gamma):
+            for command in COMMANDS:
+                yield name, " ".join(command), _run(parser, command, path)
+
+
+def _named_sources():
+    prelude = build_prelude()
+    for row in load_corpus():
+        gamma = prelude
+        for name, ty in row.extras:
+            gamma = gamma.extend(name, parse_type(ty))
+        yield f"corpus line {row.line}", row.source, gamma
+    for name, source in PROGRAMS.items():
+        yield name, source, prelude
+
+
+def _drawn_sources():
+    prelude = build_prelude()
+    for seed in DRAW_SEEDS:
+        rng = random.Random(seed)
+        yield seed, render_term(random_surface_term(rng, (), rng.randint(1, 6))), prelude
+
+
+def collect() -> dict:
+    with tempfile.TemporaryDirectory() as directory:
+        named = [
+            {"program": name, "command": command, "result": result}
+            for name, command, result in _runs(directory, _named_sources())
+        ]
+        digest = hashlib.sha256()
+        runs = 0
+        for _, _, result in _runs(directory, _drawn_sources()):
+            digest.update(json.dumps(result).encode("utf-8"))
+            runs += 1
+    draws = {
+        "seeds": [DRAW_SEEDS.start, DRAW_SEEDS.stop],
+        "runs": runs,
+        "sha256": digest.hexdigest(),
+    }
+    return {"named": named, "draws": draws}
+
+
+def test_outputs_are_byte_identical_to_the_record():
+    recorded = json.loads(RECORD.read_text(encoding="utf-8"))
+    now = collect()
+    assert len(now["named"]) == len(recorded["named"])
+    for got, want in zip(now["named"], recorded["named"]):
+        assert got == want, want["program"]
+    assert now["draws"] == recorded["draws"]
+
+
+def test_record_covers_every_corpus_row_and_command():
+    recorded = json.loads(RECORD.read_text(encoding="utf-8"))
+    rows = {f"corpus line {row.line}" for row in load_corpus()}
+    runs = {(r["program"], r["command"]) for r in recorded["named"]}
+    assert runs >= {(row, " ".join(c)) for row in rows for c in COMMANDS}
+    assert recorded["draws"]["runs"] == len(DRAW_SEEDS) * len(COMMANDS)
+
+
+if __name__ == "__main__":
+    RECORD.write_text(json.dumps(collect(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -363,6 +363,40 @@ class TestFreshnessHygiene:
         assert checked >= 50
 
 
+class TestApplicationVariables:
+    """An application whose function type is a known arrow, as written or
+    through a solved variable, unifies the arrow's domain with the
+    argument and has its codomain as its type: it draws no variable.
+    Counts cover every variable the store met, solved or not."""
+
+    @staticmethod
+    def counts(source: str) -> tuple[int, int]:
+        store = check_program(KindEnv(), PRELUDE, parse_term(source)).store
+        return len(store.images) + len(store.kinds), len(store.images)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 200])
+    def test_list_of_id(self, n):
+        # one variable for each `::` and each `id`, one for `[]`
+        assert self.counts("[" + ", ".join(["id"] * n) + "]") == (2 * n + 1, 2 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 200])
+    def test_list_of_frozen_id(self, n):
+        # a frozen `id` instantiates nothing
+        assert self.counts("[" + ", ".join(["~id"] * n) + "]") == (n + 1, n + 1)
+
+    def test_arrow_behind_a_solved_variable(self):
+        # `(\x. x) id` has x's variable as its type, solved to id's arrow,
+        # which the application to 1 then takes apart
+        assert self.counts("(\\x. x) id 1") == (2, 2)
+        expect_type("(\\x. x) id 1", "Int")
+
+    def test_unknown_head_draws_a_variable(self):
+        # f's variable is unsolved when f is applied, and is solved to
+        # `Int -> b` for the drawn b
+        assert self.counts("\\f. f 1") == (2, 1)
+        expect_type("\\f. f 1", "(Int -> a) -> a")
+
+
 class TestLetLevels:
     """Generalisation by let levels: a variable generalises only if no
     binding in scope reaches it."""

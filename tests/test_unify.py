@@ -151,6 +151,33 @@ class TestDictOutputs:
         assert store.solution(["a"]) == {"a": list_of(TVar("b"))}
 
 
+class TestSameObject:
+    """Two sides that are one object unify at once: no walk, no image and,
+    for a quantified type, no skolem drawn from the supply."""
+
+    def test_quantified_type_against_itself(self):
+        t = ty("forall a. a -> b")
+        store = store_of(b=Kind.POLY)
+        store.unify(t, t)
+        assert store.images == {} and store.theta() == {"b": Kind.POLY}
+        assert store.supply.fresh() == NameSupply().fresh()  # nothing drawn
+
+    def test_equal_copies_still_skolemise(self):
+        store = store_of(b=Kind.POLY)
+        store.unify(ty("forall a. a -> b"), ty("forall a. a -> b"))
+        assert store.images == {}
+        assert store.supply.fresh() != NameSupply().fresh()
+
+    def test_solved_heads_that_meet_in_one_object(self):
+        t = ty("forall a. a -> a")
+        store = store_of(x=Kind.POLY, y=Kind.POLY)
+        store.unify(TVar("x"), t)
+        store.unify(TVar("y"), t)
+        store.unify(TVar("x"), TVar("y"))
+        assert list(store.images) == ["x", "y"]
+        assert store.supply.fresh() == NameSupply().fresh()
+
+
 class TestErrorsThroughLinks:
     """The store keeps each solution as written, so a solved variable is a
     link to its image.  An error that only a link leads to is reported
