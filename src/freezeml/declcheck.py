@@ -4,7 +4,9 @@ Whether a term has a given type is decided by running inference and
 asking whether the candidate is a kind-respecting instance of the
 inferred result; completeness of inference makes this equivalent to the
 declarative rules while sidestepping their non-inductive principality
-side condition.
+side condition.  The instance test is unification against a rigid
+target, run in the same :class:`freezeml.unify.Store` that inference
+uses, so kinds, quantifiers and skolem escape are checked in one place.
 
 A direct rule-walker over recorded derivations (without the principality
 premise) is also provided; the translation to the explicit core replays
@@ -13,7 +15,7 @@ derivations through it.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .infer import (
     DApp,
@@ -33,7 +35,6 @@ from .statics import StaticsError, kind_of, split
 from .subst import substitute
 from .syntax import (
     Con,
-    Forall,
     Kind,
     KindEnv,
     NameSupply,
@@ -47,10 +48,10 @@ from .syntax import (
     decompose,
     foralls,
     ftv_ordered,
-    is_monotype,
     names,
     t_int,
 )
+from .unify import Store, UnifyError
 
 
 def match_instance(
@@ -62,44 +63,29 @@ def match_instance(
     """One-way matching: a substitution over `theta_res` sending `pattern`
     to `target`, respecting kinds, or None.
 
-    Monomorphic slots only accept monotypes.  Quantifiers match
-    positionally: both bodies are opened with a common fresh variable
-    which must not leak into any image.
+    Matching is unification against a rigid target: one
+    :class:`freezeml.unify.Store` holds the target's free variables as
+    rigid next to `delta`, and `theta_res` as the flexible ones, so the
+    store's kind and skolem checks decide the match.  A variable of
+    `theta_res` free in the target is renamed apart in the pattern
+    first, so that the target's occurrence of it stays rigid.  The
+    target is rigid, so each image is a subterm of it, with no links.
     """
     supply = NameSupply(
         (*theta_res, *delta.names(), *names(pattern, target)[1])
     )
-    bindings: dict[str, Type] = {}
-
-    def go(pat: Type, tgt: Type, skolems: frozenset[str]) -> bool:
-        if isinstance(pat, TVar) and pat.name in theta_res:
-            if pat.name in bindings:
-                return alpha_eq(bindings[pat.name], tgt)
-            if not skolems.isdisjoint(ftv_ordered(tgt)):
-                return False
-            if theta_res[pat.name] is Kind.MONO and not is_monotype(tgt):
-                return False
-            bindings[pat.name] = tgt
-            return True
-        if isinstance(pat, TVar):
-            return isinstance(tgt, TVar) and tgt.name == pat.name
-        if isinstance(pat, Con):
-            if not isinstance(tgt, Con) or tgt.con != pat.con:
-                return False
-            return all(go(p, t, skolems) for p, t in zip(pat.args, tgt.args))
-        if isinstance(pat, Forall):
-            if not isinstance(tgt, Forall):
-                return False
-            skolem = supply.fresh()
-            open_pat = substitute({pat.var: TVar(skolem)}, pat.body)
-            open_tgt = substitute({tgt.var: TVar(skolem)}, tgt.body)
-            return go(open_pat, open_tgt, skolems | {skolem})
-        raise TypeError(f"not a type: {pat!r}")
-
-    if not go(pattern, target, frozenset()):
+    free = ftv_ordered(target)
+    renamed = {n: supply.fresh() for n in theta_res if n in free}
+    if renamed:
+        pattern = substitute({n: TVar(m) for n, m in renamed.items()}, pattern)
+    flexible = {renamed.get(n, n): kind for n, kind in theta_res.items()}
+    store = Store(delta.extend(*free), flexible, supply)
+    try:
+        store.unify(pattern, target)
+    except UnifyError:
         return None
     # Total over theta_res: unconstrained variables are grounded.
-    return {name: bindings.get(name, t_int) for name in theta_res}
+    return {n: store.images.get(renamed.get(n, n), t_int) for n in theta_res}
 
 
 def check_typing(
@@ -127,8 +113,17 @@ class ReplayError(Exception):
     pass
 
 
-def _fail(node: Derivation, reason: str) -> None:
+def _fail(node: Derivation, reason: str) -> NoReturn:
     raise ReplayError(f"{type(node).__name__}: {reason}")
+
+
+def _kind(delta: KindEnv, node: Derivation, a: Type, reason: str = "") -> Kind:
+    """The kind of `a` under `delta`; without one, `node` fails with
+    `reason`, or with the kinding error's own message."""
+    try:
+        return kind_of(delta, a)
+    except StaticsError as err:
+        _fail(node, reason or str(err))
 
 
 def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
@@ -171,10 +166,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         # prefix variable named like a rigid one in scope (an annotation's
         # `a` against the prelude's) takes no part in the check.
         for image in d.inst:
-            try:
-                kind_of(delta, image)
-            except StaticsError:
-                _fail(d, "instantiation not well-formed")
+            _kind(delta, d, image, "instantiation not well-formed")
         if not alpha_eq(substitute(dict(zip(prefix, d.inst)), guarded), d.ty):
             _fail(d, "recorded type is not the recorded instantiation's image")
         return d.ty
@@ -185,11 +177,8 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLam):
-        try:
-            if kind_of(delta, d.arg_ty) is not Kind.MONO:
-                _fail(d, "unannotated parameter must be monomorphic")
-        except StaticsError as err:
-            _fail(d, str(err))
+        if _kind(delta, d, d.arg_ty) is not Kind.MONO:
+            _fail(d, "unannotated parameter must be monomorphic")
         body_ty = _replay(delta, gamma.push(d.var, d.arg_ty), d.body)
         gamma.pop(d.var)
         if not alpha_eq(d.ty, arrow(d.arg_ty, body_ty)):
@@ -197,10 +186,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLamAnn):
-        try:
-            kind_of(delta, d.ann)
-        except StaticsError as err:
-            _fail(d, str(err))
+        _kind(delta, d, d.ann)
         body_ty = _replay(delta, gamma.push(d.var, d.ann), d.body)
         gamma.pop(d.var)
         if not alpha_eq(d.ty, arrow(d.ann, body_ty)):
@@ -239,10 +225,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         return d.ty
 
     if isinstance(d, DLetAnn):
-        try:
-            kind_of(delta, d.ann)
-        except StaticsError as err:
-            _fail(d, str(err))
+        _kind(delta, d, d.ann)
         prefix, split_ty = split(d.ann, d.bound)
         if prefix != d.split_prefix:
             _fail(d, "recorded split prefix disagrees with split")

@@ -205,6 +205,12 @@ class _Parser:
             )
         return self.advance()
 
+    def expect_end(self) -> Token:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise SyntaxError_(f"unexpected {tok.text!r}", tok.span)
+        return tok
+
     def operator_constant(self) -> Optional[str]:
         """After '(': consume `op)` for an operator constant, returning `op`.
 
@@ -517,9 +523,7 @@ class _Parser:
             if self.at_punct(";"):
                 self.advance()
             break
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise SyntaxError_(f"unexpected {tok.text!r}", tok.span)
+        tok = self.expect_end()
         if final is None:
             raise MissingFinalTerm("program has no final term", tok.span)
         for name, ann, bound, span in reversed(decls):
@@ -550,18 +554,14 @@ class _Parser:
 def parse_type(text: str) -> Type:
     parser = _Parser(text)
     ty = parser.type_()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"unexpected {tok.text!r}", tok.span)
+    parser.expect_end()
     return ty
 
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
     term = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"unexpected {tok.text!r}", tok.span)
+    parser.expect_end()
     return term
 
 

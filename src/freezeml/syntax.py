@@ -143,14 +143,6 @@ def decompose(a: Type) -> tuple[tuple[str, ...], Type]:
     return tuple(prefix), a
 
 
-def is_monotype(a: Type) -> bool:
-    if isinstance(a, TVar):
-        return True
-    if isinstance(a, Con):
-        return all(is_monotype(arg) for arg in a.args)
-    return False
-
-
 _NO_VARS: dict[str, None] = {}
 
 

@@ -273,9 +273,7 @@ def render_fterm(t: FTerm, unicode: bool = False) -> str:
 def parse_fterm(text: str) -> FTerm:
     parser = _FParser(text)
     term = parser.fterm()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise SyntaxError_(f"unexpected {tok.text!r}", tok.span)
+    parser.expect_end()
     return term
 
 

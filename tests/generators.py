@@ -31,7 +31,6 @@ from freezeml.syntax import (
     Var,
     arrow,
     ftv_ordered,
-    is_monotype,
     list_of,
     pair_of,
     t_bool,
@@ -47,6 +46,8 @@ from freezeml.systemf import (
     FVar,
     is_f_value,
 )
+
+from subst_oracles import is_monotype
 
 # ---------------------------------------------------------------------------
 # Types

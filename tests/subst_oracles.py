@@ -14,17 +14,46 @@ it solves.
 ``Subst``, the substitution with explicit composition, is the reference
 the tests compose against; they import it from here, not from the
 package, whose checker does not use it.
+
+``match_instance`` is the structural one-way matcher that
+``freezeml.declcheck.match_instance`` replaced with unification against
+a rigid target.  It is kept unchanged, with the ``is_monotype`` test it
+reads, as an oracle independent of ``freezeml.unify``: the completeness
+property of unification factors through it, and the package's matcher
+is checked against it on seeded pairs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from freezeml.statics import StaticsError, kind_of
-from freezeml.subst import Subst
-from freezeml.syntax import Kind, KindEnv, TVar, Type
+from freezeml.subst import Subst, substitute
+from freezeml.syntax import (
+    Con,
+    Forall,
+    Kind,
+    KindEnv,
+    NameSupply,
+    TVar,
+    Type,
+    alpha_eq,
+    ftv_ordered,
+    names,
+    t_int,
+)
 
-__all__ = ["Subst", "demote", "identity", "inst_wf", "is_identity", "kind_le", "subst_wf"]
+__all__ = [
+    "Subst",
+    "demote",
+    "identity",
+    "inst_wf",
+    "is_identity",
+    "is_monotype",
+    "kind_le",
+    "match_instance",
+    "subst_wf",
+]
 
 
 def kind_le(kind: Kind, other: Kind) -> bool:
@@ -99,3 +128,60 @@ def demote(kind: Kind, theta: dict[str, Kind], names: Iterable[str]) -> dict[str
         return theta
     targets = set(names)
     return {n: Kind.MONO if n in targets else k for n, k in theta.items()}
+
+
+def is_monotype(a: Type) -> bool:
+    if isinstance(a, TVar):
+        return True
+    if isinstance(a, Con):
+        return all(is_monotype(arg) for arg in a.args)
+    return False
+
+
+def match_instance(
+    delta: KindEnv,
+    theta_res: dict[str, Kind],
+    pattern: Type,
+    target: Type,
+) -> Optional[dict[str, Type]]:
+    """One-way matching: a substitution over `theta_res` sending `pattern`
+    to `target`, respecting kinds, or None.
+
+    Monomorphic slots only accept monotypes.  Quantifiers match
+    positionally: both bodies are opened with a common fresh variable
+    which must not leak into any image.
+    """
+    supply = NameSupply(
+        (*theta_res, *delta.names(), *names(pattern, target)[1])
+    )
+    bindings: dict[str, Type] = {}
+
+    def go(pat: Type, tgt: Type, skolems: frozenset[str]) -> bool:
+        if isinstance(pat, TVar) and pat.name in theta_res:
+            if pat.name in bindings:
+                return alpha_eq(bindings[pat.name], tgt)
+            if not skolems.isdisjoint(ftv_ordered(tgt)):
+                return False
+            if theta_res[pat.name] is Kind.MONO and not is_monotype(tgt):
+                return False
+            bindings[pat.name] = tgt
+            return True
+        if isinstance(pat, TVar):
+            return isinstance(tgt, TVar) and tgt.name == pat.name
+        if isinstance(pat, Con):
+            if not isinstance(tgt, Con) or tgt.con != pat.con:
+                return False
+            return all(go(p, t, skolems) for p, t in zip(pat.args, tgt.args))
+        if isinstance(pat, Forall):
+            if not isinstance(tgt, Forall):
+                return False
+            skolem = supply.fresh()
+            open_pat = substitute({pat.var: TVar(skolem)}, pat.body)
+            open_tgt = substitute({tgt.var: TVar(skolem)}, tgt.body)
+            return go(open_pat, open_tgt, skolems | {skolem})
+        raise TypeError(f"not a type: {pat!r}")
+
+    if not go(pattern, target, frozenset()):
+        return None
+    # Total over theta_res: unconstrained variables are grounded.
+    return {name: bindings.get(name, t_int) for name in theta_res}

@@ -19,7 +19,6 @@ from freezeml.syntax import (
     Type,
     TypeEnv,
     decompose,
-    is_monotype,
 )
 
 from dm_oracle import DMError, dm_principal

@@ -24,9 +24,17 @@ from freezeml.syntax import (
     t_int,
 )
 from freezeml.translate import ground_derivation, rebuild_derivation
+from freezeml.unify import unify
 
-from generators import random_ground_type, random_surface_term
-from subst_oracles import inst_wf
+from generators import (
+    random_env_and_types,
+    random_ground_type,
+    random_subst_problem,
+    random_surface_term,
+    replace_at,
+    top_level_positions,
+)
+from subst_oracles import inst_wf, match_instance as structural_match
 
 
 PRELUDE = build_prelude()
@@ -102,6 +110,61 @@ class TestMatchInstance:
             ty("forall d. d -> d"),
         )
         assert res is None
+
+    def test_skolem_escape_with_an_agreeing_second_occurrence(self):
+        # `a` is solved to the opened quantifier's variable, and its second
+        # occurrence agrees with that image: only the escape check rejects
+        res = match_instance(
+            EMPTY,
+            flex(("a", Kind.MONO)),
+            ty("forall c. (c -> a) -> a"),
+            ty("forall d. (d -> d) -> d"),
+        )
+        assert res is None
+
+    def test_pattern_variable_free_in_the_target_is_not_the_targets(self):
+        # the target's `a` is rigid: `a -> a` would need it to equal Int
+        res = match_instance(EMPTY, flex(("a", Kind.MONO)), ty("a -> a"), ty("a -> Int"))
+        assert res is None
+
+    def test_pattern_matches_itself(self):
+        a_to_a = ty("a -> a")
+        res = match_instance(EMPTY, flex(("a", Kind.MONO)), a_to_a, a_to_a)
+        assert res == {"a": TVar("a")}
+
+    def test_agrees_with_the_structural_matcher(self):
+        rng = random.Random(2007)
+        shared = matched = 0
+        for _ in range(1200):
+            delta, theta, pattern, target = _matching_pair(rng)
+            got = match_instance(delta, theta, pattern, target)
+            want = structural_match(delta, theta, pattern, target)
+            assert got == want, (delta.names(), theta, pattern, target)
+            shared += not set(theta).isdisjoint(ftv_ordered(target))
+            matched += got is not None
+        assert shared >= 100, shared
+        assert 100 <= matched <= 1100, matched
+
+
+def _matching_pair(rng):
+    """A pattern and target over flexible variables, for matching: either
+    an independent or abstracted pair, or the images of the most general
+    unifier against those of a constructed one, as in the completeness
+    property of unification."""
+    if rng.random() < 0.5:
+        return random_env_and_types(rng)
+    delta, theta, _, subst, a, b = random_subst_problem(rng)
+    theta_mid, mgu = unify(delta, theta, a, b)
+    *rest, last = mgu
+    pattern, target = mgu[last], subst[last]
+    for name in reversed(rest):
+        pattern = arrow(mgu[name], pattern)
+        target = arrow(subst[name], target)
+    if rng.random() < 0.3:
+        # a mismatch somewhere, most of the time
+        path, _ = rng.choice(top_level_positions(target))
+        target = replace_at(target, path, random_ground_type(rng))
+    return delta, theta_mid, pattern, target
 
 
 class TestCheckTyping:

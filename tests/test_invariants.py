@@ -21,14 +21,13 @@ from freezeml.syntax import (
     TypeEnv,
     arrow,
     desugar,
-    is_monotype,
     list_of,
     t_int,
 )
 from freezeml.unify import StructureMismatch, UnifyError, unify
 
 from generators import kinding_env, random_surface_term
-from subst_oracles import Subst, is_identity, subst_wf
+from subst_oracles import Subst, is_identity, is_monotype, subst_wf
 
 PRELUDE = build_prelude()
 EMPTY = KindEnv()

@@ -18,12 +18,11 @@ from freezeml.syntax import (
     TVar,
     TypeEnv,
     desugar,
-    is_monotype,
     ftv_ordered,
 )
 
 from generators import kinding_env, random_subst_problem, random_type
-from subst_oracles import kind_le, subst_wf
+from subst_oracles import is_monotype, kind_le, subst_wf
 
 
 def ty(src: str):

@@ -40,7 +40,6 @@ from freezeml.syntax import (
     Term,
     Type,
     is_gval,
-    is_monotype,
     list_of,
     names,
     pair_of,
@@ -49,7 +48,7 @@ from freezeml.syntax import (
 
 from alpha_eq_oracle import alpha_eq as alpha_eq_oracle
 from generators import random_surface_term, random_type
-from subst_oracles import kind_le
+from subst_oracles import is_monotype, kind_le
 
 
 def ty(src: str):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from freezeml.declcheck import match_instance
 from freezeml.parser import parse_type
 from freezeml.statics import kind_of
 from freezeml.subst import substitute
@@ -31,7 +30,7 @@ from freezeml.unify import (
 )
 
 from generators import random_env_and_types, random_subst_problem
-from subst_oracles import Subst, is_identity, subst_wf
+from subst_oracles import Subst, is_identity, match_instance, subst_wf
 
 
 def ty(src: str):
@@ -299,7 +298,10 @@ def factor_through(delta, theta_mid, subst_general, subst_specific):
     """One-way matching of one substitution's images against another's.
 
     Returns a substitution over theta_mid with
-    ``factor . subst_general == subst_specific`` pointwise, or None.
+    ``factor . subst_general == subst_specific`` pointwise, or None.  The
+    matcher is the structural oracle, not the package's, which runs on
+    the unification store: unification does not check its own
+    completeness.
     """
     domain = tuple(subst_general)
     if not domain:
