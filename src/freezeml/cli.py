@@ -13,9 +13,8 @@ Every command goes through one front door.  Files are read by
 which turns an expected failure into one ``PATH[:line:col]: error: ...``
 line on standard error and returns its exit code; the handlers
 themselves are straight-line read, parse, check and print code.  An
-unreadable or non-UTF-8 file, a syntax error and input nested too deeply
-to walk are usage errors; what counts as a type error depends on the
-command.  Any other exception is a fault of the checker: it propagates
+unreadable or non-UTF-8 file and a syntax error are usage errors; what
+counts as a type error depends on the command.  Any other exception is a fault of the checker: it propagates
 out of the handler, and :func:`main` reports it as one internal-error
 line.
 
@@ -53,7 +52,7 @@ EXIT_TYPE_ERROR = 1
 EXIT_USAGE = 2
 
 # Failures of any command that are the input's fault but not type errors.
-_USAGE_ERRORS = (OSError, UnicodeDecodeError, SyntaxError_, RecursionError)
+_USAGE_ERRORS = (OSError, UnicodeDecodeError, SyntaxError_)
 
 
 def _diag(path: str, span: Optional[Span], message: str) -> str:
@@ -68,8 +67,6 @@ def _read(path: str) -> str:
 
 
 def _message(failure: Exception) -> str:
-    if isinstance(failure, RecursionError):
-        return "input is nested too deeply to process"
     if isinstance(failure, UnicodeDecodeError):
         return f"not valid UTF-8: {failure.reason} at byte {failure.start}"
     if isinstance(failure, OSError):

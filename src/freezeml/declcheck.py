@@ -43,6 +43,7 @@ from .syntax import (
     Term,
     Type,
     TypeEnv,
+    Walk,
     alpha_eq,
     arrow,
     decompose,
@@ -50,6 +51,7 @@ from .syntax import (
     ftv_ordered,
     names,
     t_int,
+    trampoline,
 )
 from .unify import Store, UnifyError
 
@@ -140,10 +142,12 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
     from `gamma`: each binder pushes its variable for its body and pops
     it after.
     """
-    return _replay(delta, Scope(gamma), d)
+    scope = Scope(gamma)
+    return _replay_leaf(delta, scope, d) or trampoline(_replay(delta, scope, d))
 
 
-def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
+def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation) -> Optional[Type]:
+    """The type of a leaf `d` by its rule; None for any other node."""
     if isinstance(d, DFreeze):
         scheme = gamma.lookup(d.name)
         if scheme is None:
@@ -175,27 +179,28 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         if d.ty != d.type:
             _fail(d, "literal type mismatch")
         return d.ty
+    return None
 
-    if isinstance(d, DLam):
-        if _kind(delta, d, d.arg_ty) is not Kind.MONO:
-            _fail(d, "unannotated parameter must be monomorphic")
-        body_ty = _replay(delta, gamma.push(d.var, d.arg_ty), d.body)
-        gamma.pop(d.var)
-        if not alpha_eq(d.ty, arrow(d.arg_ty, body_ty)):
-            _fail(d, "result type mismatch")
-        return d.ty
 
-    if isinstance(d, DLamAnn):
-        _kind(delta, d, d.ann)
-        body_ty = _replay(delta, gamma.push(d.var, d.ann), d.body)
+def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Walk:
+    if isinstance(d, (DLam, DLamAnn)):
+        if isinstance(d, DLamAnn):
+            arg_ty = d.ann
+            _kind(delta, d, arg_ty)
+        else:
+            arg_ty = d.arg_ty
+            if _kind(delta, d, arg_ty) is not Kind.MONO:
+                _fail(d, "unannotated parameter must be monomorphic")
+        gamma.push(d.var, arg_ty)
+        body_ty = _replay_leaf(delta, gamma, d.body) or (yield _replay(delta, gamma, d.body))
         gamma.pop(d.var)
-        if not alpha_eq(d.ty, arrow(d.ann, body_ty)):
+        if not alpha_eq(d.ty, arrow(arg_ty, body_ty)):
             _fail(d, "result type mismatch")
         return d.ty
 
     if isinstance(d, DApp):
-        fn_ty = _replay(delta, gamma, d.fn)
-        arg_ty = _replay(delta, gamma, d.arg)
+        fn_ty = _replay_leaf(delta, gamma, d.fn) or (yield _replay(delta, gamma, d.fn))
+        arg_ty = _replay_leaf(delta, gamma, d.arg) or (yield _replay(delta, gamma, d.arg))
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             _fail(d, "function position does not have an arrow type")
         if not alpha_eq(fn_ty.args[0], arg_ty):
@@ -208,7 +213,9 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
         prefix, generalisable = gen(delta.names(), d.bound.ty, d.bound)
         if d.gen_prefix != prefix:
             _fail(d, "recorded abstraction prefix disagrees with gen")
-        _replay(delta.extend(*generalisable), gamma, d.bound)
+        inner = delta.extend(*generalisable)
+        if _replay_leaf(inner, gamma, d.bound) is None:
+            yield _replay(inner, gamma, d.bound)
         if prefix:
             if not alpha_eq(d.var_ty, foralls(prefix, d.bound.ty)):
                 _fail(d, "binder type is not the generalised bound type")
@@ -218,26 +225,24 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Type:
             theta_like = dict.fromkeys(generalisable, Kind.MONO)
             if match_instance(delta, theta_like, d.bound.ty, d.var_ty) is None:
                 _fail(d, "binder type is not a monomorphic instance")
-        body_ty = _replay(delta, gamma.push(d.var, d.var_ty), d.body)
-        gamma.pop(d.var)
-        if not alpha_eq(body_ty, d.ty):
-            _fail(d, "result type mismatch")
-        return d.ty
-
-    if isinstance(d, DLetAnn):
+        var_ty = d.var_ty
+    elif isinstance(d, DLetAnn):
         _kind(delta, d, d.ann)
         prefix, split_ty = split(d.ann, d.bound)
         if prefix != d.split_prefix:
             _fail(d, "recorded split prefix disagrees with split")
         if set(prefix) & set(delta.names()):
             _fail(d, "annotation rebinds a type variable already in scope")
-        bound_ty = _replay(delta.extend(*prefix), gamma, d.bound)
+        inner = delta.extend(*prefix)
+        bound_ty = _replay_leaf(inner, gamma, d.bound) or (yield _replay(inner, gamma, d.bound))
         if not alpha_eq(bound_ty, split_ty):
             _fail(d, "bound type differs from the annotation's body")
-        body_ty = _replay(delta, gamma.push(d.var, d.ann), d.body)
-        gamma.pop(d.var)
-        if not alpha_eq(body_ty, d.ty):
-            _fail(d, "result type mismatch")
-        return d.ty
-
-    raise TypeError(f"not a derivation: {d!r}")
+        var_ty = d.ann
+    else:
+        raise TypeError(f"not a derivation: {d!r}")
+    gamma.push(d.var, var_ty)
+    body_ty = _replay_leaf(delta, gamma, d.body) or (yield _replay(delta, gamma, d.body))
+    gamma.pop(d.var)
+    if not alpha_eq(body_ty, d.ty):
+        _fail(d, "result type mismatch")
+    return d.ty

@@ -73,6 +73,8 @@ from .syntax import (
     is_gval,
     names,
     Var,
+    Walk,
+    trampoline,
 )
 from .unify import Store, UnifyError, reader
 
@@ -121,92 +123,96 @@ class AnnotationEscape(InferError):
 TypeFn = Callable[[Type], Type]
 
 
+class _Derived:
+    __slots__ = ()
+
+    def map_types(self, fn: TypeFn) -> "Derivation":
+        """This derivation with `fn` applied to every type it records."""
+        return _map_leaf(self, fn) or trampoline(_map_types(self, fn))
+
+
 # The rule's choices are keyword-only fields: the term's span has a default.
 
 @dataclass(frozen=True, kw_only=True)
-class DFreeze(Freeze):
+class DFreeze(Freeze, _Derived):
     ty: Type
-
-    def map_types(self, fn: TypeFn) -> "DFreeze":
-        return DFreeze(self.name, self.span, ty=fn(self.ty))
 
 
 @dataclass(frozen=True, kw_only=True)
-class DVar(Var):
+class DVar(Var, _Derived):
     prefix: tuple[str, ...]  # quantifier prefix of the scheme in the env
     inst: tuple[Type, ...]  # instantiation images, aligned with prefix
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DVar":
-        inst = tuple(fn(t) for t in self.inst)
-        return DVar(self.name, self.span, prefix=self.prefix, inst=inst, ty=fn(self.ty))
-
 
 @dataclass(frozen=True, kw_only=True)
-class DLit(Lit):
+class DLit(Lit, _Derived):
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DLit":
-        return DLit(self.value, self.span, ty=fn(self.ty))
-
 
 @dataclass(frozen=True, kw_only=True)
-class DLam(Lam):
+class DLam(Lam, _Derived):
     arg_ty: Type
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DLam":
-        body = self.body.map_types(fn)
-        return DLam(self.var, body, self.span, arg_ty=fn(self.arg_ty), ty=fn(self.ty))
-
 
 @dataclass(frozen=True, kw_only=True)
-class DLamAnn(LamAnn):
+class DLamAnn(LamAnn, _Derived):
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DLamAnn":
-        body = self.body.map_types(fn)
-        return DLamAnn(self.var, self.ann, body, self.span, ty=fn(self.ty))
-
 
 @dataclass(frozen=True, kw_only=True)
-class DApp(App):
+class DApp(App, _Derived):
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DApp":
-        return DApp(
-            self.fn.map_types(fn), self.arg.map_types(fn), self.span, ty=fn(self.ty)
-        )
-
 
 @dataclass(frozen=True, kw_only=True)
-class DLet(Let):
+class DLet(Let, _Derived):
     gen_prefix: tuple[str, ...]  # abstraction prefix (empty unless guarded value)
     var_ty: Type
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DLet":
-        bound, body = self.bound.map_types(fn), self.body.map_types(fn)
-        return DLet(
-            self.var, bound, body, self.span,
-            gen_prefix=self.gen_prefix, var_ty=fn(self.var_ty), ty=fn(self.ty),
-        )
-
 
 @dataclass(frozen=True, kw_only=True)
-class DLetAnn(LetAnn):
+class DLetAnn(LetAnn, _Derived):
     split_prefix: tuple[str, ...]
     ty: Type
 
-    def map_types(self, fn: TypeFn) -> "DLetAnn":
-        bound, body = self.bound.map_types(fn), self.body.map_types(fn)
-        return DLetAnn(
-            self.var, self.ann, bound, body, self.span,
-            split_prefix=self.split_prefix, ty=fn(self.ty),
-        )
-
 
 Derivation = Union[DFreeze, DVar, DLit, DLam, DLamAnn, DApp, DLet, DLetAnn]
+
+
+def _map_leaf(d: Derivation, fn: TypeFn) -> Optional[Derivation]:
+    if isinstance(d, DFreeze):
+        return DFreeze(d.name, d.span, ty=fn(d.ty))
+    if isinstance(d, DVar):
+        inst = tuple(fn(t) for t in d.inst)
+        return DVar(d.name, d.span, prefix=d.prefix, inst=inst, ty=fn(d.ty))
+    if isinstance(d, DLit):
+        return DLit(d.value, d.span, ty=fn(d.ty))
+    return None
+
+
+def _map_types(d: Derivation, fn: TypeFn) -> Walk:
+    if isinstance(d, (DLam, DLamAnn)):
+        body = _map_leaf(d.body, fn) or (yield _map_types(d.body, fn))
+        if isinstance(d, DLam):
+            return DLam(d.var, body, d.span, arg_ty=fn(d.arg_ty), ty=fn(d.ty))
+        return DLamAnn(d.var, d.ann, body, d.span, ty=fn(d.ty))
+    if isinstance(d, DApp):
+        fn_d = _map_leaf(d.fn, fn) or (yield _map_types(d.fn, fn))
+        arg_d = _map_leaf(d.arg, fn) or (yield _map_types(d.arg, fn))
+        return DApp(fn_d, arg_d, d.span, ty=fn(d.ty))
+    bound = _map_leaf(d.bound, fn) or (yield _map_types(d.bound, fn))
+    body = _map_leaf(d.body, fn) or (yield _map_types(d.body, fn))
+    if isinstance(d, DLet):
+        return DLet(
+            d.var, bound, body, d.span,
+            gen_prefix=d.gen_prefix, var_ty=fn(d.var_ty), ty=fn(d.ty),
+        )
+    return DLetAnn(
+        d.var, d.ann, bound, body, d.span, split_prefix=d.split_prefix, ty=fn(d.ty)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def infer(
     type in the derivation is resolved when it is first read.
     """
     store = Store(delta, theta, supply, gamma)
-    ty, deriv = _infer(store, m)
+    ty, deriv = _infer_leaf(store, m) or trampoline(_infer(store, m))
     return InferResult(
         store.theta(), store.solution(theta), store.apply(ty), deriv, store
     )
@@ -274,7 +280,8 @@ def _unify(store: Store, a: Type, b: Type, span: Optional[Span]) -> None:
         raise CannotUnify(err, left, right, span) from None
 
 
-def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
+def _infer_leaf(store: Store, m: Term) -> Optional[tuple[Type, Derivation]]:
+    """The type and derivation of a leaf `m`; None for any other term."""
     if isinstance(m, Freeze):
         ty = store.scheme(m.name)
         if ty is None:
@@ -292,25 +299,28 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
 
     if isinstance(m, Lit):
         return m.type, DLit(m.value, m.span, ty=m.type)
+    return None
 
+
+def _infer(store: Store, m: Term) -> Walk:
     if isinstance(m, Lam):
         arg_ty = TVar(store.fresh(Kind.MONO))
         store.gamma.push(m.var, arg_ty)
-        body_ty, body_deriv = _infer(store, m.body)
+        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
         store.gamma.pop(m.var)
         ty = arrow(arg_ty, body_ty)
         return ty, DLam(m.var, body_deriv, m.span, arg_ty=arg_ty, ty=ty)
 
     if isinstance(m, LamAnn):
         store.gamma.push(m.var, m.ann)
-        body_ty, body_deriv = _infer(store, m.body)
+        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
         store.gamma.pop(m.var)
         ty = arrow(m.ann, body_ty)
         return ty, DLamAnn(m.var, m.ann, body_deriv, m.span, ty=ty)
 
     if isinstance(m, App):
-        fn_ty, fn_deriv = _infer(store, m.fn)
-        arg_ty, arg_deriv = _infer(store, m.arg)
+        fn_ty, fn_deriv = _infer_leaf(store, m.fn) or (yield _infer(store, m.fn))
+        arg_ty, arg_deriv = _infer_leaf(store, m.arg) or (yield _infer(store, m.arg))
         head = store.head(fn_ty)
         if type(head) is Con and head.con == ARROW:
             # A known arrow is taken apart: its domain meets the argument
@@ -324,7 +334,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
 
     if isinstance(m, Let):
         store.level += 1
-        bound_ty, bound_deriv = _infer(store, m.bound)
+        bound_ty, bound_deriv = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
         store.level -= 1
         bound_ty = store.apply(bound_ty)
         # Variables still deeper than this let are reachable from no
@@ -343,7 +353,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
                 store.levels[v] = store.level
         var_ty = foralls(prefix, bound_ty)
         store.gamma.push(m.var, var_ty)
-        body_ty, body_deriv = _infer(store, m.body)
+        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
         store.gamma.pop(m.var)
         return body_ty, DLet(
             m.var, bound_deriv, body_deriv, m.span,
@@ -359,7 +369,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
         store.level += 1
         store.rigid.update(prefix)
         store.levels.update(dict.fromkeys(prefix, store.level))
-        bound_ty, bound_deriv = _infer(store, m.bound)
+        bound_ty, bound_deriv = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
         _unify(store, split_ty, bound_ty, m.span)
         store.level -= 1
         store.rigid.difference_update(prefix)
@@ -374,7 +384,7 @@ def _infer(store: Store, m: Term) -> tuple[Type, Derivation]:
                 m.span,
             )
         store.gamma.push(m.var, m.ann)
-        body_ty, body_deriv = _infer(store, m.body)
+        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
         store.gamma.pop(m.var)
         return body_ty, DLetAnn(
             m.var, m.ann, bound_deriv, body_deriv, m.span,

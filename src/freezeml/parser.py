@@ -64,7 +64,9 @@ from .syntax import (
     TVar,
     Type,
     Var,
+    Walk,
     arrow,
+    decompose,
     ftv_ordered,
     is_internal_name,
     list_of,
@@ -72,9 +74,8 @@ from .syntax import (
     pair_of,
     t_bool,
     t_int,
+    trampoline,
 )
-
-MAX_DEPTH = 400
 
 
 class SyntaxError_(Exception):
@@ -177,7 +178,6 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
-        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -241,92 +241,82 @@ class _Parser:
             )
         return self.advance()
 
-    def _enter(self) -> None:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise SyntaxError_("too deeply nested", self.peek().span)
-
-    def _exit(self) -> None:
-        self.depth -= 1
-
     # -- types ---------------------------------------------------------------
 
-    def type_(self) -> Type:
-        self._enter()
-        try:
-            if self.at_ident("forall"):
-                self.advance()
-                names = [self.expect_ident().text]
-                while self.at_ident() and not self.at_punct("."):
-                    if self.peek().text in KEYWORDS:
-                        break
-                    names.append(self.expect_ident().text)
-                if len(set(names)) != len(names):
-                    raise SyntaxError_(
-                        "duplicate binder in forall", self.peek().span
-                    )
-                self.expect_punct(".")
-                body = self.type_()
-                for name in reversed(names):
-                    body = Forall(name, body)
-                return body
-            return self.arrow_type()
-        finally:
-            self._exit()
+    # The methods that read a phrase which may nest are walks, run by
+    # `trampoline` (see freezeml.syntax): `yield self.type_()` reads a
+    # type.  Where one grammar level hands over to the next, and the next
+    # comes back only through a `yield`, it delegates with `yield from`.
 
-    def arrow_type(self) -> Type:
-        dom = self.type_atom()
+    def type_(self) -> Walk:
+        if self.at_ident("forall"):
+            self.advance()
+            names = [self.expect_ident().text]
+            while self.at_ident() and not self.at_punct("."):
+                if self.peek().text in KEYWORDS:
+                    break
+                names.append(self.expect_ident().text)
+            if len(set(names)) != len(names):
+                raise SyntaxError_(
+                    "duplicate binder in forall", self.peek().span
+                )
+            self.expect_punct(".")
+            body = yield self.type_()
+            for name in reversed(names):
+                body = Forall(name, body)
+            return body
+        dom = self.type_leaf() or (yield from self.type_atom())
         if self.at_punct("->"):
             self.advance()
-            return arrow(dom, self.type_())
+            return arrow(dom, (yield self.type_()))
         return dom
 
-    def type_atom(self) -> Type:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == "ident":
-                if tok.text == "Int":
-                    self.advance()
-                    return t_int
-                if tok.text == "Bool":
-                    self.advance()
-                    return t_bool
-                if tok.text == "ST":
-                    self.advance()
-                    if not self._at_type_atom_start():
-                        raise ArityError("ST expects two arguments", tok.span)
-                    first = self.type_atom()
-                    if not self._at_type_atom_start():
-                        raise ArityError("ST expects two arguments", tok.span)
-                    second = self.type_atom()
-                    return Con(BUILTIN_CONS["ST"], (first, second))
-                if tok.text == "forall":
-                    raise SyntaxError_(
-                        "quantified type needs parentheses here", tok.span
-                    )
-                name = self.expect_ident()
-                return TVar(name.text)
-            if self.at_punct("["):
+    def type_leaf(self) -> Optional[Type]:
+        """A type atom without parts; at any other token, None, consuming nothing."""
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text == "ST":
+            return None
+        if tok.text == "Int":
+            self.advance()
+            return t_int
+        if tok.text == "Bool":
+            self.advance()
+            return t_bool
+        if tok.text == "forall":
+            raise SyntaxError_("quantified type needs parentheses here", tok.span)
+        return TVar(self.expect_ident().text)
+
+    def type_atom(self) -> Walk:
+        """A type atom with parts: an `ST` application, or in brackets or
+        parentheses."""
+        tok = self.peek()
+        if self.at_ident("ST"):
+            self.advance()
+            if not self._at_type_atom_start():
+                raise ArityError("ST expects two arguments", tok.span)
+            first = self.type_leaf() or (yield self.type_atom())
+            if not self._at_type_atom_start():
+                raise ArityError("ST expects two arguments", tok.span)
+            second = self.type_leaf() or (yield self.type_atom())
+            return Con(BUILTIN_CONS["ST"], (first, second))
+        if self.at_punct("["):
+            self.advance()
+            elem = yield self.type_()
+            self.expect_punct("]")
+            return list_of(elem)
+        if self.at_punct("("):
+            self.advance()
+            first = yield self.type_()
+            if self.at_punct(","):
                 self.advance()
-                elem = self.type_()
-                self.expect_punct("]")
-                return list_of(elem)
-            if self.at_punct("("):
-                self.advance()
-                first = self.type_()
-                if self.at_punct(","):
-                    self.advance()
-                    second = self.type_()
-                    self.expect_punct(")")
-                    return pair_of(first, second)
+                second = yield self.type_()
                 self.expect_punct(")")
-                return first
-            raise SyntaxError_(
-                f"expected a type, found {tok.text!r}", tok.span
-            )
-        finally:
-            self._exit()
+                return pair_of(first, second)
+            self.expect_punct(")")
+            return first
+        raise SyntaxError_(
+            f"expected a type, found {tok.text!r}", tok.span
+        )
 
     def _at_type_atom_start(self) -> bool:
         tok = self.peek()
@@ -336,35 +326,31 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------------
 
-    def term(self) -> Term:
-        self._enter()
-        try:
-            if self.at_punct("\\"):
-                return self.lam()
-            if self.at_ident("let"):
-                return self.let()
-            return self.op_chain()
-        finally:
-            self._exit()
+    def term(self) -> Walk:
+        if self.at_punct("\\"):
+            return (yield from self.lam())
+        if self.at_ident("let"):
+            return (yield from self.let())
+        return (yield from self.op_chain())
 
-    def binder(self) -> tuple[str, Optional[Type], Span]:
+    def binder(self) -> Walk:
         if self.at_punct("("):
             start = self.advance()
             name = self.expect_ident()
             self.expect_punct(":")
-            ann = self.type_()
+            ann = yield self.type_()
             self.expect_punct(")")
             return name.text, ann, start.span
         name = self.expect_ident()
         return name.text, None, name.span
 
-    def lam(self) -> Term:
-        start = self.expect_punct("\\")
-        binders = [self.binder()]
+    def lam(self) -> Walk:
+        self.expect_punct("\\")
+        binders = [(yield from self.binder())]
         while not self.at_punct("."):
-            binders.append(self.binder())
+            binders.append((yield from self.binder()))
         self.expect_punct(".")
-        body = self.term()
+        body = yield self.term()
         for name, ann, span in reversed(binders):
             if ann is None:
                 body = Lam(name, body, span)
@@ -372,41 +358,44 @@ class _Parser:
                 body = LamAnn(name, ann, body, span)
         return body
 
-    def let(self) -> Term:
+    def let(self) -> Walk:
         start = self.advance()  # 'let'
-        name, ann, _ = self.binder()
+        name, ann, _ = yield from self.binder()
         self.expect_punct("=")
-        bound = self.term()
+        bound = yield self.term()
         if not self.at_ident("in"):
             raise SyntaxError_(
                 f"expected 'in', found {self.peek().text!r}", self.peek().span
             )
         self.advance()
-        body = self.term()
+        body = yield self.term()
         if ann is None:
             return Let(name, bound, body, start.span)
         return LetAnn(name, ann, bound, body, start.span)
 
-    def op_chain(self) -> Term:
-        left = self.sum_chain()
-        if self.at_punct("::") or self.at_punct("++"):
-            op = self.advance()
-            right = self.op_chain()
-            return App(App(Var(op.text, op.span), left, op.span), right, op.span)
-        return left
+    def op_chain(self) -> Walk:
+        """Sums joined by `::` and `++`, which associate to the right."""
+        operands, ops = [(yield from self.sum_chain())], []
+        while self.at_punct("::") or self.at_punct("++"):
+            ops.append(self.advance())
+            operands.append((yield from self.sum_chain()))
+        result = operands.pop()
+        for op in reversed(ops):
+            result = App(App(Var(op.text, op.span), operands.pop(), op.span), result, op.span)
+        return result
 
-    def sum_chain(self) -> Term:
-        left = self.app_chain()
+    def sum_chain(self) -> Walk:
+        left = yield from self.app_chain()
         while self.at_punct("+"):
             op = self.advance()
-            right = self.app_chain()
+            right = yield from self.app_chain()
             left = App(App(Var("+", op.span), left, op.span), right, op.span)
         return left
 
-    def app_chain(self) -> Term:
-        fn = self.postfix()
+    def app_chain(self) -> Walk:
+        fn = yield from self.postfix()
         while self._at_term_start():
-            arg = self.postfix()
+            arg = yield from self.postfix()
             fn = App(fn, arg, fn.span)
         return fn
 
@@ -420,7 +409,8 @@ class _Parser:
             return tok.text in ("(", "[", "~", "$", "\\")
         return False
 
-    def postfix(self) -> Term:
+    def postfix(self) -> Walk:
+        """A prefixed atom and the `@`s after it."""
         if self.at_punct("\\"):
             # Allow a trailing lambda as the last argument only via parens;
             # a bare lambda here would swallow the rest of the input.
@@ -428,98 +418,98 @@ class _Parser:
                 "lambda must be parenthesised in application position",
                 self.peek().span,
             )
-        term = self.prefix()
+        if self.at_punct("$"):
+            tok = self.advance()
+            term = Gen(self.leaf() or (yield self.atom()), tok.span)
+        else:
+            term = self.leaf() or (yield self.atom())
         while self.at_punct("@"):
             tok = self.advance()
             term = Inst(term, tok.span)
         return term
 
-    def prefix(self) -> Term:
-        if self.at_punct("$"):
-            tok = self.advance()
-            return Gen(self.atom(), tok.span)
-        return self.atom()
-
-    def atom(self) -> Term:
-        self._enter()
-        try:
-            tok = self.peek()
-            if self.at_punct("~"):
-                self.advance()
-                if self.at_punct("("):
-                    self.advance()
-                    constant = self.operator_constant()
-                    if constant is None:
-                        raise SyntaxError_(
-                            f"expected an operator constant, found {self.peek().text!r}",
-                            self.peek().span,
-                        )
-                    return Freeze(constant, tok.span)
-                name = self.expect_ident()
-                return Freeze(name.text, tok.span)
-            if tok.kind == "int":
-                self.advance()
-                return Lit(int(tok.text), tok.span)
-            if self.at_ident("True"):
-                self.advance()
-                return Lit(True, tok.span)
-            if self.at_ident("False"):
-                self.advance()
-                return Lit(False, tok.span)
-            if tok.kind == "ident":
-                name = self.expect_ident()
-                return Var(name.text, name.span)
+    def leaf(self) -> Optional[Term]:
+        """An atom without subterms; at any other token, None, consuming nothing."""
+        tok = self.peek()
+        if self.at_punct("~"):
+            self.advance()
             if self.at_punct("("):
                 self.advance()
                 constant = self.operator_constant()
-                if constant is not None:
-                    return Var(constant, tok.span)
-                first = self.term()
-                if self.at_punct(","):
-                    op = self.advance()
-                    second = self.term()
-                    self.expect_punct(")")
-                    return App(
-                        App(Var("pair", op.span), first, op.span),
-                        second,
-                        op.span,
+                if constant is None:
+                    raise SyntaxError_(
+                        f"expected an operator constant, found {self.peek().text!r}",
+                        self.peek().span,
                     )
+                return Freeze(constant, tok.span)
+            name = self.expect_ident()
+            return Freeze(name.text, tok.span)
+        if tok.kind == "int":
+            self.advance()
+            return Lit(int(tok.text), tok.span)
+        if self.at_ident("True"):
+            self.advance()
+            return Lit(True, tok.span)
+        if self.at_ident("False"):
+            self.advance()
+            return Lit(False, tok.span)
+        if tok.kind == "ident":
+            name = self.expect_ident()
+            return Var(name.text, name.span)
+        return None
+
+    def atom(self) -> Walk:
+        """An atom with subterms: in parentheses or brackets."""
+        tok = self.peek()
+        if self.at_punct("("):
+            self.advance()
+            constant = self.operator_constant()
+            if constant is not None:
+                return Var(constant, tok.span)
+            first = yield self.term()
+            if self.at_punct(","):
+                op = self.advance()
+                second = yield self.term()
                 self.expect_punct(")")
-                return first
-            if self.at_punct("["):
-                self.advance()
-                elems = []
-                if not self.at_punct("]"):
-                    elems.append(self.term())
-                    while self.at_punct(","):
-                        self.advance()
-                        elems.append(self.term())
-                close = self.expect_punct("]")
-                result: Term = Var("[]", close.span)
-                for elem in reversed(elems):
-                    result = App(
-                        App(Var("::", close.span), elem, close.span),
-                        result,
-                        close.span,
-                    )
-                return result
-            raise SyntaxError_(
-                f"expected a term, found {tok.text!r}", tok.span
-            )
-        finally:
-            self._exit()
+                return App(
+                    App(Var("pair", op.span), first, op.span),
+                    second,
+                    op.span,
+                )
+            self.expect_punct(")")
+            return first
+        if self.at_punct("["):
+            self.advance()
+            elems = []
+            if not self.at_punct("]"):
+                elems.append((yield self.term()))
+                while self.at_punct(","):
+                    self.advance()
+                    elems.append((yield self.term()))
+            close = self.expect_punct("]")
+            result: Term = Var("[]", close.span)
+            for elem in reversed(elems):
+                result = App(
+                    App(Var("::", close.span), elem, close.span),
+                    result,
+                    close.span,
+                )
+            return result
+        raise SyntaxError_(
+            f"expected a term, found {tok.text!r}", tok.span
+        )
 
     # -- programs --------------------------------------------------------
 
-    def program(self) -> Term:
+    def program(self) -> Walk:
         decls: list[tuple[str, Optional[Type], Term, Span]] = []
         final: Optional[Term] = None
         while self.peek().kind != "eof":
-            decl = self._try_declaration()
+            decl = yield from self._try_declaration()
             if decl is not None:
                 decls.append(decl)
                 continue
-            final = self.term()
+            final = yield from self.term()
             if self.at_punct(";"):
                 self.advance()
             break
@@ -533,7 +523,8 @@ class _Parser:
                 final = LetAnn(name, ann, bound, final, span)
         return final
 
-    def _try_declaration(self) -> Optional[tuple[str, Optional[Type], Term, Span]]:
+    def _try_declaration(self) -> Walk:
+        """A declaration, as (name, annotation, bound term, span), or None."""
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
             return None
@@ -544,29 +535,29 @@ class _Parser:
         ann: Optional[Type] = None
         if self.at_punct(":"):
             self.advance()
-            ann = self.type_()
+            ann = yield from self.type_()
         self.expect_punct("=")
-        bound = self.term()
+        bound = yield from self.term()
         self.expect_punct(";")
         return name.text, ann, bound, name.span
 
 
 def parse_type(text: str) -> Type:
     parser = _Parser(text)
-    ty = parser.type_()
+    ty = trampoline(parser.type_())
     parser.expect_end()
     return ty
 
 
 def parse_term(text: str) -> Term:
     parser = _Parser(text)
-    term = parser.term()
+    term = trampoline(parser.term())
     parser.expect_end()
     return term
 
 
 def parse_program(text: str) -> Term:
-    return _Parser(text).program()
+    return trampoline(_Parser(text).program())
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +594,24 @@ def _untaken(taken: set[str], name_at) -> Iterator[str]:
 
 def rename_type(a: Type, mapping: dict[str, str]) -> Type:
     """Rename variables of `a`, free and bound, by `mapping`."""
+    return _renamed_leaf(a, mapping) or trampoline(_rename_type(a, mapping))
+
+
+def _renamed_leaf(a: Type, mapping: dict[str, str]) -> Optional[Type]:
     if isinstance(a, TVar):
         return TVar(mapping.get(a.name, a.name))
+    return a if isinstance(a, Con) and not a.args else None
+
+
+def _rename_type(a: Type, mapping: dict[str, str]) -> Walk:
     if isinstance(a, Con):
-        return Con(a.con, tuple(rename_type(arg, mapping) for arg in a.args))
+        args = []
+        for arg in a.args:
+            args.append(_renamed_leaf(arg, mapping) or (yield _rename_type(arg, mapping)))
+        return Con(a.con, tuple(args))
     if isinstance(a, Forall):
-        return Forall(mapping.get(a.var, a.var), rename_type(a.body, mapping))
+        body = _renamed_leaf(a.body, mapping) or (yield _rename_type(a.body, mapping))
+        return Forall(mapping.get(a.var, a.var), body)
     raise TypeError(f"not a type: {a!r}")
 
 
@@ -630,94 +633,138 @@ def normalize_type_names(a: Type) -> Type:
     return rename_type(a, dict(zip(internals, display_type_names(taken))))
 
 
+# The precedence levels of both printers, loosest first: a type under a
+# quantifier, an arrow, an `ST` application, an atom; a term under a
+# binder, an application, an atom.
+_TOP, _ARROW, _APPLIED, _ATOM = range(4)
+_APP = _ARROW
+_CON_LEVELS = {"->": _ARROW, "ST": _APPLIED}
+
+
 def render_type(a: Type, unicode: bool = False) -> str:
     """Print `a` with its variable names as given; showing inferred types
     to people goes through :func:`normalize_type_names` first."""
-    arrow_sym = " → " if unicode else " -> "
+    parts: list[str] = []
+    trampoline(_type_parts(a, _TOP, parts, unicode))
+    return "".join(parts)
 
-    def atom(t: Type) -> str:
-        if isinstance(t, TVar):
-            return t.name
-        if isinstance(t, Con):
-            if t.con.name == "Int":
-                return "Int"
-            if t.con.name == "Bool":
-                return "Bool"
-            if t.con.name == "List":
-                return f"[{top(t.args[0])}]"
-            if t.con.name == "Pair":
-                return f"({top(t.args[0])}, {top(t.args[1])})"
-        return f"({top(t)})"
 
-    def applied(t: Type) -> str:
-        if isinstance(t, Con) and t.con.name == "ST":
-            return f"ST {atom(t.args[0])} {atom(t.args[1])}"
-        return atom(t)
+def _type_name(t: Type) -> Optional[str]:
+    """The printing of a variable or a constant type; None for any other."""
+    if isinstance(t, TVar):
+        return t.name
+    return t.con.name if isinstance(t, Con) and not t.args else None
 
-    def arrow_part(t: Type) -> str:
-        if isinstance(t, Con) and t.con.name == "->":
-            return f"{applied(t.args[0])}{arrow_sym}{arrow_part(t.args[1])}"
-        if isinstance(t, Forall):
-            return atom(t)
-        return applied(t)
 
-    def top(t: Type) -> str:
-        if isinstance(t, Forall):
-            names = []
-            while isinstance(t, Forall):
-                names.append(t.var)
-                t = t.body
-            binder = (
-                "∀" + " ".join(names) + ". "
-                if unicode
-                else "forall " + " ".join(names) + ". "
-            )
-            return binder + arrow_part(t)
-        return arrow_part(t)
-
-    return top(a)
+def _type_parts(t: Type, level: int, parts: list[str], unicode: bool) -> Walk:
+    """Append to `parts` the printing of `t` where the grammar expects
+    `level`, in parentheses if `t` binds more loosely.  A layout lists
+    text and (part, level) pairs; names print in place, and the walk
+    goes on down a last part itself, closing its parentheses at the end."""
+    closing = ""
+    while True:
+        name = t.con.name if isinstance(t, Con) else None
+        if (_TOP if isinstance(t, Forall) else _CON_LEVELS.get(name, _ATOM)) < level:
+            parts.append("(")
+            closing += ")"
+        if _type_name(t) is not None:
+            layout: tuple = (_type_name(t),)
+        elif isinstance(t, Forall):
+            prefix, body = decompose(t)
+            layout = (("∀" if unicode else "forall ") + " ".join(prefix) + ". ", (body, _ARROW))
+        elif name == "->":
+            layout = ((t.args[0], _APPLIED), " → " if unicode else " -> ", (t.args[1], _ARROW))
+        elif name == "ST":
+            layout = ("ST ", (t.args[0], _ATOM), " ", (t.args[1], _ATOM))
+        elif name == "List":
+            layout = ("[", (t.args[0], _TOP), "]")
+        elif name == "Pair":
+            layout = ("(", (t.args[0], _TOP), ", ", (t.args[1], _TOP), ")")
+        else:
+            raise TypeError(f"not a type: {t!r}")
+        last = layout[-1]
+        tail = isinstance(last, tuple) and _type_name(last[0]) is None
+        for item in layout[:-1] if tail else layout:
+            text = item if isinstance(item, str) else _type_name(item[0])
+            if text is None:
+                yield _type_parts(*item, parts, unicode)
+            else:
+                parts.append(text)
+        if not tail:
+            break
+        t, level = last
+    parts.append(closing)
 
 
 def render_term(m: Term, unicode: bool = False) -> str:
-    freeze_sym = "⌈{}⌉" if unicode else "~{}"
+    parts: list[str] = []
+    trampoline(_term_parts(m, _TOP, parts, unicode))
+    return "".join(parts)
 
-    def atom(t: Term) -> str:
-        if isinstance(t, Var):
-            return constant_name(t.name)
-        if isinstance(t, Freeze):
-            return freeze_sym.format(constant_name(t.name))
-        if isinstance(t, Lit):
-            if t.value is True:
-                return "True"
-            if t.value is False:
-                return "False"
-            return str(t.value)
+
+def _leaf_text(t: Term, unicode: bool) -> Optional[str]:
+    """The printing of a variable, frozen variable or literal; None for
+    any other term."""
+    if isinstance(t, Var):
+        return constant_name(t.name)
+    if isinstance(t, Freeze):
+        name = constant_name(t.name)
+        return f"⌈{name}⌉" if unicode else f"~{name}"
+    return str(t.value) if isinstance(t, Lit) else None
+
+
+def _term_parts(t: Term, level: int, parts: list[str], unicode: bool) -> Walk:
+    """Append to `parts` the printing of `t` where the grammar expects
+    `level`, in parentheses if `t` binds more loosely.  A layout lists
+    text, annotations, and (subterm, level) pairs; leaves print in place,
+    and the walk goes on down a last subterm itself, closing its
+    parentheses at the end."""
+    closing = ""
+    while True:
+        loosest = _APP if isinstance(t, App) else _ATOM if _is_atom(t) else _TOP
+        if loosest < level:
+            parts.append("(")
+            closing += ")"
         if isinstance(t, Gen):
             # `$` takes an atom: a nested `$` or `@` body needs parentheses.
-            if isinstance(t.body, (Gen, Inst)):
-                return f"$({atom(t.body)})"
-            return f"${atom(t.body)}"
-        if isinstance(t, Inst):
-            return f"{atom(t.body)}@"
-        return f"({top(t)})"
+            nested = isinstance(t.body, (Gen, Inst))
+            layout: tuple = ("$(", (t.body, _ATOM), ")") if nested else ("$", (t.body, _ATOM))
+        elif isinstance(t, Inst):
+            layout = ((t.body, _ATOM), "@")
+        elif isinstance(t, App):
+            args = []
+            while isinstance(t, App):  # the spine of an application
+                args.append(t.arg)
+                t = t.fn
+            layout = ((t, _APP), *(part for arg in reversed(args) for part in (" ", (arg, _ATOM))))
+        elif isinstance(t, Lam):
+            layout = (f"\\{t.var}. ", (t.body, _TOP))
+        elif isinstance(t, LamAnn):
+            layout = (f"\\({t.var} : ", t.ann, "). ", (t.body, _TOP))
+        elif isinstance(t, Let):
+            layout = (f"let {t.var} = ", (t.bound, _TOP), " in ", (t.body, _TOP))
+        elif isinstance(t, LetAnn):
+            layout = (f"let ({t.var} : ", t.ann, ") = ", (t.bound, _TOP), " in ", (t.body, _TOP))
+        elif _leaf_text(t, unicode) is not None:
+            layout = (_leaf_text(t, unicode),)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        last = layout[-1]
+        tail = isinstance(last, tuple) and _leaf_text(last[0], unicode) is None
+        for item in layout[:-1] if tail else layout:
+            if isinstance(item, Type):
+                yield _type_parts(item, _TOP, parts, unicode)
+                continue
+            text = item if isinstance(item, str) else _leaf_text(item[0], unicode)
+            if text is None:
+                yield _term_parts(*item, parts, unicode)
+            else:
+                parts.append(text)
+        if not tail:
+            break
+        t, level = last
+    parts.append(closing)
 
-    def app(t: Term) -> str:
-        if isinstance(t, App):
-            return f"{app(t.fn)} {atom(t.arg)}"
-        return atom(t)
 
-    def top(t: Term) -> str:
-        if isinstance(t, Lam):
-            return f"\\{t.var}. {top(t.body)}"
-        if isinstance(t, LamAnn):
-            return f"\\({t.var} : {render_type(t.ann, unicode=unicode)}). {top(t.body)}"
-        if isinstance(t, Let):
-            return f"let {t.var} = {top(t.bound)} in {top(t.body)}"
-        if isinstance(t, LetAnn):
-            return (
-                f"let ({t.var} : {render_type(t.ann, unicode=unicode)})"
-                f" = {top(t.bound)} in {top(t.body)}"
-            )
-        return app(t)
-
-    return top(m)
+def _is_atom(t: Term) -> bool:
+    return isinstance(t, (Var, Freeze, Lit, Gen, Inst))

@@ -16,23 +16,23 @@ from .syntax import (
     Con,
     Forall,
     App,
-    Freeze,
     Kind,
     KindEnv,
     Lam,
     LamAnn,
     Let,
     LetAnn,
-    Lit,
     Span,
+    TERM_LEAVES,
     Term,
     TVar,
     Type,
     TypeEnv,
-    Var,
+    Walk,
     decompose,
     ftv_ordered,
     is_gval,
+    trampoline,
 )
 
 
@@ -70,30 +70,40 @@ class PolyVarInEnv(StaticsError):
         self.tyvar = tyvar
 
 
-def kind_of(env: KindingEnv, a: Type, bound: frozenset[str] = frozenset()) -> Kind:
+_NO_BINDERS: frozenset[str] = frozenset()
+
+
+def kind_of(env: KindingEnv, a: Type) -> Kind:
     """Minimal kind of `a`; raises on unbound variables or bad arities.
 
-    The names in `bound` are quantifier binders in scope: each is
+    The minimal kind is the join of the kinds of the parts of `a`, so
+    one loop visits them in pre-order on a stack of its own, each paired
+    with the quantifier binders in scope over it.  A binder is
     monomorphic and shadows `env`.
     """
-    if isinstance(a, TVar):
-        kind = Kind.MONO if a.name in bound else env.get(a.name)
-        if kind is None:
-            raise UnboundTyVar(a.name)
-        return kind
-    if isinstance(a, Con):
-        if len(a.args) != a.con.arity:
-            raise KindArityError(
-                f"{a.con.name} expects {a.con.arity} arguments, got {len(a.args)}"
-            )
-        kind = Kind.MONO
-        for arg in a.args:
-            kind = kind.join(kind_of(env, arg, bound))
-        return kind
-    if isinstance(a, Forall):
-        kind_of(env, a.body, bound | {a.var})  # any kind upcasts to poly
-        return Kind.POLY
-    raise TypeError(f"not a type: {a!r}")
+    kind = Kind.MONO
+    parts: list[tuple[Type, frozenset[str]]] = []
+    t, bound = a, _NO_BINDERS
+    while True:
+        if isinstance(t, TVar):
+            var_kind = Kind.MONO if t.name in bound else env.get(t.name)
+            if var_kind is None:
+                raise UnboundTyVar(t.name)
+            kind = kind.join(var_kind)
+        elif isinstance(t, Con):
+            if len(t.args) != t.con.arity:
+                raise KindArityError(
+                    f"{t.con.name} expects {t.con.arity} arguments, got {len(t.args)}"
+                )
+            parts += [(arg, bound) for arg in reversed(t.args)]
+        elif isinstance(t, Forall):
+            kind = Kind.POLY  # any kind of the body upcasts to poly
+            parts.append((t.body, bound | {t.var}))
+        else:
+            raise TypeError(f"not a type: {t!r}")
+        if not parts:
+            return kind
+        t, bound = parts.pop()
 
 
 def env_wf(theta: KindingEnv, gamma: TypeEnv) -> None:
@@ -129,40 +139,39 @@ def wellscoped(delta: KindEnv, m: Term) -> None:
     annotated lets bind the split-off quantifier prefix over the bound
     term only.  Terms must be desugared first.
     """
-    if isinstance(m, (Var, Freeze, Lit)):
-        return
-    if isinstance(m, Lam):
-        wellscoped(delta, m.body)
-        return
-    if isinstance(m, LamAnn):
-        _check_annotation(delta, m.ann, m.span)
-        wellscoped(delta, m.body)
-        return
-    if isinstance(m, App):
-        wellscoped(delta, m.fn)
-        wellscoped(delta, m.arg)
-        return
-    if isinstance(m, Let):
-        wellscoped(delta, m.bound)
-        wellscoped(delta, m.body)
-        return
-    if isinstance(m, LetAnn):
-        _check_annotation(delta, m.ann, m.span)
-        prefix, _ = split(m.ann, m.bound)
-        # Concatenating kind environments requires disjointness: an
-        # annotation must not rebind a rigid variable over its bound term,
-        # or two distinct variables would be conflated.
-        clash = set(prefix) & set(delta.names())
-        if clash:
-            raise StaticsError(
-                f"annotation rebinds type variable(s) {sorted(clash)} "
-                "already in scope",
-                m.span,
-            )
-        wellscoped(delta.extend(*prefix), m.bound)
-        wellscoped(delta, m.body)
-        return
-    raise ValueError(f"wellscoped applies to desugared terms only: {m!r}")
+    trampoline(_wellscoped(delta, m))
+
+
+def _wellscoped(delta: KindEnv, m: Term) -> Walk:
+    """The walk of :func:`wellscoped`: it goes on down the last subterm
+    itself and yields the walk of any other."""
+    while not isinstance(m, TERM_LEAVES):
+        if isinstance(m, (LamAnn, LetAnn)):
+            _check_annotation(delta, m.ann, m.span)
+        if isinstance(m, (Lam, LamAnn)):
+            m = m.body
+            continue
+        if isinstance(m, App):
+            first, first_delta, m = m.fn, delta, m.arg
+        elif isinstance(m, Let):
+            first, first_delta, m = m.bound, delta, m.body
+        elif isinstance(m, LetAnn):
+            prefix, _ = split(m.ann, m.bound)
+            # Concatenating kind environments requires disjointness: an
+            # annotation must not rebind a rigid variable over its bound
+            # term, or two distinct variables would be conflated.
+            clash = set(prefix) & set(delta.names())
+            if clash:
+                raise StaticsError(
+                    f"annotation rebinds type variable(s) {sorted(clash)} "
+                    "already in scope",
+                    m.span,
+                )
+            first, first_delta, m = m.bound, delta.extend(*prefix), m.body
+        else:
+            raise ValueError(f"wellscoped applies to desugared terms only: {m!r}")
+        if not isinstance(first, TERM_LEAVES):
+            yield _wellscoped(first_delta, first)
 
 
 def _check_annotation(delta: KindEnv, ann: Type, span: Span | None) -> None:

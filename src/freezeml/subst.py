@@ -31,8 +31,10 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
+    Walk,
     ftv_ordered,
     names,
+    trampoline,
 )
 
 
@@ -119,29 +121,44 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     writing resolved images back: it must already hold every mapped
     variable free in `a`, and no image a memo entry used may change.
     """
+    image = _untouched(mapping, a)
+    return trampoline(_rebuild(mapping, a, memo)) if image is None else image
+
+
+def _untouched(mapping: dict[str, Type], a: Type) -> Optional[Type]:
+    """`a`'s image when it takes no walk: a variable's, or `a` itself when
+    no variable free in it is mapped; otherwise None."""
     if type(a) is TVar:
         return mapping.get(a.name, a)
     fv = a.__dict__.get("_ftv")
     if fv is None:
         fv = ftv_ordered(a)  # fills the cache; raises TypeError on a non-type
-    if mapping.keys().isdisjoint(fv):
-        return a
+    return a if mapping.keys().isdisjoint(fv) else None
+
+
+def _rebuild(mapping: dict[str, Type], a: Type, memo: dict) -> Walk:
+    """The walk of :func:`_apply` on a node with a mapped free variable."""
     done = memo.get(id(a))
     if done is not None:
         return done[1]
     if isinstance(a, Con):
-        result: Type = Con(a.con, tuple([_apply(mapping, arg, memo) for arg in a.args]))
+        args = []
+        for arg in a.args:
+            image = _untouched(mapping, arg)
+            args.append((yield _rebuild(mapping, arg, memo)) if image is None else image)
+        result: Type = Con(a.con, tuple(args))
     elif isinstance(a, Forall):
         # Only images of variables free under the binder matter; the
         # binder itself is not free, so it shadows its own entry.
-        inner = {n: mapping[n] for n in fv if n in mapping}
-        # Rename the binder when an image could capture it.
-        if any(a.var in ftv_ordered(t) for t in inner.values()):
-            fresh = NameSupply((*inner, *names(a, *inner.values())[1])).fresh()
-            renamed = _apply({a.var: TVar(fresh)}, a.body, {})
-            result = Forall(fresh, _apply(inner, renamed, {}))
-        else:
-            result = Forall(a.var, _apply(inner, a.body, {}))
+        inner = {n: mapping[n] for n in ftv_ordered(a) if n in mapping}
+        var = a.var
+        # Rename the binder when an image could capture it, in the same
+        # simultaneous application.
+        if any(var in ftv_ordered(t) for t in inner.values()):
+            var = NameSupply((*inner, *names(a, *inner.values())[1])).fresh()
+            inner[a.var] = TVar(var)
+        image = _untouched(inner, a.body)
+        result = Forall(var, (yield _rebuild(inner, a.body, {})) if image is None else image)
     else:
         raise TypeError(f"not a type: {a!r}")
     memo[id(a)] = (a, result)

@@ -14,15 +14,26 @@ Terms distinguish plain variable occurrences ``x`` (implicitly
 instantiated) from frozen ones ``~x`` (type returned verbatim), and
 carry optional annotations on lambda and let binders.  The surface
 operators ``$M`` (generalise) and ``M@`` (instantiate) are sugar nodes,
-removed by :func:`desugar` before any checking.  The walks over nested
-types and terms keep their own stacks.
+removed by :func:`desugar` before any checking.
+
+Every walk whose depth follows the input's runs under one driver,
+:func:`trampoline`, so nesting is bounded by memory, not by Python's
+recursion limit.  A walk is a generator.  Where a recursive function
+would call itself on a child, it yields the child's walk, so
+``body = yield walk(m.body)`` reads as ``body = walk(m.body)``, and a
+``try`` around the ``yield`` catches what the child raises; it returns
+its result with ``return``.  A walk handles in place the children that
+take no walk, such as variables, and may hand over with ``yield from``
+to a helper walk that comes back to it only through a ``yield``.  Each
+public entry point is a plain function that runs its walk with
+:func:`trampoline`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Generator, Iterable, Iterator, Optional, Union
 
 # Internal (machine-generated) names start with this prefix; the parser
 # rejects user identifiers that carry it.
@@ -31,6 +42,32 @@ INTERNAL_PREFIX = "%"
 
 def is_internal_name(name: str) -> bool:
     return name.startswith(INTERNAL_PREFIX)
+
+
+Walk = Generator[Any, Any, Any]  # yields the walks of its children
+
+
+def trampoline(walk: Walk) -> Any:
+    """Run `walk` to its result.  Each walk waits on a list while the
+    child it yielded runs; the child's result is sent back into it, or
+    its exception thrown into it at the ``yield``.  An exception no walk
+    catches reaches the caller."""
+    waiting: list[Walk] = []
+    result = error = None
+    while True:
+        try:
+            child = walk.send(result) if error is None else walk.throw(error)
+        except StopIteration as done:
+            if not waiting:
+                return done.value
+            walk, result, error = waiting.pop(), done.value, None
+        except Exception as failure:
+            if not waiting:
+                raise
+            walk, result, error = waiting.pop(), None, failure
+        else:
+            waiting.append(walk)
+            walk, result, error = child, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +367,16 @@ class Inst(Term):
     span: Optional[Span] = field(default=None, compare=False)
 
 
+TERM_LEAVES = (Var, Freeze, Lit)  # the terms without subterms
+
+
 def names(*nodes: Union[Type, Term]) -> tuple[dict[str, None], dict[str, None]]:
     """Term and type variable names of `nodes`, free or bound.
 
     Each result is a dict whose keys are the names in order of first
     occurrence in a pre-order walk: a binder before its annotation and
-    its body, constructor arguments and subterms left to right.  The
-    walk keeps its own stack, so nesting depth is not limited by the
-    Python recursion limit.
+    its body, constructor arguments and subterms left to right, on a
+    stack of the walk's own.
     """
     terms: dict[str, None] = {}
     types: dict[str, None] = {}
@@ -390,21 +429,31 @@ def classify(m: Term) -> TermClass:
     """Classify a (desugared) term as non-value, value, or guarded value.
 
     Guarded values are the values with no frozen variable in tail
-    position; they are the only terms let-bindings generalise.
+    position; they are the only terms let-bindings generalise.  A let
+    has its body's class if its bound term is a value, and is no value
+    otherwise; the loop classifies each bound term before its body,
+    which waits on a list.
     """
-    if isinstance(m, (Var, Lam, LamAnn, Lit)):
-        return TermClass.GVAL
-    if isinstance(m, Freeze):
-        return TermClass.VAL
-    if isinstance(m, (Let, LetAnn)):
-        if classify(m.bound) >= TermClass.VAL:
-            return classify(m.body)
-        return TermClass.NONVAL
-    if isinstance(m, App):
-        return TermClass.NONVAL
-    if isinstance(m, (Gen, Inst)):
-        raise ValueError("classify applies to desugared terms only")
-    raise TypeError(f"not a term: {m!r}")
+    bodies: list[Term] = []
+    while True:
+        while isinstance(m, (Let, LetAnn)):
+            bodies.append(m.body)
+            m = m.bound
+        if isinstance(m, (Var, Lam, LamAnn, Lit)):
+            term_class = TermClass.GVAL
+        elif isinstance(m, Freeze):
+            term_class = TermClass.VAL
+        elif isinstance(m, App):
+            term_class = TermClass.NONVAL
+        elif isinstance(m, (Gen, Inst)):
+            raise ValueError("classify applies to desugared terms only")
+        else:
+            raise TypeError(f"not a term: {m!r}")
+        if not bodies:
+            return term_class
+        if term_class < TermClass.VAL:
+            return TermClass.NONVAL
+        m = bodies.pop()
 
 
 def is_gval(m: Term) -> bool:
@@ -454,55 +503,37 @@ def desugar(m: Term) -> Term:
     pre-order, so no capture can occur.  ``$`` is expanded for arbitrary
     bodies; whether the binding generalises is decided later by the let
     rule.  Only nodes with sugar below them are rebuilt, so a term
-    without sugar comes back as is.  The walk keeps its own stack, where
-    a node waits below its children, paired with the name it binds.
+    without sugar comes back as is.
     """
     supply: Optional[NameSupply] = None
-    done: list[Term] = []
-    stack: list = [m]
-    while stack:
-        t = stack.pop()
-        if type(t) is tuple:
-            t, x = t
-            if x is not None:
-                tail = Freeze(x, t.span) if isinstance(t, Gen) else Var(x, t.span)
-                t = Let(x, done.pop(), tail, t.span)
-            elif isinstance(t, App):
-                arg, fn = done.pop(), done.pop()
-                if fn is not t.fn or arg is not t.arg:
-                    t = App(fn, arg, t.span)
-            elif isinstance(t, Lam):
-                body = done.pop()
-                if body is not t.body:
-                    t = Lam(t.var, body, t.span)
-            elif isinstance(t, Let):
-                body, bound = done.pop(), done.pop()
-                if bound is not t.bound or body is not t.body:
-                    t = Let(t.var, bound, body, t.span)
-            elif isinstance(t, LamAnn):
-                body = done.pop()
-                if body is not t.body:
-                    t = LamAnn(t.var, t.ann, body, t.span)
-            else:
-                body, bound = done.pop(), done.pop()
-                if bound is not t.bound or body is not t.body:
-                    t = LetAnn(t.var, t.ann, bound, body, t.span)
-            done.append(t)
-        elif isinstance(t, (Var, Freeze, Lit)):
-            done.append(t)
-        elif isinstance(t, App):
-            stack += ((t, None), t.arg, t.fn)
-        elif isinstance(t, (Lam, LamAnn)):
-            stack += ((t, None), t.body)
-        elif isinstance(t, (Let, LetAnn)):
-            stack += ((t, None), t.body, t.bound)
-        elif isinstance(t, (Gen, Inst)):
+
+    def walk(t: Term) -> Walk:
+        nonlocal supply
+        if isinstance(t, (Gen, Inst)):
             if supply is None:
                 supply = NameSupply(names(m)[0])
-            stack += ((t, supply.fresh("g")), t.body)
+            x = supply.fresh("g")
+            tail = Freeze(x, t.span) if isinstance(t, Gen) else Var(x, t.span)
+            body = t.body if isinstance(t.body, TERM_LEAVES) else (yield walk(t.body))
+            return Let(x, body, tail, t.span)
+        if isinstance(t, App):
+            fields = ("fn", "arg")
+        elif isinstance(t, (Lam, LamAnn)):
+            fields = ("body",)
+        elif isinstance(t, (Let, LetAnn)):
+            fields = ("bound", "body")
         else:
             raise TypeError(f"not a term: {t!r}")
-    return done.pop()
+        changed = {}
+        for name in fields:
+            child = getattr(t, name)
+            if not isinstance(child, TERM_LEAVES):
+                expanded = yield walk(child)
+                if expanded is not child:
+                    changed[name] = expanded
+        return replace(t, **changed) if changed else t
+
+    return m if isinstance(m, TERM_LEAVES) else trampoline(walk(m))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ typing rule holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .parser import SyntaxError_, _Parser, constant_name, render_type
 from .statics import StaticsError, kind_of
@@ -29,10 +29,12 @@ from .syntax import (
     Scope,
     Type,
     TypeEnv,
+    Walk,
     alpha_eq,
     arrow,
     t_bool,
     t_int,
+    trampoline,
 )
 
 
@@ -151,28 +153,32 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
     walk, built from `gamma`: each lambda pushes its variable for its
     body and pops it after.
     """
-    return _f_typecheck(delta, Scope(gamma), t)
+    scope = Scope(gamma)
+    return _f_leaf_type(scope, t) or trampoline(_f_typecheck(delta, scope, t))
 
 
-def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Type:
+def _f_leaf_type(gamma: Scope, t: FTerm) -> Optional[Type]:
     if isinstance(t, FVar):
         ty = gamma.lookup(t.name)
         if ty is None:
             raise FUnboundVar(f"unbound variable {t.name!r}")
         return ty
-    if isinstance(t, FLit):
-        return t.type
+    return t.type if isinstance(t, FLit) else None
+
+
+def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Walk:
     if isinstance(t, FLam):
         try:
             kind_of(delta, t.ann)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
-        body_ty = _f_typecheck(delta, gamma.push(t.var, t.ann), t.body)
+        gamma.push(t.var, t.ann)
+        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(delta, gamma, t.body))
         gamma.pop(t.var)
         return arrow(t.ann, body_ty)
     if isinstance(t, FApp):
-        fn_ty = _f_typecheck(delta, gamma, t.fn)
-        arg_ty = _f_typecheck(delta, gamma, t.arg)
+        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn))
+        arg_ty = _f_leaf_type(gamma, t.arg) or (yield _f_typecheck(delta, gamma, t.arg))
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             raise NotAFunction(
                 f"cannot apply a term of type {render_type(fn_ty)}"
@@ -189,10 +195,11 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Type:
             raise FTypeError(
                 f"type abstraction rebinds {t.var!r}, already in scope"
             )
-        body_ty = _f_typecheck(delta.extend(t.var), gamma, t.body)
+        inner = delta.extend(t.var)
+        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(inner, gamma, t.body))
         return Forall(t.var, body_ty)
     if isinstance(t, FTyApp):
-        fn_ty = _f_typecheck(delta, gamma, t.fn)
+        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn))
         if not isinstance(fn_ty, Forall):
             raise NotAForall(
                 f"cannot instantiate a term of type {render_type(fn_ty)}"
@@ -272,7 +279,7 @@ def render_fterm(t: FTerm, unicode: bool = False) -> str:
 
 def parse_fterm(text: str) -> FTerm:
     parser = _FParser(text)
-    term = parser.fterm()
+    term = trampoline(parser.fterm())
     parser.expect_end()
     return term
 
@@ -280,69 +287,58 @@ def parse_fterm(text: str) -> FTerm:
 class _FParser(_Parser):
     """Parses the printer grammar: /\\a. V, \\x:T. M, M N, M [T]."""
 
-    def fterm(self) -> FTerm:
-        self._enter()
-        try:
-            if self.at_punct("\\"):
-                self.advance()
-                name = self.expect_ident()
-                self.expect_punct(":")
-                ann = self.type_()
-                self.expect_punct(".")
-                return FLam(name.text, ann, self.fterm())
-            if self.at_punct("/\\"):
-                self.advance()
-                names = [self.expect_ident().text]
-                while not self.at_punct("."):
-                    names.append(self.expect_ident().text)
-                self.expect_punct(".")
-                return f_tyabs_many(names, self.fterm())
-            return self.fapp()
-        finally:
-            self._exit()
-
-    def fapp(self) -> FTerm:
-        result = self.fatom()
+    def fterm(self) -> Walk:
+        if self.at_punct("\\"):
+            self.advance()
+            name = self.expect_ident()
+            self.expect_punct(":")
+            ann = yield from self.type_()
+            self.expect_punct(".")
+            return FLam(name.text, ann, (yield self.fterm()))
+        if self.at_punct("/\\"):
+            self.advance()
+            names = [self.expect_ident().text]
+            while not self.at_punct("."):
+                names.append(self.expect_ident().text)
+            self.expect_punct(".")
+            return f_tyabs_many(names, (yield self.fterm()))
+        result = yield from self.fatom()
         while True:
             if self.at_punct("["):
                 self.advance()
-                ty = self.type_()
+                ty = yield from self.type_()
                 self.expect_punct("]")
                 result = FTyApp(result, ty)
                 continue
             tok = self.peek()
             if tok.kind in ("ident", "int") and tok.text not in ("in", "let"):
-                result = FApp(result, self.fatom())
+                result = FApp(result, (yield from self.fatom()))
                 continue
             if self.at_punct("("):
-                result = FApp(result, self.fatom())
+                result = FApp(result, (yield from self.fatom()))
                 continue
             return result
 
-    def fatom(self) -> FTerm:
-        self._enter()
-        try:
-            tok = self.peek()
-            if tok.kind == "int":
-                self.advance()
-                return FLit(int(tok.text))
-            if self.at_ident("True"):
-                self.advance()
-                return FLit(True)
-            if self.at_ident("False"):
-                self.advance()
-                return FLit(False)
-            if tok.kind == "ident":
-                name = self.expect_ident()
-                return FVar(name.text)
-            if self.at_punct("("):
-                self.advance()
-                constant = self.operator_constant()
-                if constant is not None:
-                    return FVar(constant)
-                inner = self.fterm()
-                self.expect_punct(")")
-                return inner
-            raise SyntaxError_(f"expected an F term, found {tok.text!r}", tok.span)
-        finally:
-            self._exit()
+    def fatom(self) -> Walk:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            return FLit(int(tok.text))
+        if self.at_ident("True"):
+            self.advance()
+            return FLit(True)
+        if self.at_ident("False"):
+            self.advance()
+            return FLit(False)
+        if tok.kind == "ident":
+            name = self.expect_ident()
+            return FVar(name.text)
+        if self.at_punct("("):
+            self.advance()
+            constant = self.operator_constant()
+            if constant is not None:
+                return FVar(constant)
+            inner = yield self.fterm()
+            self.expect_punct(")")
+            return inner
+        raise SyntaxError_(f"expected an F term, found {tok.text!r}", tok.span)

@@ -23,7 +23,7 @@ term; the walk collecting them leaves types to :func:`names`.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .declcheck import replay
 from .infer import (
@@ -56,6 +56,7 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
+    Walk,
     alpha_eq,
     arrow,
     decompose,
@@ -63,6 +64,7 @@ from .syntax import (
     is_internal_name,
     names,
     t_int,
+    trampoline,
 )
 from .systemf import (
     FApp,
@@ -132,6 +134,10 @@ def elaborate(
 
 def to_systemf(d: Derivation) -> FTerm:
     """Elaborate a valid derivation into the explicitly typed core."""
+    return _to_systemf_leaf(d) or trampoline(_to_systemf(d))
+
+
+def _to_systemf_leaf(d: Derivation) -> Optional[FTerm]:
     if isinstance(d, DFreeze):
         return FVar(d.name)
     if isinstance(d, DVar):
@@ -141,19 +147,23 @@ def to_systemf(d: Derivation) -> FTerm:
         return result
     if isinstance(d, DLit):
         return FLit(d.value)
-    if isinstance(d, DLam):
-        return FLam(d.var, d.arg_ty, to_systemf(d.body))
-    if isinstance(d, DLamAnn):
-        return FLam(d.var, d.ann, to_systemf(d.body))
+    return None
+
+
+def _to_systemf(d: Derivation) -> Walk:
+    if isinstance(d, (DLam, DLamAnn)):
+        body = _to_systemf_leaf(d.body) or (yield _to_systemf(d.body))
+        return FLam(d.var, d.arg_ty if isinstance(d, DLam) else d.ann, body)
     if isinstance(d, DApp):
-        return FApp(to_systemf(d.fn), to_systemf(d.arg))
+        fn = _to_systemf_leaf(d.fn) or (yield _to_systemf(d.fn))
+        return FApp(fn, _to_systemf_leaf(d.arg) or (yield _to_systemf(d.arg)))
+    if not isinstance(d, (DLet, DLetAnn)):
+        raise TypeError(f"not a derivation: {d!r}")
+    bound = _to_systemf_leaf(d.bound) or (yield _to_systemf(d.bound))
+    body = _to_systemf_leaf(d.body) or (yield _to_systemf(d.body))
     if isinstance(d, DLet):
-        bound = f_tyabs_many(d.gen_prefix, to_systemf(d.bound))
-        return f_let(d.var, d.var_ty, bound, to_systemf(d.body))
-    if isinstance(d, DLetAnn):
-        bound = f_tyabs_many(d.split_prefix, to_systemf(d.bound))
-        return f_let(d.var, d.ann, bound, to_systemf(d.body))
-    raise TypeError(f"not a derivation: {d!r}")
+        return f_let(d.var, d.var_ty, f_tyabs_many(d.gen_prefix, bound), body)
+    return f_let(d.var, d.ann, f_tyabs_many(d.split_prefix, bound), body)
 
 
 def from_systemf(
@@ -186,7 +196,7 @@ def from_systemf(
         {*type_names, *delta.names(), *names(*(ty for _, ty in gamma))[1]}
     )
 
-    def go(env: Scope, x: FTerm) -> tuple[Term, Type, bool]:
+    def go(env: Scope, x: FTerm) -> Walk:
         """The translation of `x`, its F type by f_typecheck's rules, and
         whether `x` is an F value, read off the flags of its children."""
         if isinstance(x, FVar):
@@ -194,24 +204,24 @@ def from_systemf(
         if isinstance(x, FLit):
             return Lit(x.value), x.type, True
         if isinstance(x, FLam):
-            body, body_ty, _ = go(env.push(x.var, x.ann), x.body)
+            body, body_ty, _ = yield go(env.push(x.var, x.ann), x.body)
             env.pop(x.var)
             return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty), True
         if isinstance(x, FApp) and isinstance(x.fn, FLam):
             lam = x.fn
-            body, body_ty, body_value = go(env.push(lam.var, lam.ann), lam.body)
+            body, body_ty, body_value = yield go(env.push(lam.var, lam.ann), lam.body)
             env.pop(lam.var)
-            arg, _, arg_value = go(env, x.arg)
+            arg, _, arg_value = yield go(env, x.arg)
             if body_value and arg_value:
                 return LetAnn(lam.var, lam.ann, arg, body), body_ty, True
             return App(LamAnn(lam.var, lam.ann, body), arg), body_ty, False
         if isinstance(x, FApp):
-            fn, fn_ty, _ = go(env, x.fn)
-            arg, _, _ = go(env, x.arg)
+            fn, fn_ty, _ = yield go(env, x.fn)
+            arg, _, _ = yield go(env, x.arg)
             return App(fn, arg), fn_ty.args[1], False
         if isinstance(x, FTyAbs):
             var = next(binders)
-            translated, body_ty, _ = go(env, x.body)
+            translated, body_ty, _ = yield go(env, x.body)
             # The body type's own quantifier prefix is about to be peeled
             # into scope over the bound term, where translated inner
             # abstractions restate the same binders; give the annotation
@@ -221,7 +231,7 @@ def from_systemf(
             return encoded, Forall(x.var, body_ty), True
         if isinstance(x, FTyApp):
             var = next(binders)
-            translated, fn_ty, fn_value = go(env, x.fn)
+            translated, fn_ty, fn_value = yield go(env, x.fn)
             result_ty = substitute({fn_ty.var: x.arg}, fn_ty.body)
             ann = _freshen_prefix(result_ty, letters)
             bound = translated if naive_tyapp else Inst(translated)
@@ -230,7 +240,7 @@ def from_systemf(
         raise TypeError(f"not an F term: {x!r}")
 
     f_typecheck(delta, gamma, t)  # precondition: every type below exists
-    return go(Scope(gamma), t)[0]
+    return trampoline(go(Scope(gamma), t))[0]
 
 
 def readable_fterm(t: FTerm) -> FTerm:
@@ -247,23 +257,27 @@ def readable_fterm(t: FTerm) -> FTerm:
     if not term_map and not type_map:
         return t
 
-    def go(x: FTerm) -> FTerm:
+    def leaf(x: FTerm) -> Optional[FTerm]:
         if isinstance(x, FVar):
             return FVar(term_map.get(x.name, x.name))
-        if isinstance(x, FLit):
-            return x
+        return x if isinstance(x, FLit) else None
+
+    def go(x: FTerm) -> Walk:
         if isinstance(x, FLam):
             var = term_map.get(x.var, x.var)
-            return FLam(var, rename_type(x.ann, type_map), go(x.body))
+            body = leaf(x.body) or (yield go(x.body))
+            return FLam(var, rename_type(x.ann, type_map), body)
         if isinstance(x, FApp):
-            return FApp(go(x.fn), go(x.arg))
+            fn = leaf(x.fn) or (yield go(x.fn))
+            return FApp(fn, leaf(x.arg) or (yield go(x.arg)))
         if isinstance(x, FTyAbs):
-            return FTyAbs(type_map.get(x.var, x.var), go(x.body))
+            return FTyAbs(type_map.get(x.var, x.var), leaf(x.body) or (yield go(x.body)))
         if isinstance(x, FTyApp):
-            return FTyApp(go(x.fn), rename_type(x.arg, type_map))
+            fn = leaf(x.fn) or (yield go(x.fn))
+            return FTyApp(fn, rename_type(x.arg, type_map))
         raise TypeError(f"not an F term: {x!r}")
 
-    return go(t)
+    return leaf(t) or trampoline(go(t))
 
 
 def _readable_names(names: dict[str, None], generator) -> dict[str, str]:

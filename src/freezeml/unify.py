@@ -45,8 +45,10 @@ from .syntax import (
     TVar,
     Type,
     TypeEnv,
+    Walk,
     ftv_ordered,
     names,
+    trampoline,
 )
 
 
@@ -179,11 +181,19 @@ class Store:
         arguments are unified as written.  Sides that are one object
         after that are equal, and are not walked or skolemised.
         """
+        walk = self._unify(a, b)
+        if walk is not None:
+            trampoline(walk)
+
+    def _unify(self, a: Type, b: Type) -> Optional[Walk]:
+        """Unify `a` and `b` as far as it takes no walk, and return the
+        walk of their parts where it does: two constructor applications
+        with arguments, or two quantified types."""
         a, b = self.head(a), self.head(b)
         if a is b:
-            return
+            return None
         if isinstance(a, TVar) and isinstance(b, TVar) and a.name == b.name:
-            return
+            return None
         if isinstance(a, TVar) and a.name in self.kinds:
             return self._solve(a.name, b)
         if isinstance(b, TVar) and b.name in self.kinds:
@@ -194,31 +204,38 @@ class Store:
                 raise ConMismatch(
                     f"cannot unify {a.con.name} with {b.con.name}", a, b
                 )
-            for arg_a, arg_b in zip(a.args, b.args):
-                self.unify(arg_a, arg_b)
-            return
-
+            return self._unify_args(a, b) if a.args else None
         if isinstance(a, Forall) and isinstance(b, Forall):
-            skolem = self.supply.fresh()
-            open_a = substitute({a.var: TVar(skolem)}, a.body)
-            open_b = substitute({b.var: TVar(skolem)}, b.body)
-            mark = len(self.images)
-            self.rigid.add(skolem)
-            self.unify(open_a, open_b)
-            self.rigid.remove(skolem)
-            # Only images solved since the mark can mention the skolem,
-            # as written or resolved: resolution never removes the rigid
-            # skolem, and brings it in only from another of them.
-            since = islice(self.images.values(), mark, None)
-            if any(skolem in ftv_ordered(image) for image in since):
-                raise SkolemEscape(skolem, a, b)
-            return
-
+            return self._unify_bodies(a, b)
         if isinstance(a, Forall) or isinstance(b, Forall):
             raise StructureMismatch(
                 "cannot unify a quantified type with an unquantified one", a, b
             )
         raise RigidMismatch("cannot unify a rigid variable with another type", a, b)
+
+    def _unify_args(self, a: Con, b: Con) -> Walk:
+        for arg_a, arg_b in zip(a.args, b.args):
+            walk = self._unify(arg_a, arg_b)
+            if walk is not None:
+                yield walk
+
+    def _unify_bodies(self, a: Forall, b: Forall) -> Walk:
+        """Open both bodies with one fresh rigid skolem and unify them."""
+        skolem = self.supply.fresh()
+        open_a = substitute({a.var: TVar(skolem)}, a.body)
+        open_b = substitute({b.var: TVar(skolem)}, b.body)
+        mark = len(self.images)
+        self.rigid.add(skolem)
+        walk = self._unify(open_a, open_b)
+        if walk is not None:
+            yield walk
+        self.rigid.remove(skolem)
+        # Only images solved since the mark can mention the skolem,
+        # as written or resolved: resolution never removes the rigid
+        # skolem, and brings it in only from another of them.
+        since = islice(self.images.values(), mark, None)
+        if any(skolem in ftv_ordered(image) for image in since):
+            raise SkolemEscape(skolem, a, b)
 
     def _solve(self, var: str, solution: Type) -> None:
         """Record `solution`, as written, as the image of flexible `var`.
@@ -275,9 +292,8 @@ class Store:
 def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:
     """Resolve in place the image of every solved one of `names`.
 
-    An image is resolved once no variable free in it is solved; it is
-    resolved after the solved variables it mentions, on an explicit
-    stack so that long chains do not recurse.
+    An image is resolved once no variable free in it is solved; the walk
+    resolves the solved variables an image mentions before the image.
     """
     settled: set[str] = set()  # resolved images, by this call or before it
 
@@ -289,20 +305,16 @@ def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:
             return True
         return False
 
-    stack = [n for n in names if n in images and not resolved(n)]
-    while stack:
-        name = stack[-1]
-        if name in settled:
-            stack.pop()
-            continue
-        image = images[name]
-        pending = [v for v in ftv_ordered(image) if v in images and not resolved(v)]
-        if pending:
-            stack += pending
-        else:
-            stack.pop()
-            images[name] = _apply(images, image, memo)
-            settled.add(name)
+    def walk(name: str) -> Walk:
+        for v in ftv_ordered(images[name]):
+            if v in images and not resolved(v):
+                yield walk(v)
+        images[name] = _apply(images, images[name], memo)
+        settled.add(name)
+
+    for name in names:
+        if name in images and not resolved(name):
+            trampoline(walk(name))
 
 
 def reader(images: dict[str, Type]) -> Callable[[Type], Type]:

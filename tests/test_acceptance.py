@@ -6,17 +6,14 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 import random
 import time
 
-import pytest
-
 from freezeml.cli import load_corpus, run_corpus_row
-from freezeml.declcheck import check_typing, match_instance
+from freezeml.declcheck import check_typing
 from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_type
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
 from freezeml.subst import substitute
 from freezeml.syntax import (
-    Forall,
     Kind,
     KindEnv,
     TypeEnv,

@@ -13,12 +13,10 @@ from freezeml.parser import parse_term, parse_type
 from freezeml.statics import StaticsError
 from freezeml.syntax import (
     Con,
-    Forall,
     KindEnv,
     TVar,
     Type,
     TypeEnv,
-    decompose,
 )
 
 from dm_oracle import DMError, dm_principal

@@ -16,7 +16,6 @@ from freezeml.syntax import (
     NameSupply,
     TVar,
     TypeEnv,
-    alpha_eq,
     arrow,
     decompose,
     desugar,
@@ -309,9 +308,10 @@ class TestReplayVar:
         # that both verdicts occur), replaying the node alone succeeds
         # exactly when the old check accepts its instantiation.  The
         # walker's scope is popped by the time it is read, so each Var
-        # node's binding is recorded as it is met.
+        # node's binding is recorded as it is met; replay meets every
+        # leaf of the derivation through `_replay_leaf`.
         seen: list = []
-        recorded = declcheck._replay
+        recorded = declcheck._replay_leaf
 
         def recording(delta, gamma, d):
             if isinstance(d, DVar):
@@ -330,7 +330,7 @@ class TestReplayVar:
             accepted += 1
             grounded = ground_derivation(EMPTY, PRELUDE, result)
             with monkeypatch.context() as patch:
-                patch.setattr(declcheck, "_replay", recording)
+                patch.setattr(declcheck, "_replay_leaf", recording)
                 declcheck.replay(EMPTY, PRELUDE, grounded)
         for delta, gamma, d in seen:
             names = delta.names()

@@ -1,11 +1,12 @@
-"""Source hygiene: every name a module imports is used in that module,
-every top-level function and class of the package, and every
-non-dunder method of those classes, has a user other than a re-export
-from the package's ``__init__``, and one outside the tests, no module
-raises the recursion limit or the thread stack size, no module applies
-a ``Subst`` it has just built, only ``subst.py`` names ``Subst``, the CLI
-elaborates only through ``translate.elaborate``, and every function the
-traced benchmark wraps still exists."""
+"""Source hygiene: every name a module or test file imports is used in
+it, no function of the package calls itself other than by yielding its
+walk to the trampoline, every top-level function and class of the
+package, and every non-dunder method of those classes, has a user other
+than a re-export from the package's ``__init__``, and one outside the
+tests, no module raises the recursion limit or the thread stack size,
+no module applies a ``Subst`` it has just built, only ``subst.py`` names
+``Subst``, the CLI elaborates only through ``translate.elaborate``, and
+every function the traced benchmark wraps still exists."""
 
 import ast
 import re
@@ -51,7 +52,14 @@ def test_scan_finds_an_unused_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+TEST_MODULES = sorted((REPO / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -96,6 +104,88 @@ def test_no_stack_limit_changes():
         for path in PACKAGE.glob("*.py")
     }
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def self_calls(source: str) -> list[str]:
+    """Calls by which a function, method or nested function calls itself
+    by name: ``f(...)`` in ``f``, and ``self.m(...)`` in a method ``m``.
+    A call that is the value of a
+    ``yield`` only creates a walk for the trampoline and is not counted;
+    nested definitions are scanned on their own."""
+    found = []
+
+    def scan(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(calls_of_itself(child, in_class))
+            scan(child, isinstance(child, ast.ClassDef))
+
+    def calls_of_itself(fn: ast.AST, method: bool) -> list[str]:
+        yielded, hits = set(), []
+        todo = list(reversed(fn.body))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Yield):
+                yielded.add(id(node.value))
+            if isinstance(node, ast.Call) and id(node) not in yielded:
+                callee = node.func
+                if method:
+                    itself = (
+                        isinstance(callee, ast.Attribute)
+                        and callee.attr == fn.name
+                        and getattr(callee.value, "id", None) == "self"
+                    )
+                else:
+                    itself = isinstance(callee, ast.Name) and callee.id == fn.name
+                if itself:
+                    hits.append(f"{fn.name} (line {node.lineno})")
+            todo.extend(reversed(list(ast.iter_child_nodes(node))))
+        return hits
+
+    scan(ast.parse(source), False)
+    return found
+
+
+def test_scan_finds_a_self_call():
+    source = (
+        "def fact(n):\n"
+        "    return n * fact(n - 1)\n"
+        "def walk(t):\n"
+        "    return (yield walk(t.body))\n"
+        "def run(t):\n"
+        "    return trampoline(run(t))\n"
+        "def outer(t):\n"
+        "    def inner(u):\n"
+        "        return inner(u) + outer(u)\n"
+        "class Node(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "    def size(self):\n"
+        "        return self.size() + self.child.size()\n"
+        "    def get(self, name):\n"
+        "        return self.table.get(name)\n"
+        "    def depth(self):\n"
+        "        return depth(self) + (yield self.child.depth())\n"
+    )
+    assert self_calls(source) == [
+        "fact (line 2)",
+        "run (line 6)",
+        "inner (line 9)",
+        "size (line 14)",
+    ]
+
+
+def test_no_self_calls():
+    # Every walk whose depth follows the input's runs under the
+    # trampoline: a function that calls itself runs out of Python stack
+    # on deep input.
+    found = {
+        path.name: self_calls(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def throwaway_substs(source: str) -> list[str]:

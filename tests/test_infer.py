@@ -21,14 +21,11 @@ from freezeml.statics import StaticsError, wellscoped
 from freezeml.syntax import (
     Kind,
     KindEnv,
-    Lam,
-    NameSupply,
     Span,
     TVar,
     Term,
     Type,
     TypeEnv,
-    Var,
     alpha_eq,
     arrow,
     classify,

@@ -5,7 +5,6 @@ import pytest
 from freezeml.parser import parse_term, parse_type
 from freezeml.statics import (
     PolyVarInEnv,
-    StaticsError,
     UnboundTyVar,
     env_wf,
     kind_of,

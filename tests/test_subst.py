@@ -12,7 +12,6 @@ from freezeml.syntax import (
     TVar,
     alpha_eq,
     arrow,
-    ftv_ordered,
     pair_of,
     t_int,
 )

@@ -1,8 +1,8 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from freezeml.infer import make_supply
 from freezeml.parser import parse_term, parse_type, render_term
@@ -44,6 +44,7 @@ from freezeml.syntax import (
     names,
     pair_of,
     t_int,
+    trampoline,
 )
 
 from alpha_eq_oracle import alpha_eq as alpha_eq_oracle
@@ -53,6 +54,57 @@ from subst_oracles import is_monotype, kind_le
 
 def ty(src: str):
     return parse_type(src)
+
+
+class TestTrampoline:
+    def test_yield_returns_the_sub_walk_result(self):
+        def count(n):
+            return n if n == 0 else 1 + (yield count(n - 1))
+
+        assert trampoline(count(5)) == 5
+
+    def test_sub_walk_exception_is_caught_by_parent(self):
+        caught = []
+
+        def failing(depth):
+            if depth == 0:
+                raise KeyError("deep")
+            return (yield failing(depth - 1))
+
+        def parent():
+            try:
+                yield failing(3)
+            except KeyError as err:
+                caught.append(err.args[0])
+            return (yield leaf())
+
+        def leaf():
+            return "after"
+            yield
+
+        assert trampoline(parent()) == "after"
+        assert caught == ["deep"]
+
+    def test_uncaught_exception_reaches_caller_with_its_type(self):
+        class Marker(Exception):
+            pass
+
+        def failing(depth):
+            if depth == 0:
+                raise Marker("bottom")
+            yield failing(depth - 1)
+
+        with pytest.raises(Marker, match="bottom"):
+            trampoline(failing(50))
+
+    def test_deep_walk_at_default_recursion_limit(self):
+        # 100 000 levels, far past the recursion limit, which stays as it is
+        assert sys.getrecursionlimit() < 100_000
+
+        def depth(n):
+            return 0 if n == 0 else 1 + (yield depth(n - 1))
+
+        assert trampoline(depth(100_000)) == 100_000
 
 
 class TestKind:

@@ -5,7 +5,7 @@ import pytest
 from freezeml.parser import parse_type
 from freezeml.prelude import build_prelude
 from freezeml.subst import substitute
-from freezeml.syntax import KindEnv, TypeEnv, alpha_eq, arrow, t_int
+from freezeml.syntax import KindEnv, TypeEnv, alpha_eq, t_int
 from freezeml.systemf import (
     FApp,
     FLam,

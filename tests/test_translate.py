@@ -3,7 +3,6 @@ import random
 import pytest
 
 from freezeml import translate
-from freezeml.declcheck import check_typing
 from freezeml.infer import InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type, render_term
 from freezeml.prelude import build_prelude
@@ -13,11 +12,8 @@ from freezeml.syntax import (
     Freeze,
     Inst,
     KindEnv,
-    LamAnn,
     LetAnn,
     TVar,
-    TypeEnv,
-    Var,
     alpha_eq,
     classify,
     desugar,
@@ -31,7 +27,6 @@ from freezeml.systemf import (
     FLit,
     FTyAbs,
     FTyApp,
-    FTypeError,
     FVar,
     NotAFunction,
     TypeMismatch,

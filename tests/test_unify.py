@@ -3,7 +3,6 @@ import random
 import pytest
 
 from freezeml.parser import parse_type
-from freezeml.statics import kind_of
 from freezeml.subst import substitute
 from freezeml.syntax import (
     Kind,
@@ -13,7 +12,6 @@ from freezeml.syntax import (
     alpha_eq,
     arrow,
     foralls,
-    ftv_ordered,
     list_of,
     pair_of,
     t_int,
