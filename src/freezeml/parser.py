@@ -639,6 +639,7 @@ def normalize_type_names(a: Type) -> Type:
 _TOP, _ARROW, _APPLIED, _ATOM = range(4)
 _APP = _ARROW
 _CON_LEVELS = {"->": _ARROW, "ST": _APPLIED}
+_ATOMS = (Var, Freeze, Lit, Gen, Inst)
 
 
 def render_type(a: Type, unicode: bool = False) -> str:
@@ -721,7 +722,7 @@ def _term_parts(t: Term, level: int, parts: list[str], unicode: bool) -> Walk:
     parentheses at the end."""
     closing = ""
     while True:
-        loosest = _APP if isinstance(t, App) else _ATOM if _is_atom(t) else _TOP
+        loosest = _APP if isinstance(t, App) else _ATOM if isinstance(t, _ATOMS) else _TOP
         if loosest < level:
             parts.append("(")
             closing += ")"
@@ -764,7 +765,3 @@ def _term_parts(t: Term, level: int, parts: list[str], unicode: bool) -> Walk:
             break
         t, level = last
     parts.append(closing)
-
-
-def _is_atom(t: Term) -> bool:
-    return isinstance(t, (Var, Freeze, Lit, Gen, Inst))

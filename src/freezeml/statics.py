@@ -70,9 +70,6 @@ class PolyVarInEnv(StaticsError):
         self.tyvar = tyvar
 
 
-_NO_BINDERS: frozenset[str] = frozenset()
-
-
 def kind_of(env: KindingEnv, a: Type) -> Kind:
     """Minimal kind of `a`; raises on unbound variables or bad arities.
 
@@ -83,7 +80,7 @@ def kind_of(env: KindingEnv, a: Type) -> Kind:
     """
     kind = Kind.MONO
     parts: list[tuple[Type, frozenset[str]]] = []
-    t, bound = a, _NO_BINDERS
+    t, bound = a, frozenset()
     while True:
         if isinstance(t, TVar):
             var_kind = Kind.MONO if t.name in bound else env.get(t.name)
