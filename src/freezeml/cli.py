@@ -13,8 +13,9 @@ Every command goes through one front door.  Files are read by
 which turns an expected failure into one ``PATH[:line:col]: error: ...``
 line on standard error and returns its exit code; the handlers
 themselves are straight-line read, parse, check and print code.  An
-unreadable or non-UTF-8 file and a syntax error are usage errors; what
-counts as a type error depends on the command.  Any other exception is a fault of the checker: it propagates
+unreadable or non-UTF-8 file, a syntax error and input too large for
+memory are usage errors; what counts as a type error depends on the
+command.  Any other exception is a fault of the checker: it propagates
 out of the handler, and :func:`main` reports it as one internal-error
 line.
 
@@ -52,7 +53,7 @@ EXIT_TYPE_ERROR = 1
 EXIT_USAGE = 2
 
 # Failures of any command that are the input's fault but not type errors.
-_USAGE_ERRORS = (OSError, UnicodeDecodeError, SyntaxError_)
+_USAGE_ERRORS = (OSError, UnicodeDecodeError, SyntaxError_, MemoryError)
 
 
 def _diag(path: str, span: Optional[Span], message: str) -> str:
@@ -71,6 +72,8 @@ def _message(failure: Exception) -> str:
         return f"not valid UTF-8: {failure.reason} at byte {failure.start}"
     if isinstance(failure, OSError):
         return failure.strerror or str(failure)
+    if isinstance(failure, MemoryError):
+        return "input too large for memory"
     return str(failure)
 
 

@@ -32,7 +32,7 @@ from .infer import (
     gen,
 )
 from .statics import StaticsError, kind_of, split
-from .subst import substitute
+from .subst import instantiate, substitute
 from .syntax import (
     Con,
     Kind,
@@ -140,13 +140,18 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
 
     Γ is held in one :class:`freezeml.syntax.Scope` for the walk, built
     from `gamma`: each binder pushes its variable for its body and pops
-    it after.
+    it after.  One memo, made for this call and passed down the walk,
+    builds each distinct instance of a scheme once (see
+    :func:`freezeml.subst.instantiate`); its values hold the scheme and
+    images its keys name.  It shares construction, never verdicts: every
+    Var node still has its prefix, arity and images checked and its
+    instance compared with its own recorded type.
     """
-    scope = Scope(gamma)
-    return _replay_leaf(delta, scope, d) or trampoline(_replay(delta, scope, d))
+    scope, memo = Scope(gamma), {}
+    return _replay_leaf(delta, scope, d, memo) or trampoline(_replay(delta, scope, d, memo))
 
 
-def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation) -> Optional[Type]:
+def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation, memo: dict) -> Optional[Type]:
     """The type of a leaf `d` by its rule; None for any other node."""
     if isinstance(d, DFreeze):
         scheme = gamma.lookup(d.name)
@@ -160,7 +165,7 @@ def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation) -> Optional[Type]:
         scheme = gamma.lookup(d.name)
         if scheme is None:
             _fail(d, f"unbound variable {d.name!r}")
-        prefix, guarded = decompose(scheme)
+        prefix = decompose(scheme)[0]
         if prefix != d.prefix:
             _fail(d, "recorded prefix differs from environment entry")
         if len(d.inst) != len(prefix):
@@ -171,7 +176,7 @@ def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation) -> Optional[Type]:
         # `a` against the prelude's) takes no part in the check.
         for image in d.inst:
             _kind(delta, d, image, "instantiation not well-formed")
-        if not alpha_eq(substitute(dict(zip(prefix, d.inst)), guarded), d.ty):
+        if not alpha_eq(instantiate(scheme, d.inst, memo), d.ty):
             _fail(d, "recorded type is not the recorded instantiation's image")
         return d.ty
 
@@ -182,7 +187,7 @@ def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation) -> Optional[Type]:
     return None
 
 
-def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Walk:
+def _replay(delta: KindEnv, gamma: Scope, d: Derivation, memo: dict) -> Walk:
     if isinstance(d, (DLam, DLamAnn)):
         if isinstance(d, DLamAnn):
             arg_ty = d.ann
@@ -192,15 +197,21 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Walk:
             if _kind(delta, d, arg_ty) is not Kind.MONO:
                 _fail(d, "unannotated parameter must be monomorphic")
         gamma.push(d.var, arg_ty)
-        body_ty = _replay_leaf(delta, gamma, d.body) or (yield _replay(delta, gamma, d.body))
+        body_ty = _replay_leaf(delta, gamma, d.body, memo) or (
+            yield _replay(delta, gamma, d.body, memo)
+        )
         gamma.pop(d.var)
         if not alpha_eq(d.ty, arrow(arg_ty, body_ty)):
             _fail(d, "result type mismatch")
         return d.ty
 
     if isinstance(d, DApp):
-        fn_ty = _replay_leaf(delta, gamma, d.fn) or (yield _replay(delta, gamma, d.fn))
-        arg_ty = _replay_leaf(delta, gamma, d.arg) or (yield _replay(delta, gamma, d.arg))
+        fn_ty = _replay_leaf(delta, gamma, d.fn, memo) or (
+            yield _replay(delta, gamma, d.fn, memo)
+        )
+        arg_ty = _replay_leaf(delta, gamma, d.arg, memo) or (
+            yield _replay(delta, gamma, d.arg, memo)
+        )
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             _fail(d, "function position does not have an arrow type")
         if not alpha_eq(fn_ty.args[0], arg_ty):
@@ -214,8 +225,8 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Walk:
         if d.gen_prefix != prefix:
             _fail(d, "recorded abstraction prefix disagrees with gen")
         inner = delta.extend(*generalisable)
-        if _replay_leaf(inner, gamma, d.bound) is None:
-            yield _replay(inner, gamma, d.bound)
+        if _replay_leaf(inner, gamma, d.bound, memo) is None:
+            yield _replay(inner, gamma, d.bound, memo)
         if prefix:
             if not alpha_eq(d.var_ty, foralls(prefix, d.bound.ty)):
                 _fail(d, "binder type is not the generalised bound type")
@@ -234,14 +245,18 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation) -> Walk:
         if set(prefix) & set(delta.names()):
             _fail(d, "annotation rebinds a type variable already in scope")
         inner = delta.extend(*prefix)
-        bound_ty = _replay_leaf(inner, gamma, d.bound) or (yield _replay(inner, gamma, d.bound))
+        bound_ty = _replay_leaf(inner, gamma, d.bound, memo) or (
+            yield _replay(inner, gamma, d.bound, memo)
+        )
         if not alpha_eq(bound_ty, split_ty):
             _fail(d, "bound type differs from the annotation's body")
         var_ty = d.ann
     else:
         raise TypeError(f"not a derivation: {d!r}")
     gamma.push(d.var, var_ty)
-    body_ty = _replay_leaf(delta, gamma, d.body) or (yield _replay(delta, gamma, d.body))
+    body_ty = _replay_leaf(delta, gamma, d.body, memo) or (
+        yield _replay(delta, gamma, d.body, memo)
+    )
     gamma.pop(d.var)
     if not alpha_eq(body_ty, d.ty):
         _fail(d, "result type mismatch")

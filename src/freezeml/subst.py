@@ -109,7 +109,30 @@ def substitute(mapping: dict[str, Type], a: Type) -> Type:
     return _apply(mapping, a, {})
 
 
-def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
+def instantiate(scheme: Type, images: tuple[Type, ...], memo: dict) -> Type:
+    """The body under the first ``len(images)`` quantifiers of `scheme`,
+    with their variables replaced by `images`.
+
+    Each distinct instance is built once per `memo`: the memo is keyed by
+    the ids of the whole scheme and of each image, and its value holds
+    them, so no id in a key can be reused while the memo lives.  A memo
+    serves one walk (one :func:`freezeml.declcheck.replay` or
+    :func:`freezeml.systemf.f_typecheck` call) and is dropped with it.
+    """
+    key = (id(scheme), *map(id, images))
+    built = memo.get(key)
+    if built is None:
+        body, prefix = scheme, []
+        for _ in images:
+            prefix.append(body.var)
+            body = body.body
+        built = memo[key] = (scheme, images, substitute(dict(zip(prefix, images)), body))
+    return built[2]
+
+
+def _apply(
+    mapping: dict[str, Type], a: Type, memo: dict, table: Optional[dict] = None
+) -> Type:
     """Capture-avoiding application of `mapping` to `a`.
 
     A variable is looked up directly.  Any other node whose cached free
@@ -120,9 +143,15 @@ def _apply(mapping: dict[str, Type], a: Type, memo: dict) -> Type:
     sharing one memo only as :func:`freezeml.unify._resolve` changes it,
     writing resolved images back: it must already hold every mapped
     variable free in `a`, and no image a memo entry used may change.
+
+    With a `table`, each node the walk builds comes from it, keyed by
+    the id of its constructor (or its binder name) and the ids of its
+    children, so the nodes built through one table that are equal as
+    written are one object.  A node in the table holds the objects its
+    key names, so their ids cannot be reused while the table lives.
     """
     image = _untouched(mapping, a)
-    return trampoline(_rebuild(mapping, a, memo)) if image is None else image
+    return trampoline(_rebuild(mapping, a, memo, table)) if image is None else image
 
 
 def _untouched(mapping: dict[str, Type], a: Type) -> Optional[Type]:
@@ -136,7 +165,9 @@ def _untouched(mapping: dict[str, Type], a: Type) -> Optional[Type]:
     return a if mapping.keys().isdisjoint(fv) else None
 
 
-def _rebuild(mapping: dict[str, Type], a: Type, memo: dict) -> Walk:
+def _rebuild(
+    mapping: dict[str, Type], a: Type, memo: dict, table: Optional[dict]
+) -> Walk:
     """The walk of :func:`_apply` on a node with a mapped free variable."""
     done = memo.get(id(a))
     if done is not None:
@@ -145,8 +176,12 @@ def _rebuild(mapping: dict[str, Type], a: Type, memo: dict) -> Walk:
         args = []
         for arg in a.args:
             image = _untouched(mapping, arg)
-            args.append((yield _rebuild(mapping, arg, memo)) if image is None else image)
-        result: Type = Con(a.con, tuple(args))
+            args.append((yield _rebuild(mapping, arg, memo, table)) if image is None else image)
+        if table is None:
+            result: Type = Con(a.con, tuple(args))
+        else:
+            key = (id(a.con), *map(id, args))
+            result = table.get(key) or table.setdefault(key, Con(a.con, tuple(args)))
     elif isinstance(a, Forall):
         # Only images of variables free under the binder matter; the
         # binder itself is not free, so it shadows its own entry.
@@ -158,7 +193,12 @@ def _rebuild(mapping: dict[str, Type], a: Type, memo: dict) -> Walk:
             var = NameSupply((*inner, *names(a, *inner.values())[1])).fresh()
             inner[a.var] = TVar(var)
         image = _untouched(inner, a.body)
-        result = Forall(var, (yield _rebuild(inner, a.body, {})) if image is None else image)
+        body = (yield _rebuild(inner, a.body, {}, table)) if image is None else image
+        if table is None:
+            result = Forall(var, body)
+        else:
+            key = (var, id(body))
+            result = table.get(key) or table.setdefault(key, Forall(var, body))
     else:
         raise TypeError(f"not a type: {a!r}")
     memo[id(a)] = (a, result)

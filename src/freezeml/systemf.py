@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .parser import SyntaxError_, _Parser, constant_name, render_type
 from .statics import StaticsError, kind_of
-from .subst import substitute
+from .subst import instantiate
 from .syntax import (
     Con,
     Forall,
@@ -151,10 +151,15 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
     variable in scope classifies, and the poly/mono refinement plays no
     role here.  Γ is held in one :class:`freezeml.syntax.Scope` for the
     walk, built from `gamma`: each lambda pushes its variable for its
-    body and pops it after.
+    body and pops it after.  One memo, made for this call and passed
+    down the walk, builds the instance of each distinct pair of a
+    quantified type and a type argument once (see
+    :func:`freezeml.subst.instantiate`); its values hold both objects.
+    Every type application still has its argument kinded, and every
+    application compares its argument's type with the function's.
     """
     scope = Scope(gamma)
-    return _f_leaf_type(scope, t) or trampoline(_f_typecheck(delta, scope, t))
+    return _f_leaf_type(scope, t) or trampoline(_f_typecheck(delta, scope, t, {}))
 
 
 def _f_leaf_type(gamma: Scope, t: FTerm) -> Optional[Type]:
@@ -166,19 +171,19 @@ def _f_leaf_type(gamma: Scope, t: FTerm) -> Optional[Type]:
     return t.type if isinstance(t, FLit) else None
 
 
-def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Walk:
+def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm, memo: dict) -> Walk:
     if isinstance(t, FLam):
         try:
             kind_of(delta, t.ann)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
         gamma.push(t.var, t.ann)
-        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(delta, gamma, t.body))
+        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(delta, gamma, t.body, memo))
         gamma.pop(t.var)
         return arrow(t.ann, body_ty)
     if isinstance(t, FApp):
-        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn))
-        arg_ty = _f_leaf_type(gamma, t.arg) or (yield _f_typecheck(delta, gamma, t.arg))
+        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn, memo))
+        arg_ty = _f_leaf_type(gamma, t.arg) or (yield _f_typecheck(delta, gamma, t.arg, memo))
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
             raise NotAFunction(
                 f"cannot apply a term of type {render_type(fn_ty)}"
@@ -196,10 +201,10 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Walk:
                 f"type abstraction rebinds {t.var!r}, already in scope"
             )
         inner = delta.extend(t.var)
-        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(inner, gamma, t.body))
+        body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(inner, gamma, t.body, memo))
         return Forall(t.var, body_ty)
     if isinstance(t, FTyApp):
-        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn))
+        fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn, memo))
         if not isinstance(fn_ty, Forall):
             raise NotAForall(
                 f"cannot instantiate a term of type {render_type(fn_ty)}"
@@ -208,7 +213,7 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm) -> Walk:
             kind_of(delta, t.arg)
         except StaticsError as err:
             raise FTypeError(str(err)) from None
-        return substitute({fn_ty.var: t.arg}, fn_ty.body)
+        return instantiate(fn_ty, (t.arg,), memo)
     raise TypeError(f"not an F term: {t!r}")
 
 

@@ -100,8 +100,12 @@ def ground_derivation(
     the core has no flexible variables).  Grounding and resolution are
     one reading of the derivation as written: the residuals join a copy
     of the store's images, solved to Int, every image is resolved once,
-    and one memo serves every type of the tree.  The finished tree is
-    replayed through the declarative rules as a self-check.
+    and one memo serves every type of the tree.  Every node the reading
+    builds comes from the reader's one table, so equal grounded types
+    are one object: the instances of one scheme at one type share it,
+    and the checks downstream compare them by identity first.  The
+    finished tree is replayed through the declarative rules as a
+    self-check.
     """
     images = {**result.store.images, **dict.fromkeys(result.env, t_int)}
     derivation = result.raw.map_types(reader(images))

@@ -289,11 +289,14 @@ class Store:
         images[var] = solution
 
 
-def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:
+def _resolve(
+    images: dict[str, Type], names: Iterable[str], memo: dict, table: Optional[dict] = None
+) -> None:
     """Resolve in place the image of every solved one of `names`.
 
     An image is resolved once no variable free in it is solved; the walk
     resolves the solved variables an image mentions before the image.
+    The nodes it builds come from `table`, as in :func:`freezeml.subst._apply`.
     """
     settled: set[str] = set()  # resolved images, by this call or before it
 
@@ -309,7 +312,7 @@ def _resolve(images: dict[str, Type], names: Iterable[str], memo: dict) -> None:
         for v in ftv_ordered(images[name]):
             if v in images and not resolved(v):
                 yield walk(v)
-        images[name] = _apply(images, images[name], memo)
+        images[name] = _apply(images, images[name], memo, table)
         settled.add(name)
 
     for name in names:
@@ -322,7 +325,11 @@ def reader(images: dict[str, Type]) -> Callable[[Type], Type]:
 
     Every image is resolved once, in place, and one memo then serves
     every type read, so types sharing subtrees share their reading.
+    Every node the reader builds, in the images and in the types read,
+    comes from one table it owns (see :func:`freezeml.subst._apply`), so
+    the equal types it builds are one object.
     """
     memo: dict = {}
-    _resolve(images, images, memo)
-    return lambda a: _apply(images, a, memo)
+    table: dict = {}
+    _resolve(images, images, memo, table)
+    return lambda a: _apply(images, a, memo, table)

@@ -495,6 +495,26 @@ class TestFrontDoor:
         assert err.startswith(f"{path}: error: internal error: NotAFunction: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("entry", [run_cli, run_main], ids=["handler", "main"])
+    @pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_memory_error_is_a_usage_error(self, tmp_path, monkeypatch, entry, command):
+        def exhausted(path):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_read", exhausted)
+        path = write(tmp_path, "ex.fml", "1")
+        code, out, err = entry([command[0], path, *command[1:]])
+        assert (code, out, err) == (EXIT_USAGE, "", f"{path}: error: input too large for memory\n")
+
+    def test_memory_error_while_elaborating_is_a_usage_error(self, tmp_path, monkeypatch):
+        def exhausted(derivation):
+            raise MemoryError
+
+        monkeypatch.setattr(translate, "to_systemf", exhausted)
+        path = write(tmp_path, "ex.fml", "id 1")
+        code, out, err = run_main(["elaborate", path])
+        assert (code, out, err) == (EXIT_USAGE, "", f"{path}: error: input too large for memory\n")
+
     def test_show_elab_self_check_prints_no_type_line(self, tmp_path, monkeypatch):
         # `infer --show-elab` elaborates before it prints, so a failed
         # self-check leaves standard output empty

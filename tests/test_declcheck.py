@@ -258,6 +258,36 @@ class TestReplay:
             replay(EMPTY, PRELUDE, tampered)
 
 
+class TestReplayMemo:
+    """Replay builds each distinct instance once, but checks every Var
+    node against its own recorded type and instantiation."""
+
+    @staticmethod
+    def with_second_id(derivation, **changes):
+        # `[id, id]` is `id :: (id :: [])`; replay meets the first id first
+        rest = derivation.arg
+        second = replace(rest.fn.arg, **changes)
+        return replace(derivation, arg=replace(rest, fn=replace(rest.fn, arg=second)))
+
+    def test_untampered_list_replays(self):
+        derivation = rebuild_derivation(EMPTY, PRELUDE, desugar(parse_term("[id, id]")))
+        assert derivation.fn.arg.ty is derivation.arg.fn.arg.ty
+        copied = self.with_second_id(derivation, ty=ty("Int -> Int"))
+        assert replay(EMPTY, PRELUDE, copied) == ty("[Int -> Int]")
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"ty": ty("Bool -> Bool")}, {"inst": (ty("Bool"),)}],
+        ids=["ty", "inst"],
+    )
+    def test_a_tampered_second_occurrence_fails(self, changes):
+        derivation = rebuild_derivation(EMPTY, PRELUDE, desugar(parse_term("[id, id]")))
+        tampered = self.with_second_id(derivation, **changes)
+        message = "^DVar: recorded type is not the recorded instantiation's image$"
+        with pytest.raises(ReplayError, match=message):
+            replay(EMPTY, PRELUDE, tampered)
+
+
 def inst_wf_apart(delta: KindEnv, prefix: tuple[str, ...], images: tuple) -> bool:
     """Replay's former Var-rule check: rename the scheme's prefix apart
     from delta, then judge the instantiation with `inst_wf`."""
@@ -313,10 +343,10 @@ class TestReplayVar:
         seen: list = []
         recorded = declcheck._replay_leaf
 
-        def recording(delta, gamma, d):
+        def recording(delta, gamma, d, memo):
             if isinstance(d, DVar):
                 seen.append((delta, TypeEnv([(d.name, gamma.lookup(d.name))]), d))
-            return recorded(delta, gamma, d)
+            return recorded(delta, gamma, d, memo)
 
         rng = random.Random(2024)
         accepted = 0

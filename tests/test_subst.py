@@ -3,8 +3,10 @@ import random
 import pytest
 
 from freezeml.parser import parse_type
-from freezeml.subst import substitute
+from freezeml.subst import _apply, instantiate, substitute
 from freezeml.syntax import (
+    INT,
+    Con,
     Forall,
     Kind,
     KindEnv,
@@ -13,6 +15,7 @@ from freezeml.syntax import (
     alpha_eq,
     arrow,
     pair_of,
+    t_bool,
     t_int,
 )
 
@@ -71,6 +74,47 @@ def _alpha_variant(t, rng):
         renamed = Subst({t.var: TVar(fresh)}).apply(t.body)
         return Forall(fresh, _alpha_variant(renamed, rng))
     return t
+
+
+class TestInstantiate:
+    def test_each_distinct_instance_is_built_once(self):
+        scheme = ty("forall a b. a -> b -> a")
+        memo: dict = {}
+        first = instantiate(scheme, (t_int, t_bool), memo)
+        assert first == ty("Int -> Bool -> Int")
+        assert instantiate(scheme, (t_int, t_bool), memo) is first
+        # equal images that are other objects are another key
+        again = instantiate(scheme, (Con(INT), t_bool), memo)
+        assert again == first and again is not first
+        # fewer images open fewer quantifiers
+        assert alpha_eq(instantiate(scheme, (t_int,), memo), ty("forall b. Int -> b -> Int"))
+        # each value holds the objects its key names, so no id is reused
+        assert len(memo) == 3
+        for key, (held, images, _) in memo.items():
+            assert key == (id(held), *map(id, images))
+
+    def test_capture_avoiding(self):
+        result = instantiate(ty("forall a b. a -> b"), (TVar("b"),), {})
+        assert alpha_eq(result, ty("forall c. b -> c"))
+
+
+class TestSharedTable:
+    def test_equal_nodes_built_through_one_table_are_one_object(self):
+        memo: dict = {}
+        table: dict = {}
+
+        def read(t):
+            return _apply({"c": t_int}, t, memo, table)
+
+        first = read(arrow(TVar("c"), t_bool))
+        assert read(arrow(TVar("c"), t_bool)) is first
+        # binders are part of the key: one body under two binder names
+        body = arrow(TVar("c"), TVar("c"))
+        left, right = read(Forall("a", body)), read(Forall("b", body))
+        assert left.body is right.body
+        assert (left, right) == (Forall("a", ty("Int -> Int")), Forall("b", ty("Int -> Int")))
+        # without a table every node is built anew
+        assert _apply({"c": t_int}, arrow(TVar("c"), t_bool), {}) is not first
 
 
 class TestCompose:

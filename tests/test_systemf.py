@@ -5,7 +5,7 @@ import pytest
 from freezeml.parser import parse_type
 from freezeml.prelude import build_prelude
 from freezeml.subst import substitute
-from freezeml.syntax import KindEnv, TypeEnv, alpha_eq, t_int
+from freezeml.syntax import KindEnv, TypeEnv, alpha_eq, t_bool, t_int
 from freezeml.systemf import (
     FApp,
     FLam,
@@ -117,6 +117,35 @@ class TestTypecheck:
         gamma = TypeEnv((("x", ty("forall a. a -> a")),))
         with pytest.raises(FTypeError):
             f_typecheck(EMPTY, gamma, FTyApp(FVar("x"), ty("ghost")))
+
+
+class TestInstanceMemo:
+    """f_typecheck builds each distinct instance once, but every
+    application still checks its own argument."""
+
+    GAMMA = TypeEnv((("id", ty("forall a. a -> a")),))
+
+    @staticmethod
+    def applied(*args):
+        int_id = ty("Int -> Int")
+        term = FLam("f", int_id, FLam("g", int_id, FLam("h", int_id, FLit(1))))
+        for arg in args:
+            term = FApp(term, FTyApp(FVar("id"), arg))
+        return term
+
+    def test_repeated_instances_check(self):
+        assert f_typecheck(EMPTY, self.GAMMA, self.applied(t_int, t_int, t_int)) == t_int
+
+    def test_a_mismatch_after_repeated_instances_fails(self):
+        with pytest.raises(TypeMismatch, match="^expected Int -> Int, got Bool -> Bool$"):
+            f_typecheck(EMPTY, self.GAMMA, self.applied(t_int, t_int, t_bool))
+
+    def test_a_shadowing_scheme_gets_its_own_instance(self):
+        # one type argument object under two bindings of `id`
+        shadow = FLam("id", ty("forall a. a -> Bool"), FTyApp(FVar("id"), t_int))
+        term = FApp(FLam("f", ty("Int -> Int"), shadow), FTyApp(FVar("id"), t_int))
+        expected = ty("(forall a. a -> Bool) -> Int -> Bool")
+        assert f_typecheck(EMPTY, self.GAMMA, term) == expected
 
 
 class TestLetSugar:

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from freezeml import translate
-from freezeml.infer import InferError, check_program, infer, make_supply
+from freezeml.infer import DApp, InferError, check_program, infer, make_supply
 from freezeml.parser import parse_program, parse_term, parse_type, render_term
 from freezeml.prelude import build_prelude
 from freezeml.statics import StaticsError, wellscoped
-from freezeml.subst import substitute
+from freezeml.subst import _apply, substitute
 from freezeml.syntax import (
     Freeze,
     Inst,
@@ -41,6 +41,7 @@ from freezeml.translate import (
     rebuild_derivation,
     to_systemf,
 )
+from freezeml.unify import _resolve
 
 from generators import GiveUp, random_f_term, random_surface_term
 
@@ -129,6 +130,59 @@ class TestGroundDerivationReference:
             assert all(alpha_eq(a, b) for a, b in pairs)
             checked += 1
         assert checked > 900
+
+
+def read_unshared(result):
+    """The grounded derivation as :func:`ground_derivation` reads it, but
+    with every node the reading builds made anew, not taken from the
+    reader's table."""
+    images = {**result.store.images, **dict.fromkeys(result.env, t_int)}
+    memo: dict = {}
+    _resolve(images, images, memo)
+    return result.raw.map_types(lambda t: _apply(images, t, memo))
+
+
+SCALING_FAMILIES = {
+    "list_id": lambda n: "[" + ", ".join(["id"] * n) + "]",
+    "poly_list": lambda n: "[" + ", ".join(["~id"] * n) + "]",
+    "nested_lam": lambda n: "".join(f"\\x{i}. " for i in range(1, n + 1)) + "x1",
+    "let_chain": lambda n: "".join(f"let x{i} = \\y. y in " for i in range(1, n + 1)) + f"x{n}",
+}
+
+
+class TestSharedGrounding:
+    """The reader's table changes which grounded types are one object,
+    never what they are."""
+
+    @pytest.mark.parametrize("family", SCALING_FAMILIES)
+    def test_scaling_families_read_the_same(self, family):
+        for n in (1, 2, 25, 50):
+            result = check_program(EMPTY, PRELUDE, parse_program(SCALING_FAMILIES[family](n)))
+            assert ground_derivation(EMPTY, PRELUDE, result) == read_unshared(result)
+
+    def test_generated_programs_read_the_same(self):
+        rng = random.Random(2206)
+        checked = 0
+        while checked < 500:
+            term = random_surface_term(rng, (), rng.randrange(1, 7))
+            try:
+                result = check_program(EMPTY, PRELUDE, term)
+            except (InferError, StaticsError):
+                continue
+            assert ground_derivation(EMPTY, PRELUDE, result) == read_unshared(result)
+            checked += 1
+
+    def test_equal_instances_are_one_object(self):
+        # `[id, id, id]` is `id :: (id :: (id :: []))`
+        rest = rebuild_derivation(EMPTY, PRELUDE, parse_program("[id, id, id]"))
+        ids = []
+        while isinstance(rest, DApp):
+            ids.append(rest.fn.arg)
+            rest = rest.arg
+        assert [d.name for d in ids] == ["id"] * 3
+        assert ids[0].ty == ty("Int -> Int")
+        assert ids[0].ty is ids[1].ty is ids[2].ty
+        assert ids[0].inst[0] is ids[1].inst[0] is ids[2].inst[0]
 
 
 class TestToSystemF:
