@@ -122,11 +122,11 @@ def instantiate(scheme: Type, images: tuple[Type, ...], memo: dict) -> Type:
     key = (id(scheme), *map(id, images))
     built = memo.get(key)
     if built is None:
-        body, prefix = scheme, []
-        for _ in images:
-            prefix.append(body.var)
+        body, mapping = scheme, {}
+        for image in images:
+            mapping[body.var] = image
             body = body.body
-        built = memo[key] = (scheme, images, substitute(dict(zip(prefix, images)), body))
+        built = memo[key] = (scheme, images, substitute(mapping, body))
     return built[2]
 
 
