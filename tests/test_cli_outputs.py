@@ -2,10 +2,14 @@
 record was made.
 
 ``tests/cli_outputs.json`` holds the exit code, standard output and
-standard error of ``infer``, ``infer --show-elab`` and ``elaborate`` on
-every corpus row (a row's ``where`` extras join the prelude) and on a
-few application-heavy programs, one record per run, and one SHA-256
-digest of the same for seeded ``random_surface_term`` draws.  The file
+standard error of ``infer``, ``infer --show-elab``, ``elaborate``,
+``infer --unicode`` and ``elaborate --unicode`` on every corpus row (a
+row's ``where`` extras join the prelude) and on a few
+application-heavy programs, one record per run, and SHA-256 digests of
+the same for seeded ``random_surface_term`` draws, one over the ASCII
+commands and one over the Unicode ones.  It also holds
+``import`` and ``import --unicode`` of the F term that ``elaborate``
+prints for each of those programs that is well-typed.  The file
 path is replaced by ``<input>`` in standard error.  A change meant to
 keep behaviour keeps these bytes.  A change meant to alter output
 rewrites the record with
@@ -23,6 +27,7 @@ import json
 import os
 import random
 import tempfile
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -35,6 +40,8 @@ from generators import random_surface_term
 
 RECORD = Path(__file__).with_name("cli_outputs.json")
 COMMANDS = (("infer",), ("infer", "--show-elab"), ("elaborate",))
+UNICODE_COMMANDS = (("infer", "--unicode"), ("elaborate", "--unicode"))
+IMPORT_COMMANDS = (("import",), ("import", "--unicode"))
 DRAW_SEEDS = range(7000, 7300)
 PROGRAMS = {
     "list_id": "[" + ", ".join(["id"] * 6) + "]",
@@ -45,6 +52,7 @@ PROGRAMS = {
     "choose": "choose id ~id",
     "poly_id": "poly ~id id",
 }
+IMPORTED = ("list_id", "poly_list", "id_chain", "app_chain", "apply_result")  # the well-typed ones
 
 
 def _run(parser, command: tuple[str, ...], path: str) -> list:
@@ -54,16 +62,16 @@ def _run(parser, command: tuple[str, ...], path: str) -> list:
     return [code, out.getvalue(), err.getvalue().replace(path, "<input>")]
 
 
-def _runs(directory: str, sources):
-    """Each command's [exit code, stdout, stderr] on each (name, source,
-    environment) of `sources`, in order."""
+def _runs(directory: str, sources, commands):
+    """Each of `commands`' [exit code, stdout, stderr] on each (name,
+    source, environment) of `sources`, in order."""
     parser = build_arg_parser()
     path = os.path.join(directory, "program.fml")
     for name, source, gamma in sources:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(source)
         with mock.patch.object(cli, "_environment", lambda args: gamma):
-            for command in COMMANDS:
+            for command in commands:
                 yield name, " ".join(command), _run(parser, command, path)
 
 
@@ -78,6 +86,14 @@ def _named_sources():
         yield name, source, prelude
 
 
+def _imported_sources(directory: str):
+    """The F term of each well-typed named program's ASCII elaboration."""
+    prelude = build_prelude()
+    programs = [(name, PROGRAMS[name], prelude) for name in IMPORTED]
+    for name, _, (_, out, _) in list(_runs(directory, programs, (("elaborate",),))):
+        yield f"{name} import", out.splitlines()[0], prelude
+
+
 def _drawn_sources():
     prelude = build_prelude()
     for seed in DRAW_SEEDS:
@@ -89,19 +105,23 @@ def collect() -> dict:
     with tempfile.TemporaryDirectory() as directory:
         named = [
             {"program": name, "command": command, "result": result}
-            for name, command, result in _runs(directory, _named_sources())
+            for name, command, result in chain(
+                _runs(directory, _named_sources(), COMMANDS + UNICODE_COMMANDS),
+                _runs(directory, _imported_sources(directory), IMPORT_COMMANDS),
+            )
         ]
-        digest = hashlib.sha256()
-        runs = 0
-        for _, _, result in _runs(directory, _drawn_sources()):
-            digest.update(json.dumps(result).encode("utf-8"))
-            runs += 1
-    draws = {
-        "seeds": [DRAW_SEEDS.start, DRAW_SEEDS.stop],
-        "runs": runs,
-        "sha256": digest.hexdigest(),
-    }
-    return {"named": named, "draws": draws}
+        draws = _digest(directory, COMMANDS)
+        unicode_draws = _digest(directory, UNICODE_COMMANDS)
+    return {"named": named, "draws": draws, "unicode_draws": unicode_draws}
+
+
+def _digest(directory: str, commands) -> dict:
+    digest = hashlib.sha256()
+    runs = 0
+    for _, _, result in _runs(directory, _drawn_sources(), commands):
+        digest.update(json.dumps(result).encode("utf-8"))
+        runs += 1
+    return {"seeds": [DRAW_SEEDS.start, DRAW_SEEDS.stop], "runs": runs, "sha256": digest.hexdigest()}
 
 
 def test_outputs_are_byte_identical_to_the_record():
@@ -111,14 +131,19 @@ def test_outputs_are_byte_identical_to_the_record():
     for got, want in zip(now["named"], recorded["named"]):
         assert got == want, want["program"]
     assert now["draws"] == recorded["draws"]
+    assert now["unicode_draws"] == recorded["unicode_draws"]
 
 
 def test_record_covers_every_corpus_row_and_command():
     recorded = json.loads(RECORD.read_text(encoding="utf-8"))
     rows = {f"corpus line {row.line}" for row in load_corpus()}
     runs = {(r["program"], r["command"]) for r in recorded["named"]}
-    assert runs >= {(row, " ".join(c)) for row in rows for c in COMMANDS}
+    commands = COMMANDS + UNICODE_COMMANDS
+    assert runs >= {(row, " ".join(c)) for row in rows for c in commands}
+    imports = {(f"{name} import", " ".join(c)) for name in IMPORTED for c in IMPORT_COMMANDS}
+    assert runs >= imports
     assert recorded["draws"]["runs"] == len(DRAW_SEEDS) * len(COMMANDS)
+    assert recorded["unicode_draws"]["runs"] == len(DRAW_SEEDS) * len(UNICODE_COMMANDS)
 
 
 if __name__ == "__main__":
