@@ -38,6 +38,10 @@ literals other than Int/Bool constants.
 
 Programs are ``name (: type)? = term ;`` declarations followed by a
 final term; declarations nest into let/let-annotated bindings.
+
+One printer, :func:`render`, prints types, surface terms and System F
+terms: each grammar lays out its nodes over one set of precedence levels,
+and a node goes in parentheses where its context expects a tighter one.
 """
 
 from __future__ import annotations
@@ -633,135 +637,102 @@ def normalize_type_names(a: Type) -> Type:
     return rename_type(a, dict(zip(internals, display_type_names(taken))))
 
 
-# The precedence levels of both printers, loosest first: a type under a
-# quantifier, an arrow, an `ST` application, an atom; a term under a
-# binder, an application, an atom.
-_TOP, _ARROW, _APPLIED, _ATOM = range(4)
-_APP = _ARROW
-_CON_LEVELS = {"->": _ARROW, "ST": _APPLIED}
-_ATOMS = (Var, Freeze, Lit, Gen, Inst)
+# The precedence levels of every printer, loosest first: a type under a
+# quantifier or a term under a binder; an arrow or an application; an
+# `ST` application; an atom.
+_TOP, _APP, _APPLIED, _ATOM = range(4)
+
+
+def render(root, layout, unicode: bool) -> str:
+    """Print `root`, a type or a term of the grammar `layout` describes.
+
+    `layout(node, unicode)` gives a term node's loosest level and its
+    parts, and :func:`_type_layout` does the same for every type node,
+    annotations included: the text of a leaf, or a sequence of text and
+    (node, level) items that print where the grammar expects that level,
+    in parentheses if the node binds more loosely.  One explicit stack
+    of parts serves every node, so deep input prints without recursion.
+    """
+    parts: list[str] = []
+    stack: list = [(root, _TOP)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            parts.append(item)
+            continue
+        node, level = item
+        loosest, layout_parts = (_type_layout if isinstance(node, Type) else layout)(node, unicode)
+        if layout_parts.__class__ is str:
+            parts.append(layout_parts)
+            continue
+        if loosest < level:
+            parts.append("(")
+            stack.append(")")
+        stack.extend(reversed(layout_parts))
+    return "".join(parts)
 
 
 def render_type(a: Type, unicode: bool = False) -> str:
     """Print `a` with its variable names as given; showing inferred types
     to people goes through :func:`normalize_type_names` first."""
-    parts: list[str] = []
-    trampoline(_type_parts(a, _TOP, parts, unicode))
-    return "".join(parts)
+    return render(a, _type_layout, unicode)
 
 
-def _type_name(t: Type) -> Optional[str]:
-    """The printing of a variable or a constant type; None for any other."""
+def _type_layout(t: Type, unicode: bool) -> tuple:
     if isinstance(t, TVar):
-        return t.name
-    return t.con.name if isinstance(t, Con) and not t.args else None
-
-
-def _type_parts(t: Type, level: int, parts: list[str], unicode: bool) -> Walk:
-    """Append to `parts` the printing of `t` where the grammar expects
-    `level`, in parentheses if `t` binds more loosely.  A layout lists
-    text and (part, level) pairs; names print in place, and the walk
-    goes on down a last part itself, closing its parentheses at the end."""
-    closing = ""
-    while True:
-        name = t.con.name if isinstance(t, Con) else None
-        if (_TOP if isinstance(t, Forall) else _CON_LEVELS.get(name, _ATOM)) < level:
-            parts.append("(")
-            closing += ")"
-        if _type_name(t) is not None:
-            layout: tuple = (_type_name(t),)
-        elif isinstance(t, Forall):
-            prefix, body = decompose(t)
-            layout = (("∀" if unicode else "forall ") + " ".join(prefix) + ". ", (body, _ARROW))
-        elif name == "->":
-            layout = ((t.args[0], _APPLIED), " → " if unicode else " -> ", (t.args[1], _ARROW))
-        elif name == "ST":
-            layout = ("ST ", (t.args[0], _ATOM), " ", (t.args[1], _ATOM))
-        elif name == "List":
-            layout = ("[", (t.args[0], _TOP), "]")
-        elif name == "Pair":
-            layout = ("(", (t.args[0], _TOP), ", ", (t.args[1], _TOP), ")")
-        else:
-            raise TypeError(f"not a type: {t!r}")
-        last = layout[-1]
-        tail = isinstance(last, tuple) and _type_name(last[0]) is None
-        for item in layout[:-1] if tail else layout:
-            text = item if isinstance(item, str) else _type_name(item[0])
-            if text is None:
-                yield _type_parts(*item, parts, unicode)
-            else:
-                parts.append(text)
-        if not tail:
-            break
-        t, level = last
-    parts.append(closing)
+        return _ATOM, t.name
+    if isinstance(t, Forall):
+        prefix, body = decompose(t)
+        return _TOP, (("∀" if unicode else "forall ") + " ".join(prefix) + ". ", (body, _APP))
+    name = t.con.name if isinstance(t, Con) else None
+    if name == "->":
+        return _APP, ((t.args[0], _APPLIED), " → " if unicode else " -> ", (t.args[1], _APP))
+    if name is not None and not t.args:
+        return _ATOM, name
+    if name == "List":
+        return _ATOM, ("[", (t.args[0], _TOP), "]")
+    if name == "Pair":
+        return _ATOM, ("(", (t.args[0], _TOP), ", ", (t.args[1], _TOP), ")")
+    if name == "ST":
+        return _APPLIED, ("ST ", (t.args[0], _ATOM), " ", (t.args[1], _ATOM))
+    raise TypeError(f"not a type: {t!r}")
 
 
 def render_term(m: Term, unicode: bool = False) -> str:
-    parts: list[str] = []
-    trampoline(_term_parts(m, _TOP, parts, unicode))
-    return "".join(parts)
+    return render(m, _term_layout, unicode)
 
 
-def _leaf_text(t: Term, unicode: bool) -> Optional[str]:
-    """The printing of a variable, frozen variable or literal; None for
-    any other term."""
+def _term_layout(t: Term, unicode: bool) -> tuple:
+    """A surface term's layout for :func:`render`; derivation nodes are
+    terms too."""
     if isinstance(t, Var):
-        return constant_name(t.name)
+        return _ATOM, constant_name(t.name)
+    if isinstance(t, App):
+        args = []
+        while isinstance(t, App):  # the spine of an application
+            args.append((t.arg, _ATOM))
+            args.append(" ")
+            t = t.fn
+        args.append((t, _APP))
+        return _APP, args[::-1]
+    if isinstance(t, Lam):
+        return _TOP, (f"\\{t.var}. ", (t.body, _TOP))
+    if isinstance(t, Let):
+        return _TOP, (f"let {t.var} = ", (t.bound, _TOP), " in ", (t.body, _TOP))
     if isinstance(t, Freeze):
         name = constant_name(t.name)
-        return f"⌈{name}⌉" if unicode else f"~{name}"
-    return str(t.value) if isinstance(t, Lit) else None
-
-
-def _term_parts(t: Term, level: int, parts: list[str], unicode: bool) -> Walk:
-    """Append to `parts` the printing of `t` where the grammar expects
-    `level`, in parentheses if `t` binds more loosely.  A layout lists
-    text, annotations, and (subterm, level) pairs; leaves print in place,
-    and the walk goes on down a last subterm itself, closing its
-    parentheses at the end."""
-    closing = ""
-    while True:
-        loosest = _APP if isinstance(t, App) else _ATOM if isinstance(t, _ATOMS) else _TOP
-        if loosest < level:
-            parts.append("(")
-            closing += ")"
-        if isinstance(t, Gen):
-            # `$` takes an atom: a nested `$` or `@` body needs parentheses.
-            nested = isinstance(t.body, (Gen, Inst))
-            layout: tuple = ("$(", (t.body, _ATOM), ")") if nested else ("$", (t.body, _ATOM))
-        elif isinstance(t, Inst):
-            layout = ((t.body, _ATOM), "@")
-        elif isinstance(t, App):
-            args = []
-            while isinstance(t, App):  # the spine of an application
-                args.append(t.arg)
-                t = t.fn
-            layout = ((t, _APP), *(part for arg in reversed(args) for part in (" ", (arg, _ATOM))))
-        elif isinstance(t, Lam):
-            layout = (f"\\{t.var}. ", (t.body, _TOP))
-        elif isinstance(t, LamAnn):
-            layout = (f"\\({t.var} : ", t.ann, "). ", (t.body, _TOP))
-        elif isinstance(t, Let):
-            layout = (f"let {t.var} = ", (t.bound, _TOP), " in ", (t.body, _TOP))
-        elif isinstance(t, LetAnn):
-            layout = (f"let ({t.var} : ", t.ann, ") = ", (t.bound, _TOP), " in ", (t.body, _TOP))
-        elif _leaf_text(t, unicode) is not None:
-            layout = (_leaf_text(t, unicode),)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-        last = layout[-1]
-        tail = isinstance(last, tuple) and _leaf_text(last[0], unicode) is None
-        for item in layout[:-1] if tail else layout:
-            if isinstance(item, Type):
-                yield _type_parts(item, _TOP, parts, unicode)
-                continue
-            text = item if isinstance(item, str) else _leaf_text(item[0], unicode)
-            if text is None:
-                yield _term_parts(*item, parts, unicode)
-            else:
-                parts.append(text)
-        if not tail:
-            break
-        t, level = last
-    parts.append(closing)
+        return _ATOM, f"⌈{name}⌉" if unicode else f"~{name}"
+    if isinstance(t, Lit):
+        return _ATOM, str(t.value)
+    if isinstance(t, LamAnn):
+        return _TOP, (f"\\({t.var} : ", (t.ann, _TOP), "). ", (t.body, _TOP))
+    if isinstance(t, LetAnn):
+        bound = (t.bound, _TOP)
+        return _TOP, (f"let ({t.var} : ", (t.ann, _TOP), ") = ", bound, " in ", (t.body, _TOP))
+    if isinstance(t, Gen):
+        # `$` takes an atom: a nested `$` or `@` body needs parentheses.
+        nested = isinstance(t.body, (Gen, Inst))
+        return _ATOM, (("$(", (t.body, _ATOM), ")") if nested else ("$", (t.body, _ATOM)))
+    if isinstance(t, Inst):
+        return _ATOM, ((t.body, _ATOM), "@")
+    raise TypeError(f"not a term: {t!r}")

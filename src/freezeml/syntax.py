@@ -18,15 +18,17 @@ removed by :func:`desugar` before any checking.
 
 Every walk whose depth follows the input's runs under one driver,
 :func:`trampoline`, so nesting is bounded by memory, not by Python's
-recursion limit.  A walk is a generator.  Where a recursive function
-would call itself on a child, it yields the child's walk, so
-``body = yield walk(m.body)`` reads as ``body = walk(m.body)``, and a
-``try`` around the ``yield`` catches what the child raises; it returns
-its result with ``return``.  A walk handles in place the children that
-take no walk, such as variables, and may hand over with ``yield from``
-to a helper walk that comes back to it only through a ``yield``.  Each
-public entry point is a plain function that runs its walk with
-:func:`trampoline`.
+recursion limit; only flat folds that measured faster keep a loop of
+their own, and the printers share the explicit stack of
+:func:`freezeml.parser.render`.  A walk is a generator.  Where a
+recursive function would call itself on a child, it yields the child's
+walk, so ``body = yield walk(m.body)`` reads as
+``body = walk(m.body)``, and a ``try`` around the ``yield`` catches
+what the child raises; it returns its result with ``return``.  A walk
+handles in place the children that take no walk, such as variables,
+and may hand over with ``yield from`` to a helper walk that comes back
+to it only through a ``yield``.  Each public entry point is a plain
+function that runs its walk with :func:`trampoline`.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .parser import SyntaxError_, _Parser, constant_name, render_type
+from .parser import _APP, _ATOM, _TOP, SyntaxError_, _Parser, constant_name, render, render_type
 from .statics import StaticsError, kind_of
 from .subst import instantiate
 from .syntax import (
@@ -221,65 +221,31 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm, memo: dict) -> Walk:
 # Printing and parsing (used by the CLI elaborate/import commands)
 # ---------------------------------------------------------------------------
 
-_TOP, _APP, _ATOM = range(3)
-
-
 def render_fterm(t: FTerm, unicode: bool = False) -> str:
-    """Print `t` in the grammar :func:`parse_fterm` reads.
+    """Print `t` in the grammar :func:`parse_fterm` reads."""
+    return render(t, _fterm_layout, unicode)
 
-    Works on an explicit stack, so deeply nested terms (long let chains
-    in particular) print without exhausting the interpreter's stack.
-    """
-    lam = "λ" if unicode else "\\"
-    tyabs = "Λ" if unicode else "/\\"
 
-    def ty(a: Type) -> str:
-        return render_type(a, unicode=unicode)
-
-    pieces: list[str] = []
-    # Each entry is text to emit or (level, term); the levels are the
-    # grammar's three: top (binders), app (spines), atom.
-    stack: list = [(_TOP, t)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-            continue
-        level, x = item
-        if level == _TOP:
-            if isinstance(x, FLam):
-                pieces.append(f"{lam}{x.var}:{ty(x.ann)}. ")
-                stack.append((_TOP, x.body))
-                continue
-            if isinstance(x, FTyAbs):
-                names = []
-                while isinstance(x, FTyAbs):
-                    names.append(x.var)
-                    x = x.body
-                pieces.append(f"{tyabs}{' '.join(names)}. ")
-                stack.append((_TOP, x))
-                continue
-            level = _APP
-        if level == _APP:
-            if isinstance(x, FApp):
-                stack.extend(((_ATOM, x.arg), " ", (_APP, x.fn)))
-                continue
-            if isinstance(x, FTyApp):
-                stack.extend((f" [{ty(x.arg)}]", (_APP, x.fn)))
-                continue
-        if isinstance(x, FVar):
-            pieces.append(constant_name(x.name))
-        elif isinstance(x, FLit):
-            if x.value is True:
-                pieces.append("True")
-            elif x.value is False:
-                pieces.append("False")
-            else:
-                pieces.append(str(x.value))
-        else:
-            pieces.append("(")
-            stack.extend((")", (_TOP, x)))
-    return "".join(pieces)
+def _fterm_layout(t: FTerm, unicode: bool) -> tuple:
+    """An F term's layout for :func:`freezeml.parser.render`."""
+    if isinstance(t, FVar):
+        return _ATOM, constant_name(t.name)
+    if isinstance(t, FApp):
+        return _APP, ((t.fn, _APP), " ", (t.arg, _ATOM))
+    if isinstance(t, FTyApp):
+        return _APP, ((t.fn, _APP), " [", (t.arg, _TOP), "]")
+    if isinstance(t, FLam):
+        lam = "λ" if unicode else "\\"
+        return _TOP, (f"{lam}{t.var}:", (t.ann, _TOP), ". ", (t.body, _TOP))
+    if isinstance(t, FTyAbs):
+        names = []
+        while isinstance(t, FTyAbs):
+            names.append(t.var)
+            t = t.body
+        return _TOP, (("Λ" if unicode else "/\\") + " ".join(names) + ". ", (t, _TOP))
+    if isinstance(t, FLit):
+        return _ATOM, str(t.value)
+    raise TypeError(f"not an F term: {t!r}")
 
 
 def parse_fterm(text: str) -> FTerm:

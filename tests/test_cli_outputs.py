@@ -121,7 +121,8 @@ def _digest(directory: str, commands) -> dict:
     for _, _, result in _runs(directory, _drawn_sources(), commands):
         digest.update(json.dumps(result).encode("utf-8"))
         runs += 1
-    return {"seeds": [DRAW_SEEDS.start, DRAW_SEEDS.stop], "runs": runs, "sha256": digest.hexdigest()}
+    seeds = [DRAW_SEEDS.start, DRAW_SEEDS.stop]
+    return {"seeds": seeds, "runs": runs, "sha256": digest.hexdigest()}
 
 
 def test_outputs_are_byte_identical_to_the_record():

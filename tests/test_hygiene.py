@@ -5,10 +5,13 @@ package, and every non-dunder method of those classes, has a user other
 than a re-export from the package's ``__init__``, and one outside the
 tests, no module raises the recursion limit or the thread stack size,
 no module applies a ``Subst`` it has just built, only ``subst.py`` names
-``Subst``, the CLI elaborates only through ``translate.elaborate``, and
-every function the traced benchmark wraps still exists."""
+``Subst``, the CLI elaborates only through ``translate.elaborate``,
+every function the traced benchmark wraps still exists, and the
+benchmark worker's output hooks see the term of every op that prints
+one."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -421,3 +424,55 @@ def test_traced_benchmark_hooks_resolve(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "poly ~id : (Int, Bool)\n"
+
+
+# One op of each benchmark family, run through the worker's Runner the
+# way bench/worker.py runs it: the smallest op of each family of the
+# corpus and scaling manifests, and one roundtrip op built like those of
+# the roundtrip manifest from an F let chain.
+WORKER_OPS = """
+import json, os, sys, tempfile
+sys.path[:0] = ["src", "bench"]
+import answers, inputs, worker
+from freezeml.systemf import render_fterm
+
+IDENTITY = "forall a. a -> a"
+runner = worker.Runner()
+with tempfile.TemporaryDirectory() as work:
+    ops = inputs.build("corpus", 1, work)["ops"] + inputs.build("scaling", 1, work)["ops"]
+    source = os.path.join(work, "f_let_chain_3.f")
+    with open(source, "w", encoding="utf-8") as handle:
+        handle.write(render_fterm(inputs.f_let_chain(3)) + "\\n")
+    ops.append({
+        "id": "f_let_chain:3", "kind": "roundtrip", "family": "f_let_chain", "n": 3,
+        "source": source, "encoding": os.path.join(work, "f_let_chain_3.fml"),
+        "expect": {"type": answers.render(answers.canonical(answers.parse_type(IDENTITY)))},
+    })
+    smallest = {}
+    for op in ops:
+        if op["n"] < smallest.get(op["family"], {"n": float("inf")})["n"]:
+            smallest[op["family"]] = op
+    for op in smallest.values():
+        result = runner.run(op)
+        ok, cause, _ = worker.judge(op, result)
+        expects_nodes = op["kind"] == "roundtrip" or bool(op["expect"].get("nodes"))
+        nodes = worker._emitted(op, runner, result)
+        print(json.dumps([op["family"], op["id"], ok, cause, expects_nodes, nodes]))
+"""
+
+
+def test_benchmark_worker_hooks_count_output_nodes():
+    # bench/worker.py replaces cli.render_fterm and cli.render_term to
+    # keep the printed term; end_to_end's output_nodes divides by the ops
+    # that kept one, so an op expecting nodes must get a count.
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_OPS], capture_output=True, text=True, cwd=REPO, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    families = {run[0] for run in runs}
+    assert {"golden", "infer", "elaborate", "check", "list_id", "f_let_chain"} <= families
+    for _, op_id, ok, cause, expects_nodes, nodes in runs:
+        assert ok, (op_id, cause)
+        if expects_nodes:
+            assert isinstance(nodes, int) and nodes > 0, op_id

@@ -25,12 +25,15 @@ from freezeml.syntax import (
     Con,
     Forall,
     Freeze,
+    Gen,
+    Inst,
     Lam,
     LamAnn,
     Let,
     LetAnn,
     Lit,
     Span,
+    Term,
     TVar,
     Var,
     alpha_eq,
@@ -266,8 +269,16 @@ class TestPrintedFormsParseBack:
     covered by `TestRenderType.test_round_trip_exact_without_normalize`."""
 
     def test_surface_terms(self):
+        kinds = set()
         for term, text in rendered_surface_terms():
             assert parse_term(text) == term
+            stack = [term]
+            while stack:
+                node = stack.pop()
+                kinds.add(type(node))
+                stack.extend(child for child in vars(node).values() if isinstance(child, Term))
+        # every surface node kind takes part, the sugar and annotations included
+        assert kinds == {Var, Freeze, Lit, App, Lam, LamAnn, Let, LetAnn, Gen, Inst}
 
     def test_f_terms(self):
         checked = 0
