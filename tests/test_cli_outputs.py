@@ -9,7 +9,9 @@ application-heavy programs, one record per run, and SHA-256 digests of
 the same for seeded ``random_surface_term`` draws, one over the ASCII
 commands and one over the Unicode ones.  It also holds
 ``import`` and ``import --unicode`` of the F term that ``elaborate``
-prints for each of those programs that is well-typed.  The file
+prints for each of those programs that is well-typed, of one ill-typed
+F term per System F type error, and, as one digest, of seeded
+``random_f_term`` draws printed with ``render_fterm``.  The file
 path is replaced by ``<input>`` in standard error.  A change meant to
 keep behaviour keeps these bytes.  A change meant to alter output
 rewrites the record with
@@ -35,8 +37,10 @@ from freezeml import cli
 from freezeml.cli import build_arg_parser, load_corpus
 from freezeml.parser import parse_type, render_term
 from freezeml.prelude import build_prelude
+from freezeml.syntax import KindEnv
+from freezeml.systemf import render_fterm
 
-from generators import random_surface_term
+from generators import GiveUp, random_f_term, random_surface_term
 
 RECORD = Path(__file__).with_name("cli_outputs.json")
 COMMANDS = (("infer",), ("infer", "--show-elab"), ("elaborate",))
@@ -53,6 +57,16 @@ PROGRAMS = {
     "poly_id": "poly ~id id",
 }
 IMPORTED = ("list_id", "poly_list", "id_chain", "app_chain", "apply_result")  # the well-typed ones
+ILL_TYPED_F = {  # one F term per System F type error
+    "unbound variable": "ghost",
+    "not a function": "1 2",
+    "not a forall": "1 [Int]",
+    "argument mismatch": "(\\x:Int. x) True",
+    "value restriction": "/\\a. id [Int] 1",
+    "rebinding type abstraction": "/\\a. /\\a. \\x:a. x",
+    "unbound type variable": "\\x:b. x",
+}
+F_DRAW_SEEDS = range(8000, 8300)
 
 
 def _run(parser, command: tuple[str, ...], path: str) -> list:
@@ -94,6 +108,24 @@ def _imported_sources(directory: str):
         yield f"{name} import", out.splitlines()[0], prelude
 
 
+def _ill_typed_sources():
+    prelude = build_prelude()
+    for error, source in ILL_TYPED_F.items():
+        yield f"{error} import", source, prelude
+
+
+def _drawn_f_sources():
+    """Seeded well-typed F terms; a seed whose draw gives up is skipped."""
+    prelude = build_prelude()
+    for seed in F_DRAW_SEEDS:
+        rng = random.Random(seed)
+        try:
+            term = random_f_term(rng, KindEnv(), prelude, depth=rng.randint(1, 6))
+        except GiveUp:
+            continue
+        yield seed, render_fterm(term), prelude
+
+
 def _drawn_sources():
     prelude = build_prelude()
     for seed in DRAW_SEEDS:
@@ -108,21 +140,22 @@ def collect() -> dict:
             for name, command, result in chain(
                 _runs(directory, _named_sources(), COMMANDS + UNICODE_COMMANDS),
                 _runs(directory, _imported_sources(directory), IMPORT_COMMANDS),
+                _runs(directory, _ill_typed_sources(), IMPORT_COMMANDS),
             )
         ]
-        draws = _digest(directory, COMMANDS)
-        unicode_draws = _digest(directory, UNICODE_COMMANDS)
-    return {"named": named, "draws": draws, "unicode_draws": unicode_draws}
+        draws = _digest(directory, _drawn_sources(), DRAW_SEEDS, COMMANDS)
+        unicode_draws = _digest(directory, _drawn_sources(), DRAW_SEEDS, UNICODE_COMMANDS)
+        f_draws = _digest(directory, _drawn_f_sources(), F_DRAW_SEEDS, IMPORT_COMMANDS)
+    return {"named": named, "draws": draws, "unicode_draws": unicode_draws, "f_draws": f_draws}
 
 
-def _digest(directory: str, commands) -> dict:
+def _digest(directory: str, sources, seeds: range, commands) -> dict:
     digest = hashlib.sha256()
     runs = 0
-    for _, _, result in _runs(directory, _drawn_sources(), commands):
+    for _, _, result in _runs(directory, sources, commands):
         digest.update(json.dumps(result).encode("utf-8"))
         runs += 1
-    seeds = [DRAW_SEEDS.start, DRAW_SEEDS.stop]
-    return {"seeds": seeds, "runs": runs, "sha256": digest.hexdigest()}
+    return {"seeds": [seeds.start, seeds.stop], "runs": runs, "sha256": digest.hexdigest()}
 
 
 def test_outputs_are_byte_identical_to_the_record():
@@ -133,6 +166,7 @@ def test_outputs_are_byte_identical_to_the_record():
         assert got == want, want["program"]
     assert now["draws"] == recorded["draws"]
     assert now["unicode_draws"] == recorded["unicode_draws"]
+    assert now["f_draws"] == recorded["f_draws"]
 
 
 def test_record_covers_every_corpus_row_and_command():
@@ -143,8 +177,13 @@ def test_record_covers_every_corpus_row_and_command():
     assert runs >= {(row, " ".join(c)) for row in rows for c in commands}
     imports = {(f"{name} import", " ".join(c)) for name in IMPORTED for c in IMPORT_COMMANDS}
     assert runs >= imports
+    ill_typed = {f"{name} import" for name in ILL_TYPED_F}
+    assert runs >= {(name, " ".join(c)) for name in ill_typed for c in IMPORT_COMMANDS}
+    assert all(r["result"][0] == 1 for r in recorded["named"] if r["program"] in ill_typed)
     assert recorded["draws"]["runs"] == len(DRAW_SEEDS) * len(COMMANDS)
     assert recorded["unicode_draws"]["runs"] == len(DRAW_SEEDS) * len(UNICODE_COMMANDS)
+    # a few seeds give up; each of the others imports once per command
+    assert recorded["f_draws"]["runs"] >= 0.95 * len(F_DRAW_SEEDS) * len(IMPORT_COMMANDS)
 
 
 if __name__ == "__main__":
