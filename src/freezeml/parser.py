@@ -42,6 +42,9 @@ final term; declarations nest into let/let-annotated bindings.
 One printer, :func:`render`, prints types, surface terms and System F
 terms: each grammar lays out its nodes over one set of precedence levels,
 and a node goes in parentheses where its context expects a tighter one.
+The two term grammars share their nodes (see :mod:`freezeml.syntax`), so
+the printing grammar is the layout a caller passes, not the node: a
+frozen variable prints ``~x`` as a surface term and ``x`` in System F.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from .syntax import (
     list_of,
     names,
     pair_of,
+    rename,
     t_bool,
     t_int,
     trampoline,
@@ -598,25 +602,7 @@ def _untaken(taken: set[str], name_at) -> Iterator[str]:
 
 def rename_type(a: Type, mapping: dict[str, str]) -> Type:
     """Rename variables of `a`, free and bound, by `mapping`."""
-    return _renamed_leaf(a, mapping) or trampoline(_rename_type(a, mapping))
-
-
-def _renamed_leaf(a: Type, mapping: dict[str, str]) -> Optional[Type]:
-    if isinstance(a, TVar):
-        return TVar(mapping.get(a.name, a.name))
-    return a if isinstance(a, Con) and not a.args else None
-
-
-def _rename_type(a: Type, mapping: dict[str, str]) -> Walk:
-    if isinstance(a, Con):
-        args = []
-        for arg in a.args:
-            args.append(_renamed_leaf(arg, mapping) or (yield _rename_type(arg, mapping)))
-        return Con(a.con, tuple(args))
-    if isinstance(a, Forall):
-        body = _renamed_leaf(a.body, mapping) or (yield _rename_type(a.body, mapping))
-        return Forall(mapping.get(a.var, a.var), body)
-    raise TypeError(f"not a type: {a!r}")
+    return rename(a, mapping, {})
 
 
 def normalize_type_names(a: Type) -> Type:

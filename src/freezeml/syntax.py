@@ -1,4 +1,4 @@
-"""Abstract syntax for types and terms.
+"""Abstract syntax: one AST for types, surface terms and System F terms.
 
 Types are shared between the surface language and the System F core:
 type variables, saturated constructor applications, and universal
@@ -14,7 +14,13 @@ Terms distinguish plain variable occurrences ``x`` (implicitly
 instantiated) from frozen ones ``~x`` (type returned verbatim), and
 carry optional annotations on lambda and let binders.  The surface
 operators ``$M`` (generalise) and ``M@`` (instantiate) are sugar nodes,
-removed by :func:`desugar` before any checking.
+removed by :func:`desugar` before any checking.  System F terms are
+built of the same nodes where the two languages agree: a variable is a
+frozen one, whose type is its binding's as written, and literals,
+annotated lambdas and applications are the surface's.  Only type
+abstraction :class:`FTyAbs` and type application :class:`FTyApp` are
+System F's own.  Inference derivations (:mod:`freezeml.infer`) are
+terms too, each node a subclass of the term it types.
 
 Every walk whose depth follows the input's runs under one driver,
 :func:`trampoline`, so nesting is bounded by memory, not by Python's
@@ -369,52 +375,109 @@ class Inst(Term):
     span: Optional[Span] = field(default=None, compare=False)
 
 
+@dataclass(frozen=True)
+class FTyAbs(Term):
+    """System F type abstraction ``/\\a. V``."""
+
+    var: str
+    body: Term
+
+
+@dataclass(frozen=True)
+class FTyApp(Term):
+    """System F type application ``M [A]``."""
+
+    fn: Term
+    arg: Type
+
+
 TERM_LEAVES = (Var, Freeze, Lit)  # the terms without subterms
 
 
 def names(*nodes: Union[Type, Term]) -> tuple[dict[str, None], dict[str, None]]:
-    """Term and type variable names of `nodes`, free or bound.
+    """Term and type variable names of `nodes`, types and surface or
+    System F terms, free or bound.
 
     Each result is a dict whose keys are the names in order of first
     occurrence in a pre-order walk: a binder before its annotation and
     its body, constructor arguments and subterms left to right, on a
-    stack of the walk's own.
+    stack of the walk's own.  It tests each node's exact class, which
+    costs no call, so a node of a subclass, such as a derivation node,
+    is rejected.
     """
     terms: dict[str, None] = {}
     types: dict[str, None] = {}
     stack: list = list(reversed(nodes))
     while stack:
         x = stack.pop()
-        if isinstance(x, TVar):
+        cls = x.__class__
+        if cls is TVar:
             types[x.name] = None
-        elif isinstance(x, Con):
+        elif cls is Con:
             stack.extend(reversed(x.args))
-        elif isinstance(x, Forall):
+        elif cls is Forall or cls is FTyAbs:
             types[x.var] = None
             stack.append(x.body)
-        elif isinstance(x, (Var, Freeze)):
+        elif cls is App or cls is FTyApp:
+            stack += (x.arg, x.fn)
+        elif cls is Var or cls is Freeze:
             terms[x.name] = None
-        elif isinstance(x, Lit):
-            pass
-        elif isinstance(x, Lam):
+        elif cls is Lam:
             terms[x.var] = None
             stack.append(x.body)
-        elif isinstance(x, LamAnn):
+        elif cls is LamAnn:
             terms[x.var] = None
             stack += (x.body, x.ann)
-        elif isinstance(x, App):
-            stack += (x.arg, x.fn)
-        elif isinstance(x, Let):
+        elif cls is Let:
             terms[x.var] = None
             stack += (x.body, x.bound)
-        elif isinstance(x, LetAnn):
+        elif cls is LetAnn:
             terms[x.var] = None
             stack += (x.body, x.bound, x.ann)
-        elif isinstance(x, (Gen, Inst)):
+        elif cls is Gen or cls is Inst:
             stack.append(x.body)
-        else:
+        elif cls is not Lit:
             raise TypeError(f"not a type or term: {x!r}")
     return terms, types
+
+
+def rename(
+    node: Union[Type, Term], types: dict[str, str], terms: dict[str, str]
+) -> Union[Type, Term]:
+    """`node`, a type or a System F term, with its type variables renamed
+    by `types` and its term variables by `terms`, free and bound alike.
+    Like :func:`names`, it tests each node's exact class.
+    """
+    return _renamed_leaf(node, types, terms) or trampoline(_rename(node, types, terms))
+
+
+def _renamed_leaf(x, types: dict[str, str], terms: dict[str, str]):
+    cls = x.__class__
+    if cls is TVar:
+        return TVar(types.get(x.name, x.name))
+    if cls is Freeze:
+        return Freeze(terms.get(x.name, x.name))
+    return x if cls is Lit or cls is Con and not x.args else None
+
+
+def _rename(x, types: dict[str, str], terms: dict[str, str]) -> Walk:
+    cls = x.__class__
+    if cls is Con:
+        args = []
+        for arg in x.args:
+            args.append(_renamed_leaf(arg, types, terms) or (yield _rename(arg, types, terms)))
+        return Con(x.con, tuple(args))
+    if cls is Forall or cls is FTyAbs:
+        body = _renamed_leaf(x.body, types, terms) or (yield _rename(x.body, types, terms))
+        return cls(types.get(x.var, x.var), body)
+    if cls is LamAnn:
+        ann = _renamed_leaf(x.ann, types, terms) or (yield _rename(x.ann, types, terms))
+        body = _renamed_leaf(x.body, types, terms) or (yield _rename(x.body, types, terms))
+        return LamAnn(terms.get(x.var, x.var), ann, body)
+    if cls is App or cls is FTyApp:
+        fn = _renamed_leaf(x.fn, types, terms) or (yield _rename(x.fn, types, terms))
+        return cls(fn, _renamed_leaf(x.arg, types, terms) or (yield _rename(x.arg, types, terms)))
+    raise TypeError(f"not a type or an F term: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +657,6 @@ class TypeEnv:
             if bound_name == name:
                 return ty
         return None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._bindings)
 
     def __contains__(self, name: str) -> bool:
         return self.lookup(name) is not None

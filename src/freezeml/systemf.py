@@ -1,14 +1,23 @@
-"""Explicitly typed call-by-value System F: AST, typechecker, printer.
+"""Explicitly typed call-by-value System F: typechecker, printer, parser.
 
-Types are shared with the surface language.  Type abstractions are
-value-restricted: their bodies must be syntactic values, where values
-are lambdas, type abstractions, literals, instantiations (a variable
-under zero or more type applications), and value redexes
-``(\\x:A. V) W`` whose body `V` and argument `W` are values.  The
-redex is the image of the surface value ``let x = W in V``: a pure,
-terminating step, so admitting it is the nonexpansive reading of the
-value restriction (Wright 1995; Garrigue, "Relaxing the value
-restriction", 2004) and this implementation's choice.
+The AST is :mod:`freezeml.syntax`'s: a variable is a frozen variable
+``~x`` (its type is its binding's, as written), and literals, annotated
+lambdas and applications are the surface language's nodes, so the parts
+of a core term the translations keep are one object in both languages.
+Type abstraction and application are the two F-only nodes,
+:class:`FTyAbs` and :class:`FTyApp`.  The names ``FVar``, ``FLit``,
+``FLam``, ``FApp`` and ``FTerm`` are System F's names for the shared
+classes.  Types are shared with the surface language.
+
+Type abstractions are value-restricted: their bodies must be syntactic
+values, where values are lambdas, type abstractions, literals,
+instantiations (a variable under zero or more type applications), and
+value redexes ``(\\x:A. V) W`` whose body `V` and argument `W` are
+values.  The redex is the image of the surface value
+``let x = W in V``: a pure, terminating step, so admitting it is the
+nonexpansive reading of the value restriction (Wright 1995; Garrigue,
+"Relaxing the value restriction", 2004) and this implementation's
+choice.
 
 ``let x^A = M in N`` is sugar for ``(\\x:A. N) M``; the derived let
 typing rule holds by construction.
@@ -16,97 +25,64 @@ typing rule holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .parser import _APP, _ATOM, _TOP, SyntaxError_, _Parser, constant_name, render, render_type
 from .statics import StaticsError, kind_of
 from .subst import instantiate
 from .syntax import (
+    App,
     Con,
     Forall,
+    Freeze,
+    FTyAbs,
+    FTyApp,
     KindEnv,
+    LamAnn,
+    Lit,
     Scope,
+    Term,
     Type,
     TypeEnv,
     Walk,
     alpha_eq,
     arrow,
-    t_bool,
-    t_int,
     trampoline,
 )
 
-
-class FTerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class FVar(FTerm):
-    name: str
+FTerm = Term
+FVar = Freeze
+FLit = Lit
+FLam = LamAnn
+FApp = App
 
 
-@dataclass(frozen=True)
-class FLit(FTerm):
-    value: Union[int, bool]
-
-    @property
-    def type(self) -> Type:
-        return t_bool if isinstance(self.value, bool) else t_int
+def f_let(var: str, ann: Type, bound: Term, body: Term) -> Term:
+    return App(LamAnn(var, ann, body), bound)
 
 
-@dataclass(frozen=True)
-class FLam(FTerm):
-    var: str
-    ann: Type
-    body: FTerm
-
-
-@dataclass(frozen=True)
-class FApp(FTerm):
-    fn: FTerm
-    arg: FTerm
-
-
-@dataclass(frozen=True)
-class FTyAbs(FTerm):
-    var: str
-    body: FTerm
-
-
-@dataclass(frozen=True)
-class FTyApp(FTerm):
-    fn: FTerm
-    arg: Type
-
-
-def f_let(var: str, ann: Type, bound: FTerm, body: FTerm) -> FTerm:
-    return FApp(FLam(var, ann, body), bound)
-
-
-def f_tyabs_many(names, body: FTerm) -> FTerm:
+def f_tyabs_many(names, body: Term) -> Term:
     result = body
     for name in reversed(tuple(names)):
         result = FTyAbs(name, result)
     return result
 
 
-def is_instantiation(t: FTerm) -> bool:
+def is_instantiation(t: Term) -> bool:
     while isinstance(t, FTyApp):
         t = t.fn
-    return isinstance(t, (FVar, FLit))
+    return isinstance(t, (Freeze, Lit))
 
 
-def is_f_value(t: FTerm) -> bool:
+def is_f_value(t: Term) -> bool:
     """Is `t` a value?  One walk over the value redexes of `t`, on an
     explicit stack; it stops at lambdas and type abstractions."""
     stack = [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, FApp) and isinstance(t.fn, FLam):
+        if isinstance(t, App) and isinstance(t.fn, LamAnn):
             stack += (t.fn.body, t.arg)
-        elif not (isinstance(t, (FLam, FTyAbs)) or is_instantiation(t)):
+        elif not (isinstance(t, (LamAnn, FTyAbs)) or is_instantiation(t)):
             return False
     return True
 
@@ -144,7 +120,7 @@ class ValueRestriction(FTypeError):
     pass
 
 
-def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
+def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: Term) -> Type:
     """Unique type of `t`, or a typed failure.
 
     System F kinding is the single-kind fixed judgement: every type
@@ -162,17 +138,17 @@ def f_typecheck(delta: KindEnv, gamma: TypeEnv, t: FTerm) -> Type:
     return _f_leaf_type(scope, t) or trampoline(_f_typecheck(delta, scope, t, {}))
 
 
-def _f_leaf_type(gamma: Scope, t: FTerm) -> Optional[Type]:
-    if isinstance(t, FVar):
+def _f_leaf_type(gamma: Scope, t: Term) -> Optional[Type]:
+    if isinstance(t, Freeze):
         ty = gamma.lookup(t.name)
         if ty is None:
             raise FUnboundVar(f"unbound variable {t.name!r}")
         return ty
-    return t.type if isinstance(t, FLit) else None
+    return t.type if isinstance(t, Lit) else None
 
 
-def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm, memo: dict) -> Walk:
-    if isinstance(t, FLam):
+def _f_typecheck(delta: KindEnv, gamma: Scope, t: Term, memo: dict) -> Walk:
+    if isinstance(t, LamAnn):
         try:
             kind_of(delta, t.ann)
         except StaticsError as err:
@@ -181,7 +157,7 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm, memo: dict) -> Walk:
         body_ty = _f_leaf_type(gamma, t.body) or (yield _f_typecheck(delta, gamma, t.body, memo))
         gamma.pop(t.var)
         return arrow(t.ann, body_ty)
-    if isinstance(t, FApp):
+    if isinstance(t, App):
         fn_ty = _f_leaf_type(gamma, t.fn) or (yield _f_typecheck(delta, gamma, t.fn, memo))
         arg_ty = _f_leaf_type(gamma, t.arg) or (yield _f_typecheck(delta, gamma, t.arg, memo))
         if not (isinstance(fn_ty, Con) and fn_ty.con.name == "->"):
@@ -221,20 +197,20 @@ def _f_typecheck(delta: KindEnv, gamma: Scope, t: FTerm, memo: dict) -> Walk:
 # Printing and parsing (used by the CLI elaborate/import commands)
 # ---------------------------------------------------------------------------
 
-def render_fterm(t: FTerm, unicode: bool = False) -> str:
+def render_fterm(t: Term, unicode: bool = False) -> str:
     """Print `t` in the grammar :func:`parse_fterm` reads."""
     return render(t, _fterm_layout, unicode)
 
 
-def _fterm_layout(t: FTerm, unicode: bool) -> tuple:
+def _fterm_layout(t: Term, unicode: bool) -> tuple:
     """An F term's layout for :func:`freezeml.parser.render`."""
-    if isinstance(t, FVar):
+    if isinstance(t, Freeze):
         return _ATOM, constant_name(t.name)
-    if isinstance(t, FApp):
+    if isinstance(t, App):
         return _APP, ((t.fn, _APP), " ", (t.arg, _ATOM))
     if isinstance(t, FTyApp):
         return _APP, ((t.fn, _APP), " [", (t.arg, _TOP), "]")
-    if isinstance(t, FLam):
+    if isinstance(t, LamAnn):
         lam = "λ" if unicode else "\\"
         return _TOP, (f"{lam}{t.var}:", (t.ann, _TOP), ". ", (t.body, _TOP))
     if isinstance(t, FTyAbs):
@@ -243,12 +219,12 @@ def _fterm_layout(t: FTerm, unicode: bool) -> tuple:
             names.append(t.var)
             t = t.body
         return _TOP, (("Λ" if unicode else "/\\") + " ".join(names) + ". ", (t, _TOP))
-    if isinstance(t, FLit):
+    if isinstance(t, Lit):
         return _ATOM, str(t.value)
     raise TypeError(f"not an F term: {t!r}")
 
 
-def parse_fterm(text: str) -> FTerm:
+def parse_fterm(text: str) -> Term:
     parser = _FParser(text)
     term = trampoline(parser.fterm())
     parser.expect_end()
@@ -265,7 +241,7 @@ class _FParser(_Parser):
             self.expect_punct(":")
             ann = yield from self.type_()
             self.expect_punct(".")
-            return FLam(name.text, ann, (yield self.fterm()))
+            return LamAnn(name.text, ann, (yield self.fterm()))
         if self.at_punct("/\\"):
             self.advance()
             names = [self.expect_ident().text]
@@ -283,10 +259,10 @@ class _FParser(_Parser):
                 continue
             tok = self.peek()
             if tok.kind in ("ident", "int") and tok.text not in ("in", "let"):
-                result = FApp(result, (yield from self.fatom()))
+                result = App(result, (yield from self.fatom()))
                 continue
             if self.at_punct("("):
-                result = FApp(result, (yield from self.fatom()))
+                result = App(result, (yield from self.fatom()))
                 continue
             return result
 
@@ -294,21 +270,21 @@ class _FParser(_Parser):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return FLit(int(tok.text))
+            return Lit(int(tok.text))
         if self.at_ident("True"):
             self.advance()
-            return FLit(True)
+            return Lit(True)
         if self.at_ident("False"):
             self.advance()
-            return FLit(False)
+            return Lit(False)
         if tok.kind == "ident":
             name = self.expect_ident()
-            return FVar(name.text)
+            return Freeze(name.text)
         if self.at_punct("("):
             self.advance()
             constant = self.operator_constant()
             if constant is not None:
-                return FVar(constant)
+                return Freeze(constant)
             inner = yield self.fterm()
             self.expect_punct(")")
             return inner

@@ -18,7 +18,8 @@ negative example, since a frozen variable cannot be implicitly
 instantiated to the annotated type.
 
 The readable names of both directions avoid every name of the core
-term; the walk collecting them leaves types to :func:`names`.
+term, which :func:`names` collects as it does a surface term's: the
+core term is built of the same nodes (see :mod:`freezeml.syntax`).
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ from .infer import (
     InferResult,
     check_program,
 )
-from .parser import display_term_names, display_type_names, rename_type
+from .parser import display_term_names, display_type_names
 from .subst import substitute
 from .unify import reader
 from .syntax import (
     App,
     Forall,
     Freeze,
+    FTyAbs,
+    FTyApp,
     Inst,
     KindEnv,
     LamAnn,
@@ -63,22 +66,11 @@ from .syntax import (
     foralls,
     is_internal_name,
     names,
+    rename,
     t_int,
     trampoline,
 )
-from .systemf import (
-    FApp,
-    FLam,
-    FLit,
-    FTerm,
-    FTyAbs,
-    FTyApp,
-    FVar,
-    TypeMismatch,
-    f_let,
-    f_tyabs_many,
-    f_typecheck,
-)
+from .systemf import TypeMismatch, f_let, f_tyabs_many, f_typecheck
 
 __all__ = [
     "Derivation",
@@ -120,7 +112,7 @@ def rebuild_derivation(delta: KindEnv, gamma: TypeEnv, m: Term) -> Derivation:
 
 def elaborate(
     delta: KindEnv, gamma: TypeEnv, result: InferResult
-) -> tuple[FTerm, Type]:
+) -> tuple[Term, Type]:
     """The core term of a checked program and its System F type.
 
     Grounds and replays the derivation, translates it, and typechecks
@@ -136,31 +128,31 @@ def elaborate(
     return elaborated, checked
 
 
-def to_systemf(d: Derivation) -> FTerm:
+def to_systemf(d: Derivation) -> Term:
     """Elaborate a valid derivation into the explicitly typed core."""
     return _to_systemf_leaf(d) or trampoline(_to_systemf(d))
 
 
-def _to_systemf_leaf(d: Derivation) -> Optional[FTerm]:
+def _to_systemf_leaf(d: Derivation) -> Optional[Term]:
     if isinstance(d, DFreeze):
-        return FVar(d.name)
+        return Freeze(d.name)
     if isinstance(d, DVar):
-        result: FTerm = FVar(d.name)
+        result: Term = Freeze(d.name)
         for image in d.inst:
             result = FTyApp(result, image)
         return result
     if isinstance(d, DLit):
-        return FLit(d.value)
+        return Lit(d.value)
     return None
 
 
 def _to_systemf(d: Derivation) -> Walk:
     if isinstance(d, (DLam, DLamAnn)):
         body = _to_systemf_leaf(d.body) or (yield _to_systemf(d.body))
-        return FLam(d.var, d.arg_ty if isinstance(d, DLam) else d.ann, body)
+        return LamAnn(d.var, d.arg_ty if isinstance(d, DLam) else d.ann, body)
     if isinstance(d, DApp):
         fn = _to_systemf_leaf(d.fn) or (yield _to_systemf(d.fn))
-        return FApp(fn, _to_systemf_leaf(d.arg) or (yield _to_systemf(d.arg)))
+        return App(fn, _to_systemf_leaf(d.arg) or (yield _to_systemf(d.arg)))
     if not isinstance(d, (DLet, DLetAnn)):
         raise TypeError(f"not a derivation: {d!r}")
     bound = _to_systemf_leaf(d.bound) or (yield _to_systemf(d.bound))
@@ -173,7 +165,7 @@ def _to_systemf(d: Derivation) -> Walk:
 def from_systemf(
     delta: KindEnv,
     gamma: TypeEnv,
-    t: FTerm,
+    t: Term,
     naive_tyapp: bool = False,
 ) -> Term:
     """Encode a well-typed core term in the surface language.
@@ -194,24 +186,24 @@ def from_systemf(
     the subterms below it, read off one :class:`freezeml.syntax.Scope`
     built from `gamma` that each lambda pushes and pops.
     """
-    term_names, type_names = _fterm_names(t)
+    term_names, type_names = names(t, *(ty for _, ty in gamma))
     binders = display_term_names(set(term_names))
-    letters = display_type_names(
-        {*type_names, *delta.names(), *names(*(ty for _, ty in gamma))[1]}
-    )
+    letters = display_type_names({*type_names, *delta})
 
-    def go(env: Scope, x: FTerm) -> Walk:
+    def go(env: Scope, x: Term) -> Walk:
         """The translation of `x`, its F type by f_typecheck's rules, and
-        whether `x` is an F value, read off the flags of its children."""
-        if isinstance(x, FVar):
-            return Freeze(x.name), env.lookup(x.name), True
-        if isinstance(x, FLit):
-            return Lit(x.value), x.type, True
-        if isinstance(x, FLam):
+        whether `x` is an F value, read off the flags of its children.
+        Variables, literals, lambdas and applications other than value
+        redexes translate to themselves."""
+        if isinstance(x, Freeze):
+            return x, env.lookup(x.name), True
+        if isinstance(x, Lit):
+            return x, x.type, True
+        if isinstance(x, LamAnn):
             body, body_ty, _ = yield go(env.push(x.var, x.ann), x.body)
             env.pop(x.var)
             return LamAnn(x.var, x.ann, body), arrow(x.ann, body_ty), True
-        if isinstance(x, FApp) and isinstance(x.fn, FLam):
+        if isinstance(x, App) and isinstance(x.fn, LamAnn):
             lam = x.fn
             body, body_ty, body_value = yield go(env.push(lam.var, lam.ann), lam.body)
             env.pop(lam.var)
@@ -219,7 +211,7 @@ def from_systemf(
             if body_value and arg_value:
                 return LetAnn(lam.var, lam.ann, arg, body), body_ty, True
             return App(LamAnn(lam.var, lam.ann, body), arg), body_ty, False
-        if isinstance(x, FApp):
+        if isinstance(x, App):
             fn, fn_ty, _ = yield go(env, x.fn)
             arg, _, _ = yield go(env, x.arg)
             return App(fn, arg), fn_ty.args[1], False
@@ -239,7 +231,7 @@ def from_systemf(
             result_ty = substitute({fn_ty.var: x.arg}, fn_ty.body)
             ann = _freshen_prefix(result_ty, letters)
             bound = translated if naive_tyapp else Inst(translated)
-            is_inst = fn_value and isinstance(x.fn, (FVar, FLit, FTyApp))
+            is_inst = fn_value and isinstance(x.fn, (Freeze, Lit, FTyApp))
             return LetAnn(var, ann, bound, Freeze(var)), result_ty, is_inst
         raise TypeError(f"not an F term: {x!r}")
 
@@ -247,7 +239,7 @@ def from_systemf(
     return trampoline(go(Scope(gamma), t))[0]
 
 
-def readable_fterm(t: FTerm) -> FTerm:
+def readable_fterm(t: Term) -> Term:
     """Rename the internal names of an elaborated term for display.
 
     Internal type names become a, b, ... and internal term names x, y,
@@ -255,33 +247,12 @@ def readable_fterm(t: FTerm) -> FTerm:
     `t`.  The renaming is one to one onto fresh names, so the term means
     and typechecks the same.
     """
-    term_names, type_names = _fterm_names(t)
+    term_names, type_names = names(t)
     term_map = _readable_names(term_names, display_term_names)
     type_map = _readable_names(type_names, display_type_names)
     if not term_map and not type_map:
         return t
-
-    def leaf(x: FTerm) -> Optional[FTerm]:
-        if isinstance(x, FVar):
-            return FVar(term_map.get(x.name, x.name))
-        return x if isinstance(x, FLit) else None
-
-    def go(x: FTerm) -> Walk:
-        if isinstance(x, FLam):
-            var = term_map.get(x.var, x.var)
-            body = leaf(x.body) or (yield go(x.body))
-            return FLam(var, rename_type(x.ann, type_map), body)
-        if isinstance(x, FApp):
-            fn = leaf(x.fn) or (yield go(x.fn))
-            return FApp(fn, leaf(x.arg) or (yield go(x.arg)))
-        if isinstance(x, FTyAbs):
-            return FTyAbs(type_map.get(x.var, x.var), leaf(x.body) or (yield go(x.body)))
-        if isinstance(x, FTyApp):
-            fn = leaf(x.fn) or (yield go(x.fn))
-            return FTyApp(fn, rename_type(x.arg, type_map))
-        raise TypeError(f"not an F term: {x!r}")
-
-    return leaf(t) or trampoline(go(t))
+    return rename(t, type_map, term_map)
 
 
 def _readable_names(names: dict[str, None], generator) -> dict[str, str]:
@@ -297,27 +268,3 @@ def _freshen_prefix(ann: Type, letters: Iterator[str]) -> Type:
     new_names = [next(letters) for _ in prefix]
     renaming = {name: TVar(fresh) for name, fresh in zip(prefix, new_names)}
     return foralls(new_names, substitute(renaming, body))
-
-
-def _fterm_names(t: FTerm) -> tuple[dict[str, None], dict[str, None]]:
-    """Term and type variable names of `t`, free or bound, each in order
-    of first occurrence in a pre-order walk (as the keys of a dict) that
-    hands each type it meets to :func:`freezeml.syntax.names`."""
-    terms: dict[str, None] = {}
-    types: dict[str, None] = {}
-    stack: list = [t]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, FVar):
-            terms[x.name] = None
-        elif isinstance(x, FLam):
-            terms[x.var] = None
-            stack += (x.body, x.ann)
-        elif isinstance(x, (FApp, FTyApp)):
-            stack += (x.arg, x.fn)
-        elif isinstance(x, FTyAbs):
-            types[x.var] = None
-            stack.append(x.body)
-        elif isinstance(x, Type):
-            types.update(names(x)[1])
-    return terms, types

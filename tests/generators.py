@@ -468,3 +468,53 @@ def random_f_term(
 
     target = random_f_type(rng, tuple(delta.names()), depth=rng.randrange(1, 3))
     return inhabit(gamma, delta, target, depth, False)
+
+
+def random_shared_f_term(rng: random.Random, gamma: TypeEnv, depth: int = 5) -> FTerm:
+    """A well-typed core term built only of the nodes System F shares with
+    the surface language: variables, literals, annotated lambdas, and
+    applications whose function is no lambda.  There the translation
+    into the surface language is the identity.  Raises GiveUp."""
+    from freezeml.syntax import alpha_eq
+
+    def inhabit(env: TypeEnv, ty: Type, budget: int, applied: bool) -> FTerm:
+        choices = []
+        matching = [name for name, bound in env if alpha_eq(bound, ty)]
+        if matching:
+            choices.append("var")
+        if ty == t_int or ty == t_bool:
+            choices.append("lit")
+        if isinstance(ty, Con) and ty.con.name == "->" and not applied:
+            choices.append("lam")
+        if budget > 0:
+            choices.append("app")
+        rng.shuffle(choices)
+        for choice in choices:
+            try:
+                if choice == "var":
+                    return FVar(rng.choice(matching))
+                if choice == "lit":
+                    return FLit(rng.randrange(0, 100) if ty == t_int else rng.random() < 0.5)
+                if choice == "lam":
+                    var = f"x{rng.randrange(10**6)}"
+                    body = inhabit(env.extend(var, ty.args[0]), ty.args[1], budget - 1, False)
+                    return FLam(var, ty.args[0], body)
+                # mostly the domain of a function in scope that returns `ty`
+                domains = [
+                    bound.args[0]
+                    for _, bound in env
+                    if isinstance(bound, Con) and bound.con.name == "->"
+                    and alpha_eq(bound.args[1], ty)
+                ]
+                if domains and rng.random() < 0.7:
+                    arg_ty = rng.choice(domains)
+                else:
+                    arg_ty = random_f_type(rng, (), depth=1)
+                fn = inhabit(env, arrow(arg_ty, ty), budget - 1, True)
+                return FApp(fn, inhabit(env, arg_ty, budget - 1, False))
+            except GiveUp:
+                continue
+        raise GiveUp
+
+    target = random_f_type(rng, (), depth=rng.randrange(1, 3))
+    return inhabit(gamma, target, depth, False)

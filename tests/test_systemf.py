@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from freezeml import syntax, systemf
 from freezeml.parser import parse_type
 from freezeml.prelude import build_prelude
 from freezeml.subst import substitute
@@ -46,6 +47,36 @@ IDENT_PRELUDE = TypeEnv(
 
 def ty(src: str):
     return parse_type(src)
+
+
+class TestOneAST:
+    def test_shared_nodes_are_the_surface_classes(self):
+        assert systemf.FVar is syntax.Freeze
+        assert systemf.FLit is syntax.Lit
+        assert systemf.FLam is syntax.LamAnn
+        assert systemf.FApp is syntax.App
+        assert systemf.FTerm is syntax.Term
+
+    def test_type_abstraction_and_application_are_the_only_f_nodes(self):
+        own = [
+            value for value in vars(systemf).values()
+            if isinstance(value, type) and value.__module__ == systemf.__name__
+        ]
+        assert not [cls for cls in own if issubclass(cls, syntax.Term)]
+        nodes = {cls.__name__ for cls in syntax.Term.__subclasses__()}
+        surface = {"Var", "Freeze", "Lit", "Lam", "LamAnn", "App", "Let", "LetAnn", "Gen", "Inst"}
+        assert nodes == surface | {"FTyAbs", "FTyApp"}
+        assert (systemf.FTyAbs, systemf.FTyApp) == (syntax.FTyAbs, syntax.FTyApp)
+
+    def test_parser_builds_the_shared_nodes(self):
+        for source, cls in (
+            ("x", syntax.Freeze),
+            ("1", syntax.Lit),
+            ("\\x:Int. x", syntax.LamAnn),
+            ("f x", syntax.App),
+        ):
+            assert type(parse_fterm(source)) is cls, source
+        assert parse_fterm("f x") == syntax.App(syntax.Freeze("f"), syntax.Freeze("x"))
 
 
 class TestTypecheck:

@@ -43,7 +43,7 @@ from freezeml.translate import (
 )
 from freezeml.unify import _resolve
 
-from generators import GiveUp, random_f_term, random_surface_term
+from generators import GiveUp, random_f_term, random_shared_f_term, random_surface_term
 
 
 PRELUDE = build_prelude()
@@ -322,6 +322,23 @@ class TestFromSystemF:
             assert classify(desugar(encoded)) >= TermClass.VAL
             checked += 1
         assert checked >= 60
+
+    def test_shared_fragment_translates_to_itself(self):
+        # Variables, literals, annotated lambdas and applications of no
+        # lambda are nodes of both languages, and the translation keeps
+        # them: such a term is its own encoding.
+        rng = random.Random(2604)
+        checked = compound = 0
+        for _ in range(1000):
+            try:
+                fterm = random_shared_f_term(rng, PRELUDE, depth=rng.randint(1, 5))
+            except GiveUp:
+                continue
+            assert from_systemf(EMPTY, PRELUDE, fterm) == fterm, render_fterm(fterm)
+            checked += 1
+            compound += isinstance(fterm, (FApp, FLam))
+        assert checked >= 500
+        assert compound >= checked // 3
 
     def test_round_trip_small(self):
         for source in ("/\\a. \\x:a. x", "\\x:Int. x", "id [Int] 1"):
