@@ -221,7 +221,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation, memo: dict) -> Walk:
         return d.ty
 
     if isinstance(d, DLet):
-        prefix, generalisable = gen(delta.names(), d.bound.ty, d.bound)
+        prefix, generalisable = gen(delta, d.bound.ty, d.bound)
         if d.gen_prefix != prefix:
             _fail(d, "recorded abstraction prefix disagrees with gen")
         inner = delta.extend(*generalisable)
@@ -242,7 +242,7 @@ def _replay(delta: KindEnv, gamma: Scope, d: Derivation, memo: dict) -> Walk:
         prefix, split_ty = split(d.ann, d.bound)
         if prefix != d.split_prefix:
             _fail(d, "recorded split prefix disagrees with split")
-        if set(prefix) & set(delta.names()):
+        if any(name in delta for name in prefix):
             _fail(d, "annotation rebinds a type variable already in scope")
         inner = delta.extend(*prefix)
         bound_ty = _replay_leaf(inner, gamma, d.bound, memo) or (

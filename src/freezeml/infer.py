@@ -220,13 +220,13 @@ def _map_types(d: Derivation, fn: TypeFn) -> Walk:
 # ---------------------------------------------------------------------------
 
 def gen(delta_names, a: Type, m: Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Generalisable variables of `a` outside `delta_names`.
+    """Generalisable variables of `a` outside `delta_names`, a container
+    of names such as Δ itself.
 
     The first component is the abstraction prefix: it equals the second
     for guarded values and is empty otherwise.
     """
-    outside = set(delta_names)
-    generalisable = tuple(v for v in ftv_ordered(a) if v not in outside)
+    generalisable = tuple(v for v in ftv_ordered(a) if v not in delta_names)
     if is_gval(m):
         return generalisable, generalisable
     return (), generalisable

@@ -39,6 +39,11 @@ literals other than Int/Bool constants.
 Programs are ``name (: type)? = term ;`` declarations followed by a
 final term; declarations nest into let/let-annotated bindings.
 
+One term parser reads both term grammars, as one printer prints both.
+System F's (:func:`freezeml.systemf.parse_fterm`) shares the literals,
+variables, operator constants, parentheses, the lambda's binder loop and
+the application loop; each grammar adds its own cases.
+
 One printer, :func:`render`, prints types, surface terms and System F
 terms: each grammar lays out its nodes over one set of precedence levels,
 and a node goes in parentheses where its context expects a tighter one.
@@ -182,6 +187,14 @@ def tokenize(text: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The surface grammar's infix operators, each with its binding power on
+# the left and on the right.  An operator applies before the next one on
+# its right when its right power exceeds that one's left power: so `+`
+# binds more tightly than `::` and `++`, associates to the left, and they
+# to the right.
+INFIX = {"::": (2, 1), "++": (2, 1), "+": (3, 4)}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -255,6 +268,9 @@ class _Parser:
     # `trampoline` (see freezeml.syntax): `yield self.type_()` reads a
     # type.  Where one grammar level hands over to the next, and the next
     # comes back only through a `yield`, it delegates with `yield from`.
+    # A surface binder and a System F type argument read their type under
+    # a trampoline of their own, so that neither need be a walk: a type
+    # holds no term, so this nests no deeper.
 
     def type_(self) -> Walk:
         if self.at_ident("forall"):
@@ -290,8 +306,6 @@ class _Parser:
         if tok.text == "Bool":
             self.advance()
             return t_bool
-        if tok.text == "forall":
-            raise SyntaxError_("quantified type needs parentheses here", tok.span)
         return TVar(self.expect_ident().text)
 
     def type_atom(self) -> Walk:
@@ -334,41 +348,62 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------------
 
+    # The surface grammar.  `freezeml.systemf._FParser` reads System F's
+    # with the same methods: it sets the four attributes below and
+    # replaces `node_span`, `term`, `abstract`, `argument`, `grouped` and
+    # `applied`.
+
+    variable = Var  # the node an identifier reads as
+    argument_puncts = ("(", "[", "~", "$", "\\")  # punctuation an argument starts with
+    not_arguments = ("in", "let", "forall")  # identifiers that end an application
+    a_term = "a term"  # what an error says was expected
+
+    def node_span(self, at) -> Optional[Span]:
+        """The span of a node read at the token `at`, or of an application
+        of the node `at`."""
+        return at.span
+
     def term(self) -> Walk:
         if self.at_punct("\\"):
-            return (yield from self.lam())
+            return (yield from self.lam(self.binder))
         if self.at_ident("let"):
             return (yield from self.let())
-        return (yield from self.op_chain())
+        return (yield from self.infix())
 
-    def binder(self) -> Walk:
+    def binder(self) -> tuple[str, Optional[Type], Span]:
+        """A lambda's or a let's binder: (name, annotation or None, span)."""
         if self.at_punct("("):
             start = self.advance()
             name = self.expect_ident()
             self.expect_punct(":")
-            ann = yield self.type_()
+            ann = trampoline(self.type_())
             self.expect_punct(")")
             return name.text, ann, start.span
         name = self.expect_ident()
         return name.text, None, name.span
 
-    def lam(self) -> Walk:
-        self.expect_punct("\\")
-        binders = [(yield from self.binder())]
+    def lam(self, binder) -> Walk:
+        """`\\` (or `/\\`), `binder`s up to the '.', then the body."""
+        self.advance()
+        binders = [binder()]
         while not self.at_punct("."):
-            binders.append((yield from self.binder()))
+            binders.append(binder())
+        return (yield from self.abstraction(binders))
+
+    def abstraction(self, binders: list) -> Walk:
+        """The '.' and the body under `binders`, the first outermost."""
         self.expect_punct(".")
         body = yield self.term()
         for name, ann, span in reversed(binders):
-            if ann is None:
-                body = Lam(name, body, span)
-            else:
-                body = LamAnn(name, ann, body, span)
+            body = self.abstract(name, ann, body, span)
         return body
+
+    def abstract(self, name: str, ann: Optional[Type], body: Term, span: Optional[Span]) -> Term:
+        return Lam(name, body, span) if ann is None else LamAnn(name, ann, body, span)
 
     def let(self) -> Walk:
         start = self.advance()  # 'let'
-        name, ann, _ = yield from self.binder()
+        name, ann, _ = self.binder()
         self.expect_punct("=")
         bound = yield self.term()
         if not self.at_ident("in"):
@@ -381,131 +416,129 @@ class _Parser:
             return Let(name, bound, body, start.span)
         return LetAnn(name, ann, bound, body, start.span)
 
-    def op_chain(self) -> Walk:
-        """Sums joined by `::` and `++`, which associate to the right."""
-        operands, ops = [(yield from self.sum_chain())], []
-        while self.at_punct("::") or self.at_punct("++"):
+    def infix(self) -> Walk:
+        """Applications joined by the operators of `INFIX`, on a stack of
+        operands and one of operators."""
+        operands, ops = [(yield from self.app_chain())], []
+        while True:
+            tok = self.peek()
+            power = INFIX[tok.text][0] if tok.text in INFIX else 0
+            while ops and INFIX[ops[-1].text][1] > power:
+                op, right = ops.pop(), operands.pop()
+                fn = App(Var(op.text, op.span), operands.pop(), op.span)
+                operands.append(App(fn, right, op.span))
+            if not power:
+                return operands[0]
             ops.append(self.advance())
-            operands.append((yield from self.sum_chain()))
-        result = operands.pop()
-        for op in reversed(ops):
-            result = App(App(Var(op.text, op.span), operands.pop(), op.span), result, op.span)
-        return result
-
-    def sum_chain(self) -> Walk:
-        left = yield from self.app_chain()
-        while self.at_punct("+"):
-            op = self.advance()
-            right = yield from self.app_chain()
-            left = App(App(Var("+", op.span), left, op.span), right, op.span)
-        return left
+            operands.append((yield from self.app_chain()))
 
     def app_chain(self) -> Walk:
-        fn = yield from self.postfix()
-        while self._at_term_start():
-            arg = yield from self.postfix()
-            fn = App(fn, arg, fn.span)
-        return fn
+        """A function and its arguments, and any type arguments (`applied`)."""
+        fn = yield from self.argument()
+        while True:
+            if self.at_argument():
+                fn = App(fn, (yield from self.argument()), self.node_span(fn))
+            elif (applied := self.applied(fn)) is not None:
+                fn = applied
+            else:
+                return fn
 
-    def _at_term_start(self) -> bool:
+    def at_argument(self) -> bool:
         tok = self.peek()
-        if tok.kind == "int":
-            return True
         if tok.kind == "ident":
-            return tok.text not in ("in", "let", "forall")
-        if tok.kind == "punct":
-            return tok.text in ("(", "[", "~", "$", "\\")
-        return False
+            return tok.text not in self.not_arguments
+        return tok.kind == "int" or (tok.kind == "punct" and tok.text in self.argument_puncts)
 
-    def postfix(self) -> Walk:
+    def applied(self, fn: Term) -> Optional[Term]:
+        """`fn` applied to what follows that is no argument; None here."""
+        return None
+
+    def argument(self) -> Walk:
         """A prefixed atom and the `@`s after it."""
+        tok = self.peek()
         if self.at_punct("\\"):
             # Allow a trailing lambda as the last argument only via parens;
             # a bare lambda here would swallow the rest of the input.
-            raise SyntaxError_(
-                "lambda must be parenthesised in application position",
-                self.peek().span,
-            )
-        if self.at_punct("$"):
-            tok = self.advance()
-            term = Gen(self.leaf() or (yield self.atom()), tok.span)
-        else:
-            term = self.leaf() or (yield self.atom())
+            raise SyntaxError_("lambda must be parenthesised in application position", tok.span)
+        gen = self.at_punct("$")
+        if gen:
+            self.advance()
+        term = self.frozen() or self.leaf() or (yield self.atom())
+        if gen:
+            term = Gen(term, tok.span)
         while self.at_punct("@"):
-            tok = self.advance()
-            term = Inst(term, tok.span)
+            term = Inst(term, self.advance().span)
         return term
 
-    def leaf(self) -> Optional[Term]:
-        """An atom without subterms; at any other token, None, consuming nothing."""
+    def frozen(self) -> Optional[Term]:
+        """`~x` or `~(op)`; at any other token, None, consuming nothing."""
         tok = self.peek()
-        if self.at_punct("~"):
-            self.advance()
-            if self.at_punct("("):
-                self.advance()
-                constant = self.operator_constant()
-                if constant is None:
-                    raise SyntaxError_(
-                        f"expected an operator constant, found {self.peek().text!r}",
-                        self.peek().span,
-                    )
-                return Freeze(constant, tok.span)
-            name = self.expect_ident()
-            return Freeze(name.text, tok.span)
-        if tok.kind == "int":
-            self.advance()
-            return Lit(int(tok.text), tok.span)
-        if self.at_ident("True"):
-            self.advance()
-            return Lit(True, tok.span)
-        if self.at_ident("False"):
-            self.advance()
-            return Lit(False, tok.span)
-        if tok.kind == "ident":
-            name = self.expect_ident()
-            return Var(name.text, name.span)
-        return None
-
-    def atom(self) -> Walk:
-        """An atom with subterms: in parentheses or brackets."""
-        tok = self.peek()
+        if not self.at_punct("~"):
+            return None
+        self.advance()
         if self.at_punct("("):
             self.advance()
             constant = self.operator_constant()
-            if constant is not None:
-                return Var(constant, tok.span)
-            first = yield self.term()
-            if self.at_punct(","):
-                op = self.advance()
-                second = yield self.term()
-                self.expect_punct(")")
-                return App(
-                    App(Var("pair", op.span), first, op.span),
-                    second,
-                    op.span,
+            if constant is None:
+                raise SyntaxError_(
+                    f"expected an operator constant, found {self.peek().text!r}",
+                    self.peek().span,
                 )
-            self.expect_punct(")")
-            return first
-        if self.at_punct("["):
+            return Freeze(constant, tok.span)
+        return Freeze(self.expect_ident().text, tok.span)
+
+    def leaf(self) -> Optional[Term]:
+        """A literal or a variable; at any other token, None, consuming nothing."""
+        tok = self.peek()
+        if tok.kind == "int":
             self.advance()
-            elems = []
-            if not self.at_punct("]"):
+            return Lit(int(tok.text), self.node_span(tok))
+        if tok.kind != "ident":
+            return None
+        if tok.text in ("True", "False"):
+            self.advance()
+            return Lit(tok.text == "True", self.node_span(tok))
+        name = self.expect_ident()
+        return self.variable(name.text, self.node_span(name))
+
+    def atom(self) -> Walk:
+        """A list, or what `parenthesised` reads."""
+        if not self.at_punct("["):
+            return (yield from self.parenthesised())
+        self.advance()
+        elems = []
+        if not self.at_punct("]"):
+            elems.append((yield self.term()))
+            while self.at_punct(","):
+                self.advance()
                 elems.append((yield self.term()))
-                while self.at_punct(","):
-                    self.advance()
-                    elems.append((yield self.term()))
-            close = self.expect_punct("]")
-            result: Term = Var("[]", close.span)
-            for elem in reversed(elems):
-                result = App(
-                    App(Var("::", close.span), elem, close.span),
-                    result,
-                    close.span,
-                )
-            return result
-        raise SyntaxError_(
-            f"expected a term, found {tok.text!r}", tok.span
-        )
+        close = self.expect_punct("]")
+        result: Term = Var("[]", close.span)
+        for elem in reversed(elems):
+            result = App(App(Var("::", close.span), elem, close.span), result, close.span)
+        return result
+
+    def parenthesised(self) -> Walk:
+        """An operator constant, or what `grouped` reads, in parentheses."""
+        tok = self.peek()
+        if not self.at_punct("("):
+            raise SyntaxError_(f"expected {self.a_term}, found {tok.text!r}", tok.span)
+        self.advance()
+        constant = self.operator_constant()
+        if constant is not None:
+            return self.variable(constant, self.node_span(tok))
+        inner = yield self.grouped()
+        self.expect_punct(")")
+        return inner
+
+    def grouped(self) -> Walk:
+        """A term, or a pair."""
+        first = yield self.term()
+        if not self.at_punct(","):
+            return first
+        op = self.advance()
+        second = yield self.term()
+        return App(App(Var("pair", op.span), first, op.span), second, op.span)
 
     # -- programs --------------------------------------------------------
 

@@ -157,7 +157,7 @@ def _wellscoped(delta: KindEnv, m: Term) -> Walk:
             # Concatenating kind environments requires disjointness: an
             # annotation must not rebind a rigid variable over its bound
             # term, or two distinct variables would be conflated.
-            clash = set(prefix) & set(delta.names())
+            clash = {name for name in prefix if name in delta}
             if clash:
                 raise StaticsError(
                     f"annotation rebinds type variable(s) {sorted(clash)} "

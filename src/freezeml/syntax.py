@@ -319,6 +319,15 @@ class Lit(Term):
     def type(self) -> Type:
         return t_bool if isinstance(self.value, bool) else t_int
 
+    # `True == 1` in Python, so equal literals have equal types as well.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.type is other.type
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.type))
+
 
 @dataclass(frozen=True)
 class Lam(Term):
@@ -606,18 +615,20 @@ def desugar(m: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 class KindEnv:
-    """Ordered rigid type variables, implicitly all monomorphic."""
+    """Ordered rigid type variables, implicitly all monomorphic.  The
+    names are the keys of a dict: it keeps their order and answers a
+    lookup at once."""
 
     __slots__ = ("_names",)
 
     def __init__(self, names: Iterable[str] = ()) -> None:
-        self._names = tuple(dict.fromkeys(names))
+        self._names = dict.fromkeys(names)
 
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(self._names)
 
     def extend(self, *names: str) -> "KindEnv":
-        return KindEnv(self._names + names)
+        return KindEnv((*self._names, *names))
 
     def get(self, name: str) -> Optional[Kind]:
         return Kind.MONO if name in self._names else None
@@ -627,18 +638,6 @@ class KindEnv:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KindEnv) and self._names == other._names
-
-    def __hash__(self) -> int:
-        return hash(self._names)
-
-    def __repr__(self) -> str:
-        return f"KindEnv({list(self._names)!r})"
 
 
 class TypeEnv:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .parser import _APP, _ATOM, _TOP, SyntaxError_, _Parser, constant_name, render, render_type
+from .parser import _APP, _ATOM, _TOP, _Parser, constant_name, render, render_type
 from .statics import StaticsError, kind_of
 from .subst import instantiate
 from .syntax import (
@@ -226,66 +226,48 @@ def _fterm_layout(t: Term, unicode: bool) -> tuple:
 
 def parse_fterm(text: str) -> Term:
     parser = _FParser(text)
-    term = trampoline(parser.fterm())
+    term = trampoline(parser.term())
     parser.expect_end()
     return term
 
 
 class _FParser(_Parser):
-    """Parses the printer grammar: /\\a. V, \\x:T. M, M N, M [T]."""
+    """The printer's grammar, ``/\\a. V``, ``\\x:T. M``, ``M N`` and
+    ``M [T]``: the shared term parser with System F's hooks."""
 
-    def fterm(self) -> Walk:
+    variable = Freeze
+    argument_puncts = ("(",)
+    not_arguments = ("in", "let")
+    a_term = "an F term"
+
+    def node_span(self, at) -> None:
+        return None  # F terms carry no span
+
+    def term(self) -> Walk:
         if self.at_punct("\\"):
             self.advance()
             name = self.expect_ident()
             self.expect_punct(":")
-            ann = yield from self.type_()
-            self.expect_punct(".")
-            return LamAnn(name.text, ann, (yield self.fterm()))
+            ann = yield self.type_()
+            return (yield from self.abstraction([(name.text, ann, None)]))
         if self.at_punct("/\\"):
-            self.advance()
-            names = [self.expect_ident().text]
-            while not self.at_punct("."):
-                names.append(self.expect_ident().text)
-            self.expect_punct(".")
-            return f_tyabs_many(names, (yield self.fterm()))
-        result = yield from self.fatom()
-        while True:
-            if self.at_punct("["):
-                self.advance()
-                ty = yield from self.type_()
-                self.expect_punct("]")
-                result = FTyApp(result, ty)
-                continue
-            tok = self.peek()
-            if tok.kind in ("ident", "int") and tok.text not in ("in", "let"):
-                result = App(result, (yield from self.fatom()))
-                continue
-            if self.at_punct("("):
-                result = App(result, (yield from self.fatom()))
-                continue
-            return result
+            return (yield from self.lam(lambda: (self.expect_ident().text, None, None)))
+        return (yield from self.app_chain())
 
-    def fatom(self) -> Walk:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Lit(int(tok.text))
-        if self.at_ident("True"):
-            self.advance()
-            return Lit(True)
-        if self.at_ident("False"):
-            self.advance()
-            return Lit(False)
-        if tok.kind == "ident":
-            name = self.expect_ident()
-            return Freeze(name.text)
-        if self.at_punct("("):
-            self.advance()
-            constant = self.operator_constant()
-            if constant is not None:
-                return Freeze(constant)
-            inner = yield self.fterm()
-            self.expect_punct(")")
-            return inner
-        raise SyntaxError_(f"expected an F term, found {tok.text!r}", tok.span)
+    def abstract(self, name: str, ann: Optional[Type], body: Term, span) -> Term:
+        return FTyAbs(name, body) if ann is None else LamAnn(name, ann, body)
+
+    def argument(self) -> Walk:
+        return self.leaf() or (yield from self.parenthesised())
+
+    def grouped(self) -> Walk:
+        return self.term()
+
+    def applied(self, fn: Term) -> Optional[Term]:
+        """`fn [T]`."""
+        if not self.at_punct("["):
+            return None
+        self.advance()
+        ty = trampoline(self.type_())
+        self.expect_punct("]")
+        return FTyApp(fn, ty)

@@ -123,7 +123,7 @@ class Store:
         gamma: TypeEnv = TypeEnv(),
     ) -> None:
         self.supply = supply
-        self.rigid = set(delta.names())
+        self.rigid = set(delta)
         self.kinds = dict(theta)
         self.levels = dict.fromkeys(self.kinds, 0)
         self.level = 0

@@ -280,6 +280,15 @@ class TestGolden:
             assert not ok
             assert detail == "unexpected failure: unbound type variable 'a'"
 
+    @pytest.mark.parametrize(
+        "expected, detail",
+        [("Bool", "expected Bool, got Int"), (None, "expected failure, inferred Int")],
+        ids=["wrong type", "accepted FAIL row"],
+    )
+    def test_a_row_the_checker_disagrees_with_fails(self, expected, detail):
+        row = CorpusRow("wrong", "id 1", expected, (), 1)
+        assert run_corpus_row(row, build_prelude()) == (False, detail)
+
     def test_rows_loaded(self):
         rows = load_corpus()
         labels = {row.label for row in rows}
@@ -336,6 +345,13 @@ class TestEntryPoint:
             assert main(["infer", bad]) == EXIT_TYPE_ERROR
         assert out.getvalue() == "poly ~id : (Int, Bool)\n"
         assert err.getvalue().startswith(f"{bad}:1:")
+
+    @pytest.mark.parametrize("argv, code", [(["bogus"], EXIT_USAGE), (["--help"], EXIT_OK)])
+    def test_argparse_exits_become_exit_codes(self, capsys, argv, code):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert ("usage: freezeml" in err) == (code == EXIT_USAGE)
+        assert ("usage: freezeml" in out) == (code == EXIT_OK)
 
     def test_module_invocation(self, tmp_path):
         path = write(tmp_path, "ex.fml", "poly ~id")

@@ -288,6 +288,118 @@ class TestReplayMemo:
             replay(EMPTY, PRELUDE, tampered)
 
 
+def grounded(source: str):
+    return rebuild_derivation(EMPTY, PRELUDE, desugar(parse_term(source)))
+
+
+LET = "let f = \\x. x in f 1"
+LET_ANN = "let (f : forall a. a -> a) = \\x. x in f 1"
+
+# One tampered grounded derivation per premise of `replay`: (source of
+# the derivation, tampering, Δ to replay under, the exact error text).
+PREMISES = {
+    "DFreeze unbound": (
+        "~id", lambda d: replace(d, name="ghost"), EMPTY,
+        "DFreeze: unbound variable 'ghost'",
+    ),
+    "DFreeze type": (
+        "~id", lambda d: replace(d, ty=t_int), EMPTY,
+        "DFreeze: recorded type differs from environment entry for 'id'",
+    ),
+    "DVar prefix": (
+        "id", lambda d: replace(d, prefix=("b",)), EMPTY,
+        "DVar: recorded prefix differs from environment entry",
+    ),
+    "DVar arity": (
+        "id", lambda d: replace(d, inst=()), EMPTY,
+        "DVar: instantiation arity mismatch",
+    ),
+    "DLit type": (
+        "1", lambda d: replace(d, ty=ty("Bool")), EMPTY,
+        "DLit: literal type mismatch",
+    ),
+    "DLamAnn kind": (
+        "\\(x : Int). x", lambda d: replace(d, ann=TVar("b")), EMPTY,
+        "DLamAnn: unbound type variable 'b'",
+    ),
+    "DLam kind": (
+        "\\x. x", lambda d: replace(d, arg_ty=TVar("b")), EMPTY,
+        "DLam: unbound type variable 'b'",
+    ),
+    "DLam monomorphic": (
+        "\\x. x", lambda d: replace(d, arg_ty=ty("forall a. a -> a")), EMPTY,
+        "DLam: unannotated parameter must be monomorphic",
+    ),
+    "DLam result": (
+        "\\x. x", lambda d: replace(d, ty=ty("Int -> Bool")), EMPTY,
+        "DLam: result type mismatch",
+    ),
+    "DApp arrow": (
+        "id 1", lambda d: replace(d, fn=d.arg), EMPTY,
+        "DApp: function position does not have an arrow type",
+    ),
+    "DApp argument": (
+        "id 1", lambda d: replace(d, arg=grounded("True")), EMPTY,
+        "DApp: argument type mismatch",
+    ),
+    "DApp result": (
+        "id 1", lambda d: replace(d, ty=ty("Bool")), EMPTY,
+        "DApp: result type mismatch",
+    ),
+    "DLet gen": (
+        LET, lambda d: replace(d, gen_prefix=()), EMPTY,
+        "DLet: recorded abstraction prefix disagrees with gen",
+    ),
+    "DLet generalised": (
+        LET, lambda d: replace(d, var_ty=ty("forall a. a -> Int")), EMPTY,
+        "DLet: binder type is not the generalised bound type",
+    ),
+    "DLet monomorphic instance": (
+        "let f = id id in f 1", lambda d: replace(d, var_ty=ty("Bool -> Bool")), EMPTY,
+        "DLet: binder type is not a monomorphic instance",
+    ),
+    "DLet result": (
+        LET, lambda d: replace(d, ty=ty("Bool")), EMPTY,
+        "DLet: result type mismatch",
+    ),
+    "DLetAnn kind": (
+        LET_ANN, lambda d: replace(d, ann=TVar("b")), EMPTY,
+        "DLetAnn: unbound type variable 'b'",
+    ),
+    "DLetAnn split": (
+        LET_ANN, lambda d: replace(d, split_prefix=()), EMPTY,
+        "DLetAnn: recorded split prefix disagrees with split",
+    ),
+    "DLetAnn rebinds": (
+        LET_ANN, lambda d: d, KindEnv(("a",)),
+        "DLetAnn: annotation rebinds a type variable already in scope",
+    ),
+    "DLetAnn bound": (
+        "let (f : Int -> Int) = \\x. x in f 1",
+        lambda d: replace(d, ann=ty("Bool -> Bool")),
+        EMPTY,
+        "DLetAnn: bound type differs from the annotation's body",
+    ),
+    "DLetAnn result": (
+        LET_ANN, lambda d: replace(d, ty=ty("Bool")), EMPTY,
+        "DLetAnn: result type mismatch",
+    ),
+}
+
+
+class TestReplayPremises:
+    """Each premise `replay` checks rejects a derivation that breaks it
+    alone, with its own message."""
+
+    @pytest.mark.parametrize("source, tamper, delta, message", PREMISES.values(), ids=PREMISES)
+    def test_a_broken_premise_fails_with_its_message(self, source, tamper, delta, message):
+        derivation = grounded(source)
+        assert replay(EMPTY, PRELUDE, derivation) == derivation.ty
+        with pytest.raises(ReplayError) as caught:
+            replay(delta, PRELUDE, tamper(derivation))
+        assert str(caught.value) == message
+
+
 def inst_wf_apart(delta: KindEnv, prefix: tuple[str, ...], images: tuple) -> bool:
     """Replay's former Var-rule check: rename the scheme's prefix apart
     from delta, then judge the instantiation with `inst_wf`."""

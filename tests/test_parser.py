@@ -135,6 +135,15 @@ class TestParseTerm:
     def test_multi_binder_lambda(self):
         assert parse_term("\\x y. y") == Lam("x", Lam("y", Var("y")))
 
+    def test_infix_precedence_and_associativity(self):
+        def op(name, left, right):
+            return App(App(Var(name), left), right)
+
+        one, two, three, xs = Lit(1), Lit(2), Lit(3), Var("xs")
+        assert parse_term("1 + 2 + 3") == op("+", op("+", one, two), three)
+        assert parse_term("1 :: 2 ++ 3 :: xs") == op("::", one, op("++", two, op("::", three, xs)))
+        assert parse_term("1 + 2 :: 3 + xs") == op("::", op("+", one, two), op("+", three, xs))
+
 
 class TestParseProgram:
     def test_annotated_declaration(self):

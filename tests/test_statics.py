@@ -4,7 +4,9 @@ import pytest
 
 from freezeml.parser import parse_term, parse_type
 from freezeml.statics import (
+    KindArityError,
     PolyVarInEnv,
+    StaticsError,
     UnboundTyVar,
     env_wf,
     kind_of,
@@ -12,10 +14,16 @@ from freezeml.statics import (
 )
 from freezeml.subst import substitute
 from freezeml.syntax import (
+    LIST,
+    Con,
     Kind,
     KindEnv,
+    LamAnn,
+    Span,
     TVar,
     TypeEnv,
+    Var,
+    arrow,
     desugar,
     ftv_ordered,
 )
@@ -31,7 +39,22 @@ def ty(src: str):
 EMPTY = KindEnv()
 
 
+def bare_list() -> Con:
+    """`List` with no argument.  `Con` asserts its arity on
+    construction, but assertions vanish under ``python -O``, where
+    kinding's own arity check is what stops such a type."""
+    bad = object.__new__(Con)
+    object.__setattr__(bad, "con", LIST)
+    object.__setattr__(bad, "args", ())
+    return bad
+
+
 class TestKindOf:
+    def test_constructor_arity(self):
+        with pytest.raises(KindArityError) as caught:
+            kind_of(EMPTY, arrow(bare_list(), ty("Int")))
+        assert caught.value.message == "List expects 1 arguments, got 0"
+
     def test_int_is_mono(self):
         assert kind_of(EMPTY, ty("Int")) is Kind.MONO
 
@@ -121,6 +144,13 @@ class TestWellscoped:
         term = desugar(parse_term("\\(x : forall a. a -> a). \\(y : a). y"))
         with pytest.raises(UnboundTyVar):
             wellscoped(EMPTY, term)
+
+    def test_ill_kinded_annotation_blames_its_binder(self):
+        span = Span(0, 1, 1, 1)
+        with pytest.raises(StaticsError) as caught:
+            wellscoped(EMPTY, LamAnn("x", bare_list(), Var("x"), span))
+        assert type(caught.value) is StaticsError
+        assert (caught.value.message, caught.value.span) == ("List expects 1 arguments, got 0", span)
 
     def test_rigid_vars_visible(self):
         term = desugar(parse_term("\\(x : a). x"))

@@ -7,6 +7,7 @@ import pytest
 from freezeml.infer import make_supply
 from freezeml.parser import parse_term, parse_type, render_term
 from freezeml.subst import substitute
+from freezeml.systemf import parse_fterm
 from freezeml.syntax import (
     ARROW,
     BOOL,
@@ -26,6 +27,7 @@ from freezeml.syntax import (
     LetAnn,
     Lit,
     NameSupply,
+    Span,
     TermClass,
     TVar,
     TypeEnv,
@@ -327,6 +329,18 @@ class TestTypeEnv:
         env = TypeEnv((("x", t_int),)).extend("x", ty("Bool"))
         assert env.lookup("x") == ty("Bool")
         assert len(env) == 2
+
+
+class TestLit:
+    def test_a_boolean_is_not_an_integer(self):
+        # `True == 1` in Python, but the literals have different types
+        assert Lit(True) != Lit(1) and Lit(False) != Lit(0)
+        assert len({Lit(True), Lit(1), Lit(False), Lit(0)}) == 4
+        assert Lit(1, Span(0, 1, 1, 1)) == Lit(1)
+
+    def test_parsers_tell_the_literals_apart(self):
+        assert parse_term("f True") != parse_term("f 1")
+        assert parse_fterm("1") != parse_fterm("True")
 
 
 class TestDecompose:

@@ -98,6 +98,12 @@ class TestTypecheck:
         with pytest.raises(FUnboundVar):
             f_typecheck(EMPTY, NO_VARS, FVar("ghost"))
 
+    def test_ill_kinded_type_argument(self):
+        with pytest.raises(FTypeError) as caught:
+            f_typecheck(EMPTY, PRELUDE, parse_fterm("id [b] 1"))
+        assert type(caught.value) is FTypeError
+        assert caught.value.message == "unbound type variable 'b'"
+
     def test_not_a_function(self):
         with pytest.raises(NotAFunction):
             f_typecheck(EMPTY, NO_VARS, FApp(FLit(1), FLit(2)))
