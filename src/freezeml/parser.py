@@ -450,7 +450,8 @@ class _Parser:
         return tok.kind == "int" or (tok.kind == "punct" and tok.text in self.argument_puncts)
 
     def applied(self, fn: Term) -> Optional[Term]:
-        """`fn` applied to what follows that is no argument; None here."""
+        """`fn` applied to the type argument that follows, if any; surface
+        terms take none."""
         return None
 
     def argument(self) -> Walk:
