@@ -144,8 +144,9 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
     builds each distinct instance of a scheme once (see
     :func:`freezeml.subst.instantiate`); its values hold the scheme and
     images its keys name.  It shares construction, never verdicts: every
-    Var node still has its prefix, arity and images checked and its
-    instance compared with its own recorded type.
+    Var node still has its arity against its scheme's prefix in Γ and
+    its images checked, and its instance compared with its own recorded
+    type.
     """
     scope, memo = Scope(gamma), {}
     return _replay_leaf(delta, scope, d, memo) or trampoline(_replay(delta, scope, d, memo))
@@ -153,22 +154,15 @@ def replay(delta: KindEnv, gamma: TypeEnv, d: Derivation) -> Type:
 
 def _replay_leaf(delta: KindEnv, gamma: Scope, d: Derivation, memo: dict) -> Optional[Type]:
     """The type of a leaf `d` by its rule; None for any other node."""
-    if isinstance(d, DFreeze):
+    if isinstance(d, (DFreeze, DVar)):
         scheme = gamma.lookup(d.name)
         if scheme is None:
             _fail(d, f"unbound variable {d.name!r}")
-        if not alpha_eq(scheme, d.ty):
-            _fail(d, f"recorded type differs from environment entry for {d.name!r}")
-        return d.ty
-
-    if isinstance(d, DVar):
-        scheme = gamma.lookup(d.name)
-        if scheme is None:
-            _fail(d, f"unbound variable {d.name!r}")
-        prefix = decompose(scheme)[0]
-        if prefix != d.prefix:
-            _fail(d, "recorded prefix differs from environment entry")
-        if len(d.inst) != len(prefix):
+        if isinstance(d, DFreeze):
+            if not alpha_eq(scheme, d.ty):
+                _fail(d, f"recorded type differs from environment entry for {d.name!r}")
+            return d.ty
+        if len(d.inst) != len(decompose(scheme)[0]):
             _fail(d, "instantiation arity mismatch")
         # Every image must have a kind under delta, and any kind will do:
         # the prefix is polymorphic.  The scheme binds its own prefix, so a

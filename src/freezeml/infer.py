@@ -8,18 +8,21 @@ solution when it is used.  An application whose function type is an
 arrow, as written or through a solved variable, unifies the arrow's
 domain with the argument's type and has its codomain as its type; any
 other function type is unified with ``argument -> b`` for a fresh ``b``,
-as in the paper.  Each case returns its inferred type and a
-derivation as written: their types may mention variables solved later,
-which the store's images link to.  A let reads its bound type through
-the solution once, before it generalises.  :func:`infer` reads the
-result type through the solution and returns the solution restricted to
-the input flexible environment, the paper's form, as a plain dict; the
-derivation is read through the solution when first asked for.  The
-translation to the explicit core replays the resolved tree.
+as in the paper.  Each case returns its derivation node as written,
+and a parent reads the child's type from its ``ty``: the types may
+mention variables solved later, which the store's images link to.  A
+let reads its bound type through the solution once, before it
+generalises.  :func:`infer` reads the root's type through the solution
+and returns the solution restricted to the input flexible environment,
+the paper's form, as a plain dict; the derivation is read through the
+solution when first asked for.  The translation to the explicit core
+replays the resolved tree.
 
 A derivation node is the term node it derives, with derivations as
-children, plus what its rule chose: its type, an instantiation, a
-prefix.  Term functions such as :func:`freezeml.syntax.classify` and
+children, plus what its rule chose: its type, a variable's
+instantiation, a let's prefix.  The quantifier prefix a variable's
+images instantiate is its scheme's in Γ, so the node does not copy it.
+Term functions such as :func:`freezeml.syntax.classify` and
 :func:`freezeml.parser.render_term` read derivations directly.
 
 A let infers its bound term one level deeper.  The bound type's flexible
@@ -140,8 +143,7 @@ class DFreeze(Freeze, _Derived):
 
 @dataclass(frozen=True, kw_only=True)
 class DVar(Var, _Derived):
-    prefix: tuple[str, ...]  # quantifier prefix of the scheme in the env
-    inst: tuple[Type, ...]  # instantiation images, aligned with prefix
+    inst: tuple[Type, ...]  # images of the prefix of the scheme in Γ
     ty: Type
 
 
@@ -187,7 +189,7 @@ def _map_leaf(d: Derivation, fn: TypeFn) -> Optional[Derivation]:
         return DFreeze(d.name, d.span, ty=fn(d.ty))
     if isinstance(d, DVar):
         inst = tuple(fn(t) for t in d.inst)
-        return DVar(d.name, d.span, prefix=d.prefix, inst=inst, ty=fn(d.ty))
+        return DVar(d.name, d.span, inst=inst, ty=fn(d.ty))
     if isinstance(d, DLit):
         return DLit(d.value, d.span, ty=fn(d.ty))
     return None
@@ -266,9 +268,9 @@ def infer(
     type in the derivation is resolved when it is first read.
     """
     store = Store(delta, theta, supply, gamma)
-    ty, deriv = _infer_leaf(store, m) or trampoline(_infer(store, m))
+    root = _infer_leaf(store, m) or trampoline(_infer(store, m))
     return InferResult(
-        store.theta(), store.solution(theta), store.apply(ty), deriv, store
+        store.theta(), store.solution(theta), store.apply(root.ty), root, store
     )
 
 
@@ -280,63 +282,54 @@ def _unify(store: Store, a: Type, b: Type, span: Optional[Span]) -> None:
         raise CannotUnify(err, left, right, span) from None
 
 
-def _infer_leaf(store: Store, m: Term) -> Optional[tuple[Type, Derivation]]:
-    """The type and derivation of a leaf `m`; None for any other term."""
-    if isinstance(m, Freeze):
-        ty = store.scheme(m.name)
-        if ty is None:
-            raise UnboundVar(m.name, m.span)
-        return ty, DFreeze(m.name, m.span, ty=ty)
-
-    if isinstance(m, Var):
+def _infer_leaf(store: Store, m: Term) -> Optional[Derivation]:
+    """The derivation of a leaf `m`; None for any other term."""
+    if isinstance(m, (Freeze, Var)):
         scheme = store.scheme(m.name)
         if scheme is None:
             raise UnboundVar(m.name, m.span)
+        if isinstance(m, Freeze):
+            return DFreeze(m.name, m.span, ty=scheme)
         prefix, guarded = decompose(scheme)
-        fresh = [TVar(store.fresh(Kind.POLY)) for _ in prefix]
+        fresh = tuple(TVar(store.fresh(Kind.POLY)) for _ in prefix)
         ty = substitute(dict(zip(prefix, fresh)), guarded)
-        return ty, DVar(m.name, m.span, prefix=prefix, inst=tuple(fresh), ty=ty)
+        return DVar(m.name, m.span, inst=fresh, ty=ty)
 
     if isinstance(m, Lit):
-        return m.type, DLit(m.value, m.span, ty=m.type)
+        return DLit(m.value, m.span, ty=m.type)
     return None
 
 
 def _infer(store: Store, m: Term) -> Walk:
-    if isinstance(m, Lam):
-        arg_ty = TVar(store.fresh(Kind.MONO))
+    if isinstance(m, (Lam, LamAnn)):
+        arg_ty = m.ann if isinstance(m, LamAnn) else TVar(store.fresh(Kind.MONO))
         store.gamma.push(m.var, arg_ty)
-        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
+        body = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
         store.gamma.pop(m.var)
-        ty = arrow(arg_ty, body_ty)
-        return ty, DLam(m.var, body_deriv, m.span, arg_ty=arg_ty, ty=ty)
-
-    if isinstance(m, LamAnn):
-        store.gamma.push(m.var, m.ann)
-        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
-        store.gamma.pop(m.var)
-        ty = arrow(m.ann, body_ty)
-        return ty, DLamAnn(m.var, m.ann, body_deriv, m.span, ty=ty)
+        ty = arrow(arg_ty, body.ty)
+        if isinstance(m, LamAnn):
+            return DLamAnn(m.var, m.ann, body, m.span, ty=ty)
+        return DLam(m.var, body, m.span, arg_ty=arg_ty, ty=ty)
 
     if isinstance(m, App):
-        fn_ty, fn_deriv = _infer_leaf(store, m.fn) or (yield _infer(store, m.fn))
-        arg_ty, arg_deriv = _infer_leaf(store, m.arg) or (yield _infer(store, m.arg))
-        head = store.head(fn_ty)
+        fn = _infer_leaf(store, m.fn) or (yield _infer(store, m.fn))
+        arg = _infer_leaf(store, m.arg) or (yield _infer(store, m.arg))
+        head = store.head(fn.ty)
         if type(head) is Con and head.con == ARROW:
             # A known arrow is taken apart: its domain meets the argument
             # and its codomain is the result, with no fresh variable.
-            domain, result_ty = head.args
-            _unify(store, domain, arg_ty, m.span)
+            domain, ty = head.args
+            _unify(store, domain, arg.ty, m.span)
         else:
-            result_ty = TVar(store.fresh(Kind.POLY))
-            _unify(store, fn_ty, arrow(arg_ty, result_ty), m.span)
-        return result_ty, DApp(fn_deriv, arg_deriv, m.span, ty=result_ty)
+            ty = TVar(store.fresh(Kind.POLY))
+            _unify(store, fn.ty, arrow(arg.ty, ty), m.span)
+        return DApp(fn, arg, m.span, ty=ty)
 
     if isinstance(m, Let):
         store.level += 1
-        bound_ty, bound_deriv = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
+        bound = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
         store.level -= 1
-        bound_ty = store.apply(bound_ty)
+        bound_ty = store.apply(bound.ty)
         # Variables still deeper than this let are reachable from no
         # binding in scope, so only they may generalise.
         deeper = [
@@ -352,15 +345,7 @@ def _infer(store: Store, m: Term) -> Walk:
                 store.kinds[v] = Kind.MONO
                 store.levels[v] = store.level
         var_ty = foralls(prefix, bound_ty)
-        store.gamma.push(m.var, var_ty)
-        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
-        store.gamma.pop(m.var)
-        return body_ty, DLet(
-            m.var, bound_deriv, body_deriv, m.span,
-            gen_prefix=prefix, var_ty=var_ty, ty=body_ty,
-        )
-
-    if isinstance(m, LetAnn):
+    elif isinstance(m, LetAnn):
         prefix, split_ty = split(m.ann, m.bound)
         if not store.rigid.isdisjoint(prefix):
             raise InferError(
@@ -369,8 +354,8 @@ def _infer(store: Store, m: Term) -> Walk:
         store.level += 1
         store.rigid.update(prefix)
         store.levels.update(dict.fromkeys(prefix, store.level))
-        bound_ty, bound_deriv = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
-        _unify(store, split_ty, bound_ty, m.span)
+        bound = _infer_leaf(store, m.bound) or (yield _infer(store, m.bound))
+        _unify(store, split_ty, bound.ty, m.span)
         store.level -= 1
         store.rigid.difference_update(prefix)
         # A prefix variable lowered to this level or an outer one is
@@ -383,17 +368,17 @@ def _infer(store: Store, m: Term) -> Walk:
                 f"annotation variables {sorted(escaped)} escape their binding",
                 m.span,
             )
-        store.gamma.push(m.var, m.ann)
-        body_ty, body_deriv = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
-        store.gamma.pop(m.var)
-        return body_ty, DLetAnn(
-            m.var, m.ann, bound_deriv, body_deriv, m.span,
-            split_prefix=prefix, ty=body_ty,
-        )
-
-    if isinstance(m, (Gen, Inst)):
+        var_ty = m.ann
+    elif isinstance(m, (Gen, Inst)):
         raise ValueError("infer applies to desugared terms only")
-    raise TypeError(f"not a term: {m!r}")
+    else:
+        raise TypeError(f"not a term: {m!r}")
+    store.gamma.push(m.var, var_ty)
+    body = _infer_leaf(store, m.body) or (yield _infer(store, m.body))
+    store.gamma.pop(m.var)
+    if isinstance(m, Let):
+        return DLet(m.var, bound, body, m.span, gen_prefix=prefix, var_ty=var_ty, ty=body.ty)
+    return DLetAnn(m.var, m.ann, bound, body, m.span, split_prefix=prefix, ty=body.ty)
 
 
 def make_supply(

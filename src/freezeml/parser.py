@@ -78,7 +78,6 @@ from .syntax import (
     Var,
     Walk,
     arrow,
-    decompose,
     ftv_ordered,
     is_internal_name,
     list_of,
@@ -702,8 +701,13 @@ def _type_layout(t: Type, unicode: bool) -> tuple:
     if isinstance(t, TVar):
         return _ATOM, t.name
     if isinstance(t, Forall):
-        prefix, body = decompose(t)
-        return _TOP, (("∀" if unicode else "forall ") + " ".join(prefix) + ". ", (body, _APP))
+        # Binders group while their names are distinct: the parser
+        # rejects `forall a a.`, so a shadowing quantifier starts anew.
+        prefix = []
+        while isinstance(t, Forall) and t.var not in prefix:
+            prefix.append(t.var)
+            t = t.body
+        return _TOP, (("∀" if unicode else "forall ") + " ".join(prefix) + ". ", (t, _TOP))
     name = t.con.name if isinstance(t, Con) else None
     if name == "->":
         return _APP, ((t.args[0], _APPLIED), " → " if unicode else " -> ", (t.args[1], _APP))

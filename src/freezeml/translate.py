@@ -72,17 +72,6 @@ from .syntax import (
 )
 from .systemf import TypeMismatch, f_let, f_tyabs_many, f_typecheck
 
-__all__ = [
-    "Derivation",
-    "elaborate",
-    "ground_derivation",
-    "rebuild_derivation",
-    "to_systemf",
-    "from_systemf",
-    "readable_fterm",
-]
-
-
 def ground_derivation(
     delta: KindEnv, gamma: TypeEnv, result: InferResult
 ) -> Derivation:

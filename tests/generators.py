@@ -60,11 +60,14 @@ def random_type(
     depth: int = 3,
     kind: Kind = Kind.POLY,
     allow_forall: bool = True,
+    binders: tuple[str, ...] = (),
 ) -> Type:
     """A well-kinded type over the given variable pools.
 
     `mono_vars` can appear anywhere; `poly_vars` only where the target
-    kind is poly.  Foralls bind fresh variables usable monomorphically.
+    kind is poly.  Foralls bind fresh variables usable monomorphically,
+    or, when `binders` is given, names drawn from it, so that nested
+    quantifiers may shadow one another and the pools.
     """
     leaf_options: list = [t_int, t_bool]
     leaf_options.extend(TVar(v) for v in mono_vars)
@@ -76,25 +79,22 @@ def random_type(
     if roll < 0.35:
         return rng.choice(leaf_options)
     if kind is Kind.POLY and allow_forall and roll < 0.5:
-        fresh = f"q{rng.randrange(10**6)}"
+        fresh = rng.choice(binders) if binders else f"q{rng.randrange(10**6)}"
         body = random_type(
-            rng, mono_vars + (fresh,), poly_vars, depth - 1, Kind.POLY, allow_forall
+            rng, mono_vars + (fresh,), poly_vars, depth - 1, Kind.POLY, allow_forall,
+            binders,
         )
         return Forall(fresh, body)
+
+    def part() -> Type:
+        return random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall, binders)
+
     pick = rng.random()
     if pick < 0.5:
-        return arrow(
-            random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
-            random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
-        )
+        return arrow(part(), part())
     if pick < 0.75:
-        return list_of(
-            random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall)
-        )
-    return pair_of(
-        random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
-        random_type(rng, mono_vars, poly_vars, depth - 1, kind, allow_forall),
-    )
+        return list_of(part())
+    return pair_of(part(), part())
 
 
 def kinding_env(delta: KindEnv, theta: dict[str, Kind]) -> dict[str, Kind]:

@@ -222,6 +222,23 @@ class TestElaborateImport:
         assert code == EXIT_OK, err
         assert out.splitlines()[-1] == ": Int"
 
+    def test_shadowing_annotation_elaborates_and_imports_back(self, tmp_path):
+        # the inner `a` shadows the outer one: both echoes must print the
+        # two quantifiers apart, since `forall a a.` does not parse
+        source = "\\(x : forall a. forall a. a -> a). x"
+        path = write(tmp_path, "ex.fml", source)
+        code, out, err = run_cli(["infer", path])
+        assert code == EXIT_OK, err
+        assert out.startswith(source + " : ")
+        code, out, err = run_cli(["elaborate", path])
+        assert code == EXIT_OK, err
+        fterm, type_line = out.splitlines()
+        assert type_line == ": (forall a. forall a. a -> a) -> Int -> Int"
+        code, encoding, err = run_cli(["import", write(tmp_path, "ex.f", fterm)])
+        assert code == EXIT_OK, err
+        code, _, err = run_cli(["infer", write(tmp_path, "enc.fml", encoding)])
+        assert code == EXIT_OK, err
+
     def test_import_type_abstraction(self, tmp_path):
         path = write(tmp_path, "ex.f", "/\\a. \\x:a. x")
         code, out, _ = run_cli(["import", path])
@@ -288,6 +305,18 @@ class TestGolden:
     def test_a_row_the_checker_disagrees_with_fails(self, expected, detail):
         row = CorpusRow("wrong", "id 1", expected, (), 1)
         assert run_corpus_row(row, build_prelude()) == (False, detail)
+
+    def test_a_disagreeing_row_fails_the_run(self, monkeypatch):
+        rows = load_corpus()
+        wrong = CorpusRow("wrong", "id 1", "Bool", (), 1)
+        monkeypatch.setattr(cli, "load_corpus", lambda: [*rows, wrong])
+        code, out, _ = run_cli(["golden"])
+        assert code == EXIT_TYPE_ERROR
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL wrong  id 1  [expected Bool, got Int]"
+        ]
+        assert lines[-1] == f"{len(rows)}/{len(rows) + 1} rows passed"
 
     def test_rows_loaded(self):
         rows = load_corpus()

@@ -406,6 +406,20 @@ def test_submodules_are_reachable_by_attribute():
     assert infer_module.check_program is sys.modules["freezeml.infer"].check_program
 
 
+def test_a_module_loads_only_what_it_imports():
+    # the package re-exports nothing, so reading a type pulls in no inference
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(REPO / 'src')!r}]\n"
+        "import freezeml.parser\n"
+        "print(json.dumps([n for n in sys.modules if n.startswith('freezeml')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "freezeml.parser" in loaded and "freezeml.infer" not in loaded
+
+
 def test_traced_benchmark_hooks_resolve(tmp_path):
     # bench/spans.py wraps the functions its LAYERS list by module and
     # name, and counts calls of a few methods; a fresh interpreter keeps

@@ -208,6 +208,19 @@ class TestRenderType:
             t = random_type(rng, ("m", "n"), ("p",), depth=rng.randint(0, 5))
             assert parse_type(render_type(t)) == t
 
+    def test_shadowing_quantifier_starts_a_new_prefix(self):
+        # `forall a a.` is a duplicate binder to the parser, so the inner
+        # quantifier must print as a prefix of its own
+        t = Forall("a", Forall("b", Forall("a", arrow(TVar("a"), TVar("b")))))
+        assert render_type(t) == "forall a b. forall a. a -> b"
+        assert parse_type(render_type(t)) == t
+
+    def test_round_trip_exact_with_shadowing_binders(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            t = random_type(rng, ("m",), ("p",), depth=rng.randint(1, 6), binders=("a", "b"))
+            assert parse_type(render_type(t)) == t
+
     def test_round_trip_alpha_with_normalize(self):
         rng = random.Random(6)
         for _ in range(400):

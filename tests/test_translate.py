@@ -69,7 +69,6 @@ class TestRebuildDerivation:
         # id in a context forcing Int
         derivation, _ = elaborate("(\\(f : Int -> Int). f 1) id")
         var_node = derivation.arg
-        assert var_node.prefix == ("a",)
         assert var_node.inst == (ty("Int"),)
 
     def test_failure_propagates(self):
